@@ -2,7 +2,9 @@
 
 Exit codes are a stable contract: 0 success (or verdict "grt"), 1 negative
 classification or failed check, 2 multiplication-rule arithmetic failure,
-3 inapplicable check, 64 usage error, 65 malformed input.
+3 inapplicable check, 64 usage error, 65 malformed input, 70 internal error
+(an unexpected exception, reported in one line, so that a crash never reads
+as the negative verdict 1).
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ EXIT_ARITHMETIC = 2
 EXIT_INAPPLICABLE = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_SOFTWARE = 70
 
 CHECK_NAMES = [
     "rowsums",
@@ -73,6 +76,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"rascal: error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as err:  # last resort: any other failure is a bug, not a verdict
+        print(f"rascal: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 def _build_parser() -> _Parser:
@@ -176,6 +182,8 @@ def _load_grid(source: str):
         return parse_triangle(_read_input(source)), None
     except OSError as err:
         return None, f"cannot read {source}: {err.strerror or err}"
+    except UnicodeDecodeError as err:
+        return None, f"cannot read {source}: not valid UTF-8 ({err.reason} at byte {err.start})"
     except TriangleParseError as err:
         return None, str(err)
 

@@ -14,6 +14,7 @@ All entries are plain Python integers, so arithmetic is exact at any size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 
 @dataclass(frozen=True)
@@ -120,6 +121,22 @@ def closed_form_entry(params: GrtParams, r: int, k: int) -> int:
     if r < 0 or k < 0:
         raise ValueError(f"diagonal indices must be nonnegative, got (r={r}, k={k})")
     return params.c + k * params.d1 + r * params.d2 + r * k * params.d
+
+
+def closed_form_row(params: GrtParams, n: int) -> tuple[int, ...]:
+    """Row ``n`` of the closed form, left to right: T(r, n - r) for r = 0..n.
+
+    Built with additions only: the row starts at T(0, n) = c + n*d1 and
+    steps by (d2 - d1) + d*(n - 1 - 2r) from position r to r + 1.
+    """
+    if n < 0:
+        raise ValueError(f"row index must be nonnegative, got {n}")
+    first_step = params.d2 - params.d1 + params.d * (n - 1)
+    if params.d:
+        steps = range(first_step, first_step - 2 * params.d * n, -2 * params.d)
+    else:
+        steps = repeat(first_step, n)
+    return tuple(accumulate(steps, initial=params.c + n * params.d1))
 
 
 def major_diagonal(params: GrtParams, r: int, count: int) -> list[int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import GrtParams, TriangleGrid, closed_form_entry
+from .core import GrtParams, TriangleGrid, closed_form_row
 
 
 class MultiplicationRuleError(ArithmeticError):
@@ -94,10 +94,7 @@ def generate_closed_form(params: GrtParams, n_rows: int) -> TriangleGrid:
     """Fill ``n_rows`` rows straight from the closed form."""
     if n_rows < 1:
         raise ValueError(f"n_rows must be at least 1, got {n_rows}")
-    rows = [
-        [closed_form_entry(params, r, n - r) for r in range(n + 1)] for n in range(n_rows)
-    ]
-    return TriangleGrid(rows)
+    return TriangleGrid([closed_form_row(params, n) for n in range(n_rows)])
 
 
 def generate_by_addition(boundary: Boundary, d: int) -> TriangleGrid:

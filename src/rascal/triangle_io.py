@@ -13,14 +13,14 @@ ambiguous for jagged rows.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import re
 
 from .core import TriangleGrid
 
-_INT_RE = re.compile(r"-?\d+")
+# ASCII digits only: ``\d`` would also admit other scripts' digits, which int() reads.
+_INT_RE = re.compile(r"-?[0-9]+")
+_ROW_RE = re.compile(r"-?[0-9]+(?:[ \t]+-?[0-9]+)*")
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
@@ -36,16 +36,20 @@ class TriangleParseError(ValueError):
 
 
 def parse_plain_rows(text: str) -> TriangleGrid:
-    rows: list[list[int]] = []
+    rows: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        row = []
-        for token in line.split():
-            if not _INT_RE.fullmatch(token):
-                raise TriangleParseError(f"{token!r} is not a base-10 integer", lineno)
-            row.append(int(token))
+        if not _ROW_RE.fullmatch(line):
+            # name the bad token; other whitespace between good ones is still a separator
+            for token in line.split():
+                if not _INT_RE.fullmatch(token):
+                    raise TriangleParseError(f"{token!r} is not a base-10 integer", lineno)
+        try:
+            row = tuple(map(int, line.split()))
+        except ValueError:
+            raise TriangleParseError(_too_long(max(line.split(), key=len)), lineno) from None
         n = len(rows)
         if len(row) != n + 1:
             raise TriangleParseError(
@@ -62,6 +66,10 @@ def parse_json(text: str) -> TriangleGrid:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise TriangleParseError(f"invalid JSON: {err.msg}", err.lineno) from err
+    except ValueError as err:  # a number past int()'s digit limit
+        raise TriangleParseError("invalid JSON: a number has too many digits to convert") from err
+    except RecursionError as err:
+        raise TriangleParseError("invalid JSON: arrays nested too deeply") from err
     if not isinstance(doc, dict) or "rows" not in doc:
         raise TriangleParseError('expected a JSON object with a "rows" array')
     raw_rows = doc["rows"]
@@ -88,8 +96,16 @@ def _json_int(value, n: int) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str) and _INT_RE.fullmatch(value):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:
+            raise TriangleParseError(f"row {n}: {_too_long(value)}") from None
     raise TriangleParseError(f"row {n}: {value!r} is not an integer or integer string")
+
+
+def _too_long(token: str) -> str:
+    """Why int() refused a well-formed token: Python's digit limit (sys.get_int_max_str_digits)."""
+    return f"{len(token.lstrip('-'))}-digit integer is too long to convert"
 
 
 def parse_triangle(text: str) -> TriangleGrid:
@@ -111,10 +127,10 @@ def render_json(grid: TriangleGrid) -> str:
 
 
 def render_csv(grid: TriangleGrid) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["n", "r", "k", "value"])
-    for n, row in enumerate(grid.rows):
-        for r, value in enumerate(row):
-            writer.writerow([n, r, n - r, value])
-    return buffer.getvalue()
+    # Every field is an integer, so nothing needs quoting.  Joining each row
+    # first keeps only one row's line strings alive at a time.
+    rows = [
+        "".join([f"{n},{r},{n - r},{value}\n" for r, value in enumerate(row)])
+        for n, row in enumerate(grid.rows)
+    ]
+    return "n,r,k,value\n" + "".join(rows)

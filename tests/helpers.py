@@ -1,10 +1,24 @@
-"""Shared builders for test triangles and parameter sweeps."""
+"""Shared builders for test triangles and parameter sweeps, and a reference classifier."""
 
 from itertools import product
 
 from hypothesis import strategies as st
 
-from rascal import Boundary, GrtParams, generate_by_addition, generate_by_multiplication
+from rascal import (
+    VERDICT_ADDITION_ONLY,
+    VERDICT_GRT,
+    VERDICT_MULTIPLICATION_ONLY,
+    VERDICT_NEITHER,
+    Boundary,
+    Classification,
+    DiagonalReport,
+    GrtParams,
+    NotGrtError,
+    RuleReport,
+    RuleWitness,
+    generate_by_addition,
+    generate_by_multiplication,
+)
 
 
 def sweep_params(lo=-3, hi=3):
@@ -57,3 +71,86 @@ def walk_rim(top_r, top_k, side):
     cells += [(top_r + s - i, top_k + s) for i in range(s)]
     cells += [(top_r, top_k + s - j) for j in range(s)]
     return cells
+
+
+# --- reference classifier ------------------------------------------------
+# The straightforward cell-by-cell scans: each diagonal walked on its own,
+# each rule over every interior diamond, the fit over every entry.  The
+# library's row-wise classifier must agree with them exactly.
+
+
+def oracle_diagonal_reports(grid):
+    reports = [oracle_sequence("major", r, grid.major_diagonal(r)) for r in range(grid.n_rows)]
+    reports += [oracle_sequence("minor", k, grid.minor_diagonal(k)) for k in range(grid.n_rows)]
+    return reports
+
+
+def oracle_sequence(kind, index, seq):
+    if len(seq) == 1:
+        return DiagonalReport(kind, index, seq[0], 0, None, True)
+    diff = seq[1] - seq[0]
+    for pos in range(2, len(seq)):
+        expected = seq[pos - 1] + diff
+        if seq[pos] != expected:
+            return DiagonalReport(kind, index, seq[0], None, (pos, expected, seq[pos]), False)
+    return DiagonalReport(kind, index, seq[0], diff, None, len(seq) < 3)
+
+
+def oracle_fit(grid):
+    """Fitted parameters; NotGrtError at the first entry that breaks the fit; needs 3 rows."""
+    rows = grid.rows
+    c = rows[0][0]
+    d1 = rows[1][0] - c
+    d2 = rows[1][1] - c
+    d = rows[2][1] - rows[1][0] - rows[1][1] + c
+    for n, row in enumerate(rows):
+        for r, actual in enumerate(row):
+            k = n - r
+            expected = c + k * d1 + r * d2 + r * k * d
+            if actual != expected:
+                raise NotGrtError(r, k, expected, actual)
+    return GrtParams(c, d, d1, d2)
+
+
+def oracle_interior_diamonds(grid):
+    """Yield (r, k, south, east, west, north) for interior cells, row-major."""
+    rows = grid.rows
+    for n in range(2, len(rows)):
+        for r in range(1, n):
+            yield r, n - r, rows[n][r], rows[n - 1][r], rows[n - 1][r - 1], rows[n - 2][r - 1]
+
+
+def oracle_rule(grid, rule):
+    implied = {
+        "addition": lambda s, e, w, n: s - e - w + n,
+        "multiplication": lambda s, e, w, n: s * n - e * w,
+    }[rule]
+    first = None
+    for r, k, south, east, west, north in oracle_interior_diamonds(grid):
+        constant = implied(south, east, west, north)
+        if first is None:
+            first = RuleWitness(r, k, constant)
+        elif constant != first.implied_constant:
+            return RuleReport(rule, None, (first, RuleWitness(r, k, constant)))
+    return RuleReport(rule, first.implied_constant, None)
+
+
+def oracle_classify(grid):
+    """The classification composed from the reference scans; needs 3 rows."""
+    addition = oracle_rule(grid, "addition")
+    multiplication = oracle_rule(grid, "multiplication")
+    try:
+        params = oracle_fit(grid)
+    except NotGrtError:
+        params = None
+    if params is not None:
+        verdict = VERDICT_GRT
+    elif addition.constant is not None and multiplication.constant is None:
+        verdict = VERDICT_ADDITION_ONLY
+    elif multiplication.constant is not None and addition.constant is None:
+        verdict = VERDICT_MULTIPLICATION_ONLY
+    else:
+        verdict = VERDICT_NEITHER
+    return Classification(
+        verdict, params, tuple(oracle_diagonal_reports(grid)), addition, multiplication
+    )

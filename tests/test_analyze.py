@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import boundaries, u_style_grid, v_style_grid
+from helpers import (
+    boundaries,
+    oracle_classify,
+    oracle_diagonal_reports,
+    oracle_fit,
+    oracle_rule,
+    u_style_grid,
+    v_style_grid,
+)
 from rascal import (
     VERDICT_ADDITION_ONLY,
     VERDICT_GRT,
@@ -238,3 +246,70 @@ class TestArithmeticDiagonalStructure:
         grid = generate_by_addition(Boundary(c, major, minor), d)
         assert all(rep.is_arithmetic for rep in diagonal_reports(grid))
         assert fit_grt(grid) == GrtParams(c, d, d1, d2)
+
+
+@st.composite
+def small_grids(draw, values=st.integers(-4, 4), min_rows=3, max_rows=8):
+    n_rows = draw(st.integers(min_rows, max_rows))
+    return TriangleGrid(
+        [draw(st.lists(values, min_size=n + 1, max_size=n + 1)) for n in range(n_rows)]
+    )
+
+
+@st.composite
+def planted_grids(draw):
+    """A closed form with one cell changed; the change may land anywhere, edges included."""
+    params = draw(st.builds(GrtParams, *[st.integers(-5, 5)] * 4))
+    rows = [list(row) for row in generate_closed_form(params, draw(st.integers(3, 9))).rows]
+    n = draw(st.integers(0, len(rows) - 1))
+    r = draw(st.integers(0, n))
+    rows[n][r] += draw(st.integers(-3, 3).filter(bool))
+    return TriangleGrid(rows)
+
+
+zero_heavy = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
+any_grid = st.one_of(
+    small_grids(),
+    small_grids(values=zero_heavy),
+    planted_grids(),
+    st.builds(generate_by_addition, boundaries(min_rows=3), st.integers(-4, 4)),
+    st.builds(v_style_grid, st.integers(3, 8)),
+)
+
+
+def fit_outcome(fit, grid):
+    try:
+        return fit(grid)
+    except NotGrtError as err:
+        return (err.r, err.k, err.expected, err.actual)
+
+
+class TestAgreesWithReference:
+    """The row-wise classifier against the cell-by-cell scans in helpers."""
+
+    @given(grid=any_grid)
+    def test_classify(self, grid):
+        assert classify(grid) == oracle_classify(grid)
+
+    @given(grid=any_grid)
+    def test_each_public_pass(self, grid):
+        assert diagonal_reports(grid) == oracle_diagonal_reports(grid)
+        assert detect_addition_rule(grid) == oracle_rule(grid, "addition")
+        assert detect_multiplication_rule(grid) == oracle_rule(grid, "multiplication")
+        assert fit_outcome(fit_grt, grid) == fit_outcome(oracle_fit, grid)
+
+    @given(grid=small_grids(min_rows=1, max_rows=2))
+    def test_diagonals_below_three_rows(self, grid):
+        assert diagonal_reports(grid) == oracle_diagonal_reports(grid)
+
+    def test_every_minor_violated(self):
+        # c + r*k*d + e*r*r*k: majors stay arithmetic, every minor k >= 1 breaks at r = 2
+        grid = TriangleGrid(
+            [[2 + 3 * r * (n - r) + 5 * r * r * (n - r) for r in range(n + 1)] for n in range(12)]
+        )
+        result = classify(grid)
+        assert result == oracle_classify(grid)
+        assert result.verdict == VERDICT_NEITHER
+        for rep in result.diagonals:
+            if rep.kind == "minor" and 1 <= rep.index <= 9:
+                assert rep.first_violation[0] == 2

@@ -135,6 +135,38 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--input", str(tmp_path / "absent.txt"))
         assert code == 65
 
+    def test_invalid_utf8_exit_65(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe1\n")
+        code, _, err = run(capsys, "classify", "--input", str(path))
+        assert code == 65
+        assert "UTF-8" in err and len(err.splitlines()) == 1
+
+    def test_integer_past_digit_limit_exit_65(self, capsys, tmp_path):
+        path = write(tmp_path, "long.txt", "1\n1 {}\n".format("9" * 5000))
+        code, _, err = run(capsys, "classify", "--input", path)
+        assert code == 65
+        assert "line 2" in err
+
+    def test_non_ascii_digit_exit_65(self, capsys, tmp_path):
+        path = write(tmp_path, "wide.txt", "1\n1 1\n1 \uff12 1\n")
+        code, _, err = run(capsys, "classify", "--input", path)
+        assert code == 65
+        assert "line 3" in err
+
+    def test_unexpected_exception_exit_70(self, capsys, tmp_path, monkeypatch):
+        import rascal.cli as cli
+
+        def crash(grid):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "classify", crash)
+        path = write(tmp_path, "t.txt", "1\n1 1\n1 2 1\n")
+        code, out, err = run(capsys, "classify", "--input", path)
+        assert code == 70
+        assert out == ""
+        assert err == "rascal: internal error: RuntimeError: boom\n"
+
 
 class TestProps:
     def test_tmeg_sweep(self, capsys):

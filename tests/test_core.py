@@ -13,6 +13,7 @@ from rascal import (
     major_diagonal,
     minor_diagonal,
 )
+from rascal.core import closed_form_row
 
 RASCAL = GrtParams(1, 1, 0, 0)
 W = GrtParams(1, 5, 2, 3)
@@ -41,6 +42,31 @@ class TestClosedForm:
     def test_swapping_d1_d2_transposes(self, params, r, k):
         mirrored = GrtParams(params.c, params.d, params.d2, params.d1)
         assert closed_form_entry(params, r, k) == closed_form_entry(mirrored, k, r)
+
+
+class TestClosedFormRow:
+    @given(params=params_st, n=st.integers(0, 20))
+    def test_matches_entries(self, params, n):
+        assert closed_form_row(params, n) == tuple(
+            closed_form_entry(params, r, n - r) for r in range(n + 1)
+        )
+
+    @pytest.mark.parametrize(
+        "params", [GrtParams(4, 0, -2, 5), GrtParams(0, 0, 0, 0), GrtParams(-3, -7, 2, 1)]
+    )
+    def test_zero_and_negative_d(self, params):
+        for n in range(12):
+            assert closed_form_row(params, n) == tuple(
+                closed_form_entry(params, r, n - r) for r in range(n + 1)
+            )
+
+    def test_row_zero_is_the_apex(self):
+        for params in (RASCAL, W, GrtParams(-4, 0, 0, 7), GrtParams(9, -2, 1, 1)):
+            assert closed_form_row(params, 0) == (params.c,)
+
+    def test_rejects_negative_row(self):
+        with pytest.raises(ValueError):
+            closed_form_row(W, -1)
 
 
 class TestParamDiagonals:

@@ -55,6 +55,19 @@ class TestPlainRows:
         with pytest.raises(TriangleParseError, match="no rows"):
             parse_plain_rows("# nothing here\n\n")
 
+    def test_non_ascii_digits_rejected(self):
+        # int() reads the full-width "\uff11" as 1
+        with pytest.raises(TriangleParseError, match="line 2"):
+            parse_plain_rows("1\n1 \uff11\n")
+
+    def test_other_whitespace_still_separates(self):
+        assert parse_plain_rows("1\n1\u00a02\n").rows[1] == (1, 2)
+
+    def test_integer_past_digit_limit_is_a_parse_error(self):
+        with pytest.raises(TriangleParseError, match="5000-digit") as exc_info:
+            parse_plain_rows("1\n1 -{}\n".format("7" * 5000))
+        assert exc_info.value.line == 2
+
 
 class TestJsonFormat:
     def test_plain_integers(self):
@@ -77,6 +90,22 @@ class TestJsonFormat:
     def test_rejects_non_integer_string(self):
         with pytest.raises(TriangleParseError):
             parse_json('{"rows": [["1.5"]]}')
+
+    def test_rejects_non_ascii_digit_string(self):
+        with pytest.raises(TriangleParseError, match="row 0"):
+            parse_json('{"rows": [["\uff11"]]}')
+
+    def test_string_past_digit_limit_is_a_parse_error(self):
+        with pytest.raises(TriangleParseError, match="row 1: 5000-digit"):
+            parse_json('{"rows": [[1], [1, "%s"]]}' % ("7" * 5000))
+
+    def test_number_past_digit_limit_is_a_parse_error(self):
+        with pytest.raises(TriangleParseError, match="too many digits"):
+            parse_json('{"rows": [[%s]]}' % ("7" * 5000))
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(TriangleParseError, match="nested too deeply"):
+            parse_json('{"rows": ' + "[" * 100_000 + "]" * 100_000 + "}")
 
     def test_rejects_ragged(self):
         with pytest.raises(TriangleParseError, match="row 1"):
