@@ -24,15 +24,11 @@ from .generate import (
     mult_constant,
 )
 from .identities import (
-    ashley_check,
-    ashley_mod_check,
-    column_diff_check,
+    IDENTITY_SWEEPS,
+    InapplicableCheckError,
     embed_in_rascal,
-    even_diamond_check,
     multiple_of_rascal,
-    odd_diamond_check,
-    row_sum_formula,
-    t_meg_check,
+    row_sum_sweep,
 )
 from .triangle_io import TriangleParseError, parse_triangle, render_csv, render_json, render_text
 
@@ -172,7 +168,9 @@ def _cmd_generate(args) -> int:
 
 def _read_input(source: str) -> str:
     if source == "-":
-        return sys.stdin.read()
+        # decode strictly, as for files, whatever error handler the interpreter gave stdin
+        stream = getattr(sys.stdin, "buffer", None)
+        return sys.stdin.read() if stream is None else stream.read().decode("utf-8")
     with open(source, "r", encoding="utf-8") as handle:
         return handle.read()
 
@@ -234,14 +232,14 @@ def _cmd_props(args) -> int:
         params = result.params
 
     explicit = args.checks.strip() != "all"
-    names = _parse_check_names(args.checks)
-    records = [_CHECK_RUNNERS[name](params, args.depth) for name in names]
-    if not explicit:
-        # run-everything mode skips the restricted rule instead of erroring
-        for record in records:
-            if record["status"] == "inapplicable":
-                record["status"] = "skipped"
-                record["summary"] = record["summary"].replace("inapplicable:", "skipped:", 1)
+    # run-everything mode skips a restricted rule instead of erroring
+    inapplicable = "inapplicable" if explicit else "skipped"
+    records = []
+    for name in _parse_check_names(args.checks):
+        try:
+            records.append(_CHECK_RUNNERS[name](params, args.depth))
+        except InapplicableCheckError as err:
+            records.append({"check": name, "status": inapplicable, "summary": f"{inapplicable}: {err}"})
     sys.stdout.write(_props_report(params, args.depth, records, args.format))
     if any(record["status"] == "inapplicable" for record in records):
         return EXIT_INAPPLICABLE
@@ -271,113 +269,37 @@ def _jsonable(value):
     return value if isinstance(value, int) else str(value)
 
 
-def _sweep_identity(name, instances):
-    count = 0
-    for check in instances:
-        count += 1
-        if not check.holds:
-            location, lhs, rhs = check.first_failure
-            return {
-                "check": name,
-                "status": "failed",
-                "summary": f"failed at {location}: {lhs} != {rhs}",
-                "first_failure": {
-                    "location": list(location),
-                    "lhs": _jsonable(lhs),
-                    "rhs": _jsonable(rhs),
-                },
-            }
-    return {"check": name, "status": "holds", "summary": f"holds ({count} instances)", "instances": count}
+def _sweep_identity(sweep):
+    if sweep.failure is None:
+        count = sweep.instances
+        return {"check": sweep.name, "status": "holds", "summary": f"holds ({count} instances)", "instances": count}
+    location, lhs, rhs = sweep.failure.first_failure
+    return {
+        "check": sweep.name,
+        "status": "failed",
+        "summary": f"failed at {location}: {lhs} != {rhs}",
+        "first_failure": {"location": list(location), "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)},
+    }
 
 
 def _run_rowsums(params, depth):
-    grid = generate_closed_form(params, depth + 1)
-    sums = []
-    for n in range(depth + 1):
-        formula = row_sum_formula(params, n)
-        direct = sum(grid.rows[n])
-        if formula != direct:
-            return {
-                "check": "rowsums",
-                "status": "failed",
-                "summary": f"failed at n={n}: formula {formula} != row sum {direct}",
-                "first_failure": {"location": [n], "lhs": formula, "rhs": direct},
-            }
-        sums.append(formula)
+    sweep = row_sum_sweep(params, depth)
+    if sweep.failure is not None:
+        (n,), formula, direct = sweep.failure.first_failure
+        return {
+            "check": "rowsums",
+            "status": "failed",
+            "summary": f"failed at n={n}: formula {formula} != row sum {direct}",
+            "first_failure": {"location": [n], "lhs": formula, "rhs": direct},
+        }
+    sums = list(sweep.values)
     return {
         "check": "rowsums",
         "status": "holds",
         "summary": "holds for n <= {} (sums {})".format(depth, " ".join(map(str, sums))),
-        "instances": depth + 1,
+        "instances": sweep.instances,
         "sums": sums,
     }
-
-
-def _run_odd_diamond(params, depth):
-    return _sweep_identity(
-        "odd-diamond",
-        (
-            odd_diamond_check(params, top_r, top_k, half)
-            for half in (1, 2, 3)
-            for top_r in range(depth + 1)
-            for top_k in range(depth + 1)
-        ),
-    )
-
-
-def _run_even_diamond(params, depth):
-    return _sweep_identity(
-        "even-diamond",
-        (
-            even_diamond_check(params, top_r, top_k, n)
-            for n in (1, 2, 3)
-            for top_r in range(n - 1, depth + 1)
-            for top_k in range(n - 1, depth + 1)
-        ),
-    )
-
-
-def _run_ashley(params, depth):
-    return _sweep_identity(
-        "ashley",
-        (ashley_check(params, r, k) for r in range(2, depth + 1) for k in range(1, depth + 1)),
-    )
-
-
-def _make_ashley_mod_runner(variant):
-    r_min, k_min = (3, 2) if variant == 1 else (3, 3)
-
-    def run(params, depth):
-        return _sweep_identity(
-            f"ashley-mod{variant}",
-            (
-                ashley_mod_check(params, variant, r, k)
-                for r in range(r_min, depth + 1)
-                for k in range(k_min, depth + 1)
-            ),
-        )
-
-    return run
-
-
-def _run_column_diff(params, depth):
-    return _sweep_identity(
-        "column-diff",
-        (column_diff_check(params, r, k) for r in range(2, depth + 1) for k in range(1, depth + 1)),
-    )
-
-
-def _run_tmeg(params, depth):
-    if params.d1 != 0 or params.d2 != 0:
-        return {
-            "check": "tmeg",
-            "status": "inapplicable",
-            "summary": f"inapplicable: needs d1 = d2 = 0, got d1={params.d1}, d2={params.d2}",
-        }
-    return _sweep_identity(
-        "tmeg",
-        (t_meg_check(params, r, k) for r in range(1, depth + 1) for k in range(2, depth + 1)),
-    )
 
 
 def _run_embed(params, depth):
@@ -404,16 +326,14 @@ def _run_multiple(params, depth):
     }
 
 
+# check name -> runner(params, depth) -> report record; a runner raises
+# InapplicableCheckError when the check's domain rules the parameters out
 _CHECK_RUNNERS = {
     "rowsums": _run_rowsums,
-    "odd-diamond": _run_odd_diamond,
-    "even-diamond": _run_even_diamond,
-    "ashley": _run_ashley,
-    "ashley-mod1": _make_ashley_mod_runner(1),
-    "ashley-mod2": _make_ashley_mod_runner(2),
-    "ashley-mod3": _make_ashley_mod_runner(3),
-    "column-diff": _run_column_diff,
-    "tmeg": _run_tmeg,
+    **{
+        name: lambda params, depth, sweep=sweep: _sweep_identity(sweep(params, depth))
+        for name, sweep in IDENTITY_SWEEPS.items()
+    },
     "embed": _run_embed,
     "multiple": _run_multiple,
 }

@@ -34,6 +34,9 @@ class GrtParams:
     d2: int
 
 
+_INT_ONLY = frozenset({int})
+
+
 @dataclass(frozen=True)
 class TriangleGrid:
     """Immutable jagged triangle of arbitrary-precision integers."""
@@ -47,7 +50,9 @@ class TriangleGrid:
         for n, row in enumerate(rows):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
-            for value in row:
+            if set(map(type, row)) == _INT_ONLY:
+                continue
+            for value in row:  # int subclasses pass; name the first bad entry
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise TypeError(f"row {n} holds {value!r}; entries must be integers")
         object.__setattr__(self, "rows", rows)
@@ -151,7 +156,7 @@ def major_diagonal(params: GrtParams, r: int, count: int) -> list[int]:
         raise ValueError(f"count must be at least 1, got {count}")
     first = params.c + r * params.d2
     step = params.d1 + r * params.d
-    return [first + k * step for k in range(count)]
+    return list(accumulate(repeat(step, count - 1), initial=first))
 
 
 def minor_diagonal(params: GrtParams, k: int, count: int) -> list[int]:

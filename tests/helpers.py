@@ -1,5 +1,6 @@
-"""Shared builders for test triangles and parameter sweeps, and a reference classifier."""
+"""Shared builders for test triangles and parameter sweeps, and reference implementations."""
 
+import json
 from itertools import product
 
 from hypothesis import strategies as st
@@ -16,8 +17,18 @@ from rascal import (
     NotGrtError,
     RuleReport,
     RuleWitness,
+    ashley_check,
+    ashley_mod_check,
+    column_diff_check,
+    embed_in_rascal,
+    even_diamond_check,
     generate_by_addition,
     generate_by_multiplication,
+    generate_closed_form,
+    multiple_of_rascal,
+    odd_diamond_check,
+    row_sum_formula,
+    t_meg_check,
 )
 
 
@@ -154,3 +165,120 @@ def oracle_classify(grid):
     return Classification(
         verdict, params, tuple(oracle_diagonal_reports(grid)), addition, multiplication
     )
+
+
+# --- reference identity sweeps and props report ---------------------------
+# Every instance evaluated on its own by the public per-instance checks, in
+# the order the library's sweeps walk them; the sweeps and the `props`
+# report must agree with these exactly.
+
+
+def oracle_instances(name, depth):
+    """(check function, index arguments) of every instance of ``name`` up to ``depth``, in order."""
+    if name == "odd-diamond":
+        return [
+            (odd_diamond_check, (top_r, top_k, half))
+            for half in (1, 2, 3)
+            for top_r in range(depth + 1)
+            for top_k in range(depth + 1)
+        ]
+    if name == "even-diamond":
+        return [
+            (even_diamond_check, (top_r, top_k, n))
+            for n in (1, 2, 3)
+            for top_r in range(n - 1, depth + 1)
+            for top_k in range(n - 1, depth + 1)
+        ]
+    if name.startswith("ashley-mod"):
+        variant = int(name[-1])
+        k_min = 2 if variant == 1 else 3
+        return [
+            (ashley_mod_check, (variant, r, k))
+            for r in range(3, depth + 1)
+            for k in range(k_min, depth + 1)
+        ]
+    check, r_min, k_min = {
+        "ashley": (ashley_check, 2, 1),
+        "column-diff": (column_diff_check, 2, 1),
+        "tmeg": (t_meg_check, 1, 2),
+    }[name]
+    return [(check, (r, k)) for r in range(r_min, depth + 1) for k in range(k_min, depth + 1)]
+
+
+def oracle_sweep(name, params, depth, entry=None):
+    """(instances evaluated, first failing IdentityCheck or None), one check call per instance."""
+    count = 0
+    for check, args in oracle_instances(name, depth):
+        count += 1
+        result = check(params, *args, entry=entry)
+        if not result.holds:
+            return count, result
+    return count, None
+
+
+def oracle_row_sums(params, depth):
+    """(instances, (n, formula, direct) of the first failure or None, sums before it)."""
+    grid = generate_closed_form(params, depth + 1)
+    sums = []
+    for n in range(depth + 1):
+        formula, direct = row_sum_formula(params, n), sum(grid.rows[n])
+        if formula != direct:
+            return n + 1, (n, formula, direct), sums
+        sums.append(direct)
+    return depth + 1, None, sums
+
+
+def _oracle_record(name, params, depth, explicit, entry):
+    if name == "rowsums":
+        count, failure, sums = oracle_row_sums(params, depth)
+        if failure is not None:
+            n, formula, direct = failure
+            return {
+                "check": name,
+                "status": "failed",
+                "summary": f"failed at n={n}: formula {formula} != row sum {direct}",
+                "first_failure": {"location": [n], "lhs": formula, "rhs": direct},
+            }
+        summary = "holds for n <= {} (sums {})".format(depth, " ".join(map(str, sums)))
+        return {"check": name, "status": "holds", "summary": summary, "instances": count, "sums": sums}
+    if name == "embed":
+        offset = embed_in_rascal(params, window=depth + 1)
+        if offset is None:
+            return {"check": name, "status": "none", "summary": "no embedding", "offset": None}
+        summary = f"embeds at offset (r0={offset[0]}, k0={offset[1]})"
+        return {"check": name, "status": "found", "summary": summary, "offset": list(offset)}
+    if name == "multiple":
+        m = multiple_of_rascal(params)
+        if m is None:
+            return {"check": name, "status": "none", "summary": "not a multiple", "multiplier": None}
+        return {"check": name, "status": "found", "summary": f"multiple with m = {m}", "multiplier": m}
+    if name == "tmeg" and (params.d1 != 0 or params.d2 != 0):
+        status = "inapplicable" if explicit else "skipped"
+        summary = f"{status}: needs d1 = d2 = 0, got d1={params.d1}, d2={params.d2}"
+        return {"check": name, "status": status, "summary": summary}
+    count, failure = oracle_sweep(name, params, depth, entry)
+    if failure is None:
+        return {"check": name, "status": "holds", "summary": f"holds ({count} instances)", "instances": count}
+    location, lhs, rhs = failure.first_failure
+    jsonable = lambda v: v if isinstance(v, int) else str(v)
+    return {
+        "check": name,
+        "status": "failed",
+        "summary": f"failed at {location}: {lhs} != {rhs}",
+        "first_failure": {"location": list(location), "lhs": jsonable(lhs), "rhs": jsonable(rhs)},
+    }
+
+
+def oracle_props(params, depth, names, explicit, fmt, entry=None):
+    """(stdout, exit code) of `rascal props`, built from the per-instance checks."""
+    records = [_oracle_record(name, params, depth, explicit, entry) for name in names]
+    p = {"c": params.c, "d": params.d, "d1": params.d1, "d2": params.d2}
+    if fmt == "json":
+        out = json.dumps({"params": p, "depth": depth, "checks": records}) + "\n"
+    else:
+        lines = [f"params: c={params.c} d={params.d} d1={params.d1} d2={params.d2}", f"depth: {depth}"]
+        lines += [f"{record['check']}: {record['summary']}" for record in records]
+        out = "\n".join(lines) + "\n"
+    statuses = {record["status"] for record in records}
+    code = 3 if "inapplicable" in statuses else 1 if "failed" in statuses else 0
+    return out, code

@@ -4,9 +4,11 @@ import io
 import json
 import random
 
-from helpers import u_style_grid
-from rascal import render_text
-from rascal.cli import main
+import pytest
+
+from helpers import oracle_props, u_style_grid
+from rascal import GrtParams, closed_form_entry, render_text
+from rascal.cli import CHECK_NAMES, main
 
 RASCAL_FLAGS = ["--c", "1", "--d", "1", "--d1", "0", "--d2", "0"]
 
@@ -142,6 +144,25 @@ class TestClassify:
         assert code == 65
         assert "UTF-8" in err and len(err.splitlines()) == 1
 
+    def test_invalid_utf8_on_stdin_matches_file_message(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe1")
+        _, _, from_file = run(capsys, "classify", "--input", str(path))
+        # a text stdin that would otherwise hand the bytes over as lone surrogates
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe1"), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "classify")
+        assert (code, out) == (65, "")
+        assert err == from_file.replace(str(path), "-")
+        assert err == "rascal: cannot read -: not valid UTF-8 (invalid start byte at byte 0)\n"
+
+    def test_stdin_bytes_decoded_as_utf8(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"1\r\n1 1\r\n1 2 1\r\n"), encoding="latin-1")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, _ = run(capsys, "classify")
+        assert code == 0
+        assert "params: c=1 d=1 d1=0 d2=0" in out
+
     def test_integer_past_digit_limit_exit_65(self, capsys, tmp_path):
         path = write(tmp_path, "long.txt", "1\n1 {}\n".format("9" * 5000))
         code, _, err = run(capsys, "classify", "--input", path)
@@ -263,15 +284,73 @@ class TestProps:
         assert rowsums["status"] == "holds"
 
 
+def _flags(params):
+    return ["--c", str(params.c), "--d", str(params.d), "--d1", str(params.d1), "--d2", str(params.d2)]
+
+
+PROPS_FAMILIES = {
+    "generic": [GrtParams(5, 3, 2, 7), GrtParams(-4, -2, 6, -3)],
+    "tmeg": [GrtParams(300, 350, 0, 0), GrtParams(-2, 5, 0, 0)],
+    "embeddable": [GrtParams(1 + 4 * 9, 1, 4, 9), GrtParams(1, 1, 0, 0)],
+    "multiple": [GrtParams(-77, -77, 0, 0), GrtParams(6, 6, 0, 0)],
+    "d-zero": [GrtParams(4, 0, -3, 9), GrtParams(0, 0, 0, 0)],
+}
+
+
+class TestPropsOutputIdentity:
+    """`props` output equals the report built from the per-instance checks, byte for byte."""
+
+    @pytest.mark.parametrize("family", list(PROPS_FAMILIES))
+    def test_all_checks(self, capsys, family):
+        for params in PROPS_FAMILIES[family]:
+            for depth in range(1, 13):
+                for fmt in ("text", "json"):
+                    argv = ["props", *_flags(params), "--depth", str(depth), "--format", fmt]
+                    code, out, err = run(capsys, *argv)
+                    assert (out, code) == oracle_props(params, depth, CHECK_NAMES, False, fmt), argv
+                    assert err == ""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_explicit_tmeg_where_it_does_not_apply(self, capsys, fmt):
+        for params in PROPS_FAMILIES["generic"] + PROPS_FAMILIES["d-zero"][:1]:
+            argv = ["props", *_flags(params), "--checks", "tmeg", "--depth", "5", "--format", fmt]
+            code, out, _ = run(capsys, *argv)
+            assert code == 3
+            assert (out, code) == oracle_props(params, 5, ["tmeg"], True, fmt)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_failed_checks(self, capsys, monkeypatch, fmt):
+        # one bumped entry in the swept diagonals: the failures must read as
+        # the per-instance checks report them, Fraction means included
+        import rascal.identities as identities
+
+        params, cell = GrtParams(5, 3, 2, 7), (3, 4)
+
+        def entry(r, k):
+            return closed_form_entry(params, r, k) + ((r, k) == cell)
+
+        monkeypatch.setattr(
+            identities, "major_diagonal", lambda p, r, count: [entry(r, k) for k in range(count)]
+        )
+        names = [name for name in CHECK_NAMES if name != "tmeg"]
+        argv = ["props", *_flags(params), "--checks", ",".join(names), "--depth", "6", "--format", fmt]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert (out, code) == oracle_props(params, 6, names, True, fmt, entry)
+        assert out.count("failed at") == 7
+
+
 class TestFailureReporting:
     # a failed record cannot arise from valid parameters (the identities are
     # theorems), but the exit-code contract still has to hold
 
     def test_sweep_identity_failure_record(self):
-        from rascal import IdentityCheck
+        from rascal import IdentityCheck, IdentitySweep
         from rascal.cli import _sweep_identity
 
-        record = _sweep_identity("ashley", iter([IdentityCheck("ashley", False, ((2, 1), 5, 6))]))
+        record = _sweep_identity(
+            IdentitySweep("ashley", 1, IdentityCheck("ashley", False, ((2, 1), 5, 6)))
+        )
         assert record["status"] == "failed"
         assert record["first_failure"] == {"location": [2, 1], "lhs": 5, "rhs": 6}
 

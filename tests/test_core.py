@@ -122,8 +122,24 @@ class TestTriangleGrid:
             TriangleGrid(())
 
     def test_float_entries_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=r"^row 0 holds 1\.5; entries must be integers$"):
             TriangleGrid(((1.5,),))
+
+    def test_bool_entry_rejected_by_name(self):
+        with pytest.raises(TypeError, match=r"^row 2 holds True; entries must be integers$"):
+            TriangleGrid(((1,), (1, 1), (1, True, 1)))
+
+    def test_first_bad_entry_of_a_row_is_named(self):
+        with pytest.raises(TypeError, match=r"row 1 holds '3'"):
+            TriangleGrid(((1,), ("3", False)))
+
+    def test_int_subclass_entries_accepted(self):
+        class Tagged(int):
+            pass
+
+        grid = TriangleGrid(((Tagged(1),), (1, Tagged(2))))
+        assert grid.rows == ((1,), (1, 2))
+        assert type(grid.rows[1][1]) is Tagged
 
     def test_rows_normalized_to_tuples(self):
         grid = TriangleGrid([[1], [2, 3]])

@@ -1,26 +1,33 @@
 """Row sums, diamond means, local relation rules, embeddings, multiples."""
 
+import weakref
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import walk_rim
+from helpers import oracle_row_sums, oracle_sweep, walk_rim
 from rascal import (
+    IDENTITY_SWEEPS,
     GrtParams,
     InapplicableCheckError,
     ashley_check,
     ashley_mod_check,
+    ashley_mod_sweep,
     closed_form_entry,
     column_diff_check,
     embed_in_rascal,
     even_diamond_check,
     generate_closed_form,
+    major_diagonal,
     multiple_of_rascal,
     odd_diamond_check,
     row_sum_formula,
+    row_sum_sweep,
     t_meg_check,
+    t_meg_sweep,
 )
 
 RASCAL = GrtParams(1, 1, 0, 0)
@@ -45,6 +52,11 @@ def bump(params, cell):
         return value + 1 if (r, k) == cell else value
 
     return entry
+
+
+def diagonal_of(entry):
+    """Diagonal source T(r, 0..count-1) read from an (r, k) entry source."""
+    return lambda r, count: [entry(r, k) for k in range(count)]
 
 
 class TestRowSums:
@@ -336,3 +348,91 @@ class TestMultiple:
         for r in range(10):
             for k in range(10):
                 assert closed_form_entry(params, r, k) == 5 * (1 + r * k)
+
+
+# zero-heavy, with negative values and the d1 = d2 = 0 family
+_component = st.integers(-10, 10) | st.just(0)
+sweep_params_st = st.builds(GrtParams, *[_component] * 4) | st.builds(
+    lambda c, d: GrtParams(c, d, 0, 0), _component, _component
+)
+
+
+def _sweep_params(name, params):
+    return GrtParams(params.c, params.d, 0, 0) if name == "tmeg" else params
+
+
+class TestSweepsAgreeWithReference:
+    """Each sweep evaluates the instances of the per-instance reference, in its order."""
+
+    @pytest.mark.parametrize("name", list(IDENTITY_SWEEPS))
+    @settings(deadline=None, max_examples=30)
+    @given(params=sweep_params_st, depth=st.integers(1, 20), data=st.data())
+    def test_count_and_first_failure(self, name, params, depth, data):
+        params = _sweep_params(name, params)
+        cell = data.draw(
+            st.none() | st.tuples(st.integers(0, depth + 6), st.integers(0, 2 * depth)), label="bump"
+        )
+        if cell is None:
+            sweep = IDENTITY_SWEEPS[name](params, depth)
+            expected = oracle_sweep(name, params, depth)
+        else:
+            entry = bump(params, cell)
+            sweep = IDENTITY_SWEEPS[name](params, depth, diagonal=diagonal_of(entry))
+            expected = oracle_sweep(name, params, depth, entry)
+        assert (sweep.name, sweep.instances, sweep.failure) == (name, *expected)
+
+    @pytest.mark.parametrize("name", list(IDENTITY_SWEEPS))
+    def test_every_single_bump(self, name):
+        # every cell a sweep can read at depth 5, one at a time
+        params = _sweep_params(name, GrtParams(2, 3, -1, 4))
+        depth = 5
+        failing = 0
+        for cell in product(range(depth + 7), range(2 * depth + 1)):
+            entry = bump(params, cell)
+            sweep = IDENTITY_SWEEPS[name](params, depth, diagonal=diagonal_of(entry))
+            assert (sweep.instances, sweep.failure) == oracle_sweep(name, params, depth, entry), cell
+            failing += sweep.failure is not None
+        assert failing > 0
+
+    @settings(deadline=None)
+    @given(params=sweep_params_st, depth=st.integers(0, 20))
+    def test_row_sums(self, params, depth):
+        sweep = row_sum_sweep(params, depth)
+        count, failure, sums = oracle_row_sums(params, depth)
+        assert (sweep.instances, sweep.failure, list(sweep.values)) == (count, failure, sums)
+
+    @pytest.mark.parametrize("name", list(IDENTITY_SWEEPS))
+    def test_keeps_a_bounded_window_of_diagonals(self, name):
+        # memory grows with depth: at most 7 diagonals (the largest odd diamond) are alive at once
+        params = _sweep_params(name, W)
+        live, peak = set(), 0
+
+        class Line(list):
+            pass
+
+        def diagonal(r, count):
+            nonlocal peak
+            line = Line(major_diagonal(params, r, count))
+            live.add(id(line))
+            weakref.finalize(line, live.discard, id(line))
+            peak = max(peak, len(live))
+            return line
+
+        assert IDENTITY_SWEEPS[name](params, 40, diagonal=diagonal).failure is None
+        assert peak <= 7
+
+    def test_depth_zero_and_empty_domains(self):
+        for name, sweep in IDENTITY_SWEEPS.items():
+            params = _sweep_params(name, W)
+            for depth in (0, 1, 2):
+                assert sweep(params, depth).instances == oracle_sweep(name, params, depth)[0]
+
+    def test_argument_errors(self):
+        with pytest.raises(InapplicableCheckError, match="needs d1 = d2 = 0"):
+            t_meg_sweep(W, 4)
+        with pytest.raises(ValueError):
+            ashley_mod_sweep(W, 4, 4)
+        with pytest.raises(ValueError):
+            IDENTITY_SWEEPS["odd-diamond"](W, -1)
+        with pytest.raises(ValueError):
+            row_sum_sweep(W, -1)
