@@ -4,24 +4,27 @@ Exit codes are a stable contract: 0 success (or verdict "grt"), 1 negative
 classification or failed check, 2 multiplication-rule arithmetic failure,
 3 inapplicable check, 64 usage error, 65 malformed input, 70 internal error
 (an unexpected exception, reported in one line, so that a crash never reads
-as the negative verdict 1).
+as the negative verdict 1), 141 the reader of stdout went away, as in
+``rascal generate ... | head`` (128 + SIGPIPE, what a shell reports for a
+command killed by that signal; nothing is printed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .analyze import VERDICT_GRT, Classification, DiagonalReport, RuleReport, TooSmallError, classify
 from .core import GrtParams
 from .generate import (
     MultiplicationRuleError,
+    addition_rows,
     boundary_from_params,
-    generate_by_addition,
-    generate_by_multiplication,
-    generate_closed_form,
+    closed_form_rows,
     mult_constant,
+    multiplication_rows,
 )
 from .identities import (
     IDENTITY_SWEEPS,
@@ -30,7 +33,7 @@ from .identities import (
     multiple_of_rascal,
     row_sum_sweep,
 )
-from .triangle_io import TriangleParseError, parse_triangle, render_csv, render_json, render_text
+from .triangle_io import TriangleParseError, csv_chunks, json_chunks, parse_triangle, text_chunks
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -39,6 +42,7 @@ EXIT_INAPPLICABLE = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_SOFTWARE = 70
+EXIT_BROKEN_PIPE = 141
 
 CHECK_NAMES = [
     "rowsums",
@@ -68,10 +72,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed reader shows here, not in the interpreter's final flush
+        return code
     except UsageError as err:
         print(f"rascal: error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # Output still buffered would fail again at exit; send it nowhere instead.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except Exception as err:  # last resort: any other failure is a bug, not a verdict
         print(f"rascal: internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_SOFTWARE
@@ -144,30 +154,29 @@ def _cmd_generate(args) -> int:
     if args.rows < 1:
         raise UsageError("--rows must be at least 1")
     params = GrtParams(args.c, args.d, args.d1, args.d2)
-    try:
-        if args.rule == "closed":
-            grid = generate_closed_form(params, args.rows)
-        else:
-            boundary = boundary_from_params(params, args.rows)
-            if args.rule == "add":
-                grid = generate_by_addition(boundary, params.d)
-            else:
-                grid = generate_by_multiplication(boundary, mult_constant(params))
-    except MultiplicationRuleError as err:
-        print(f"rascal: {err}", file=sys.stderr)
-        return EXIT_ARITHMETIC
-    if args.format == "json":
-        out = render_json(grid)
-    elif args.format == "csv":
-        out = render_csv(grid)
+    if args.rule == "closed":
+        rows = closed_form_rows(params, args.rows)
+    elif args.rule == "add":
+        rows = addition_rows(boundary_from_params(params, args.rows), params.d)
     else:
-        out = render_text(grid)
-    sys.stdout.write(out)
+        # the rule can fail part way, and a failure must print no rows: finish it first
+        try:
+            rows = list(multiplication_rows(boundary_from_params(params, args.rows), mult_constant(params)))
+        except MultiplicationRuleError as err:
+            print(f"rascal: {err}", file=sys.stderr)
+            return EXIT_ARITHMETIC
+    sys.stdout.writelines(_CHUNKS[args.format](rows))
     return EXIT_OK
+
+
+# output format -> one chunk of text per row, written as the rows come
+_CHUNKS = {"text": text_chunks, "json": json_chunks, "csv": csv_chunks}
 
 
 def _read_input(source: str) -> str:
     if source == "-":
+        if sys.stdin is None:  # started with stdin closed
+            raise OSError("stdin is closed")
         # decode strictly, as for files, whatever error handler the interpreter gave stdin
         stream = getattr(sys.stdin, "buffer", None)
         return sys.stdin.read() if stream is None else stream.read().decode("utf-8")

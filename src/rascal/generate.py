@@ -6,12 +6,21 @@ The recurrences grow row ``n`` from row ``n - 1``: interior cells obey
 around the cell being filled is north = T(r-1, k-1), west = T(r-1, k),
 east = T(r, k-1), south = T(r, k).  For a parameterized triangle the two
 constants are tied together by D = c*d - d1*d2.
+
+Each way is a row iterator (``closed_form_rows``, ``addition_rows``,
+``multiplication_rows``) that holds at most the two rows the next one is
+built from, so a caller that consumes rows as they come needs O(rows)
+memory.  A recurrence row is computed with whole-row ``map``s of the
+``operator`` functions, with no Python call per cell; ``generate_*`` collect
+the rows into a ``TriangleGrid``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from itertools import repeat
+from operator import add, floordiv, mod, mul, sub
+from typing import Callable, Iterable, Iterator
 
 from .core import GrtParams, TriangleGrid, closed_form_row
 
@@ -90,11 +99,47 @@ def boundary_from_params(params: GrtParams, n_rows: int) -> Boundary:
     return Boundary(params.c, major, minor)
 
 
-def generate_closed_form(params: GrtParams, n_rows: int) -> TriangleGrid:
-    """Fill ``n_rows`` rows straight from the closed form."""
+def closed_form_rows(params: GrtParams, n_rows: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0..n_rows-1 of the closed form, one at a time."""
     if n_rows < 1:
         raise ValueError(f"n_rows must be at least 1, got {n_rows}")
-    return TriangleGrid([closed_form_row(params, n) for n in range(n_rows)])
+    return map(closed_form_row, repeat(params, n_rows), range(n_rows))
+
+
+def addition_rows(boundary: Boundary, d: int) -> Iterator[tuple[int, ...]]:
+    """Rows of the addition-rule triangle, south = east + west + d - north, one at a time.
+
+    Total: succeeds for every integer boundary and constant, zeros included.
+    """
+
+    def interior(n: int, prev: tuple[int, ...], above: tuple[int, ...]) -> Iterable[int]:
+        cells = map(sub, map(add, prev[1:], prev[:-1]), above)
+        return map(add, cells, repeat(d)) if d else cells
+
+    return _grow_rows(boundary, interior)
+
+
+def multiplication_rows(boundary: Boundary, mult: int) -> Iterator[tuple[int, ...]]:
+    """Rows of the multiplication-rule triangle, south = (east*west + mult) / north, one at a time.
+
+    Raises ZeroNorthError or InexactDivisionError naming the first cell, in
+    row-major order, where the rule fails to produce an integer; every row
+    before that one has been yielded.
+    """
+
+    def interior(n: int, prev: tuple[int, ...], above: tuple[int, ...]) -> Iterable[int]:
+        products = map(mul, prev[1:], prev[:-1])
+        numerators = list(map(add, products, repeat(mult)) if mult else products)
+        if 0 not in above and not any(map(mod, numerators, above)):
+            return map(floordiv, numerators, above)
+        return _divide_cells(n, numerators, above)  # names the first failing cell
+
+    return _grow_rows(boundary, interior)
+
+
+def generate_closed_form(params: GrtParams, n_rows: int) -> TriangleGrid:
+    """Fill ``n_rows`` rows straight from the closed form."""
+    return TriangleGrid(list(closed_form_rows(params, n_rows)))
 
 
 def generate_by_addition(boundary: Boundary, d: int) -> TriangleGrid:
@@ -102,11 +147,7 @@ def generate_by_addition(boundary: Boundary, d: int) -> TriangleGrid:
 
     Total: succeeds for every integer boundary and constant, zeros included.
     """
-
-    def fill(r: int, k: int, east: int, west: int, north: int) -> int:
-        return east + west + d - north
-
-    return _generate_rows(boundary, fill)
+    return TriangleGrid(list(addition_rows(boundary, d)))
 
 
 def generate_by_multiplication(boundary: Boundary, mult: int) -> TriangleGrid:
@@ -115,31 +156,36 @@ def generate_by_multiplication(boundary: Boundary, mult: int) -> TriangleGrid:
     Raises ZeroNorthError or InexactDivisionError naming the first cell, in
     row-major order, where the rule fails to produce an integer.
     """
+    return TriangleGrid(list(multiplication_rows(boundary, mult)))
 
-    def fill(r: int, k: int, east: int, west: int, north: int) -> int:
+
+def _grow_rows(
+    boundary: Boundary,
+    interior: Callable[[int, tuple[int, ...], tuple[int, ...]], Iterable[int]],
+) -> Iterator[tuple[int, ...]]:
+    """Yield row 0, then each row n as its two edge entries around ``interior(n, row n-1, row n-2)``.
+
+    Only the last two rows are kept.  Position r of row n is T(r, n - r), so
+    the interior cell at position r has east = prev[r], west = prev[r - 1]
+    and north = above[r - 1]; row 1 has no interior, and ``above`` is empty.
+    """
+    major, minor = boundary.major_edge, boundary.minor_edge
+    above: tuple[int, ...] = ()
+    prev = (boundary.apex,)
+    yield prev
+    for n in range(1, boundary.n_rows):
+        above, prev = prev, (major[n], *interior(n, prev, above), minor[n])
+        yield prev
+
+
+def _divide_cells(n: int, numerators: list[int], above: tuple[int, ...]) -> list[int]:
+    """Row n's interior cell by cell, raising at the first cell, left to right, whose division fails."""
+    quotients = []
+    for r, (numerator, north) in enumerate(zip(numerators, above), start=1):
         if north == 0:
-            raise ZeroNorthError(r, k)
-        numerator = east * west + mult
+            raise ZeroNorthError(r, n - r)
         quotient, remainder = divmod(numerator, north)
         if remainder:
-            raise InexactDivisionError(r, k, numerator, north)
-        return quotient
-
-    return _generate_rows(boundary, fill)
-
-
-def _generate_rows(
-    boundary: Boundary, fill: Callable[[int, int, int, int, int], int]
-) -> TriangleGrid:
-    rows: list[list[int]] = [[boundary.apex]]
-    for n in range(1, boundary.n_rows):
-        row = [0] * (n + 1)
-        row[0] = boundary.major_edge[n]
-        row[n] = boundary.minor_edge[n]
-        prev = rows[n - 1]
-        above = rows[n - 2] if n >= 2 else None
-        for r in range(1, n):
-            # row n, position r is T(r, k) with k = n - r
-            row[r] = fill(r, n - r, east=prev[r], west=prev[r - 1], north=above[r - 1])
-        rows.append(row)
-    return TriangleGrid(rows)
+            raise InexactDivisionError(r, n - r, numerator, north)
+        quotients.append(quotient)
+    return quotients

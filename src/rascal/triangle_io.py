@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 import re
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
-from .core import TriangleGrid
+from .core import _INT_ONLY, TriangleGrid
 
 # ASCII digits only: ``\d`` would also admit other scripts' digits, which int() reads.
 _INT_RE = re.compile(r"-?[0-9]+")
@@ -79,9 +81,8 @@ def parse_json(text: str) -> TriangleGrid:
     for n, raw in enumerate(raw_rows):
         if not isinstance(raw, list):
             raise TriangleParseError(f"row {n} is not an array")
-        row = []
-        for value in raw:
-            row.append(_json_int(value, n))
+        # json.loads gives plain ints for integer numbers; anything else goes value by value
+        row = raw if set(map(type, raw)) <= _INT_ONLY else [_json_int(value, n) for value in raw]
         if len(row) != n + 1:
             raise TriangleParseError(f"row {n} has {len(row)} entries, expected {n + 1}")
         rows.append(row)
@@ -116,21 +117,43 @@ def parse_triangle(text: str) -> TriangleGrid:
 
 
 def render_text(grid: TriangleGrid) -> str:
-    return "\n".join(" ".join(str(v) for v in row) for row in grid.rows) + "\n"
+    return "".join(text_chunks(grid.rows))
 
 
 def render_json(grid: TriangleGrid) -> str:
-    rows = [
-        [v if _I64_MIN <= v <= _I64_MAX else str(v) for v in row] for row in grid.rows
-    ]
-    return json.dumps({"rows": rows}) + "\n"
+    return "".join(json_chunks(grid.rows))
 
 
 def render_csv(grid: TriangleGrid) -> str:
-    # Every field is an integer, so nothing needs quoting.  Joining each row
-    # first keeps only one row's line strings alive at a time.
-    rows = [
-        "".join([f"{n},{r},{n - r},{value}\n" for r, value in enumerate(row)])
-        for n, row in enumerate(grid.rows)
-    ]
-    return "n,r,k,value\n" + "".join(rows)
+    return "".join(csv_chunks(grid.rows))
+
+
+# One chunk per row, so a writer can emit rows as they are produced.
+
+
+def text_chunks(rows: Iterable[Sequence[int]]) -> Iterator[str]:
+    for row in rows:
+        yield " ".join(map(str, row)) + "\n"
+
+
+def json_chunks(rows: Iterable[Sequence[int]]) -> Iterator[str]:
+    r"""The text of ``json.dumps({"rows": rows}) + "\n"``, entries past 64 bits as strings."""
+    yield '{"rows": ['
+    separator = ""
+    for row in rows:
+        if not (_I64_MIN <= min(row) and max(row) <= _I64_MAX):
+            row = [v if _I64_MIN <= v <= _I64_MAX else str(v) for v in row]
+        yield separator + json.dumps(row)
+        separator = ", "
+    yield "]}\n"
+
+
+def csv_chunks(rows: Iterable[Sequence[int]]) -> Iterator[str]:
+    """Flattened ``n,r,k,value`` lines; every field is an integer, so nothing needs quoting."""
+    yield "n,r,k,value\n"
+    labels: list[str] = []  # labels[i] == f"{i},", shared by the n, r and k fields
+    for n, row in enumerate(rows):
+        labels.append(f"{n},")
+        head = labels[n]
+        cells = map(add, map(add, labels, reversed(labels)), map(str, row))
+        yield head + ("\n" + head).join(cells) + "\n"

@@ -11,14 +11,17 @@ from rascal import (
     VERDICT_MULTIPLICATION_ONLY,
     VERDICT_NEITHER,
     Boundary,
+    ZeroNorthError,
     Classification,
     DiagonalReport,
     GrtParams,
+    InexactDivisionError,
     NotGrtError,
     RuleReport,
     RuleWitness,
     ashley_check,
     ashley_mod_check,
+    closed_form_entry,
     column_diff_check,
     embed_in_rascal,
     even_diamond_check,
@@ -82,6 +85,61 @@ def walk_rim(top_r, top_k, side):
     cells += [(top_r + s - i, top_k + s) for i in range(s)]
     cells += [(top_r, top_k + s - j) for j in range(s)]
     return cells
+
+
+# --- reference generators and renderers -----------------------------------
+# Every interior cell filled on its own from its diamond, and each format
+# rendered from the whole grid at once; the row iterators and the per-row
+# chunk writers must agree with these exactly.
+
+
+def oracle_generate(boundary, rule, constant):
+    """Rows of the ``"add"`` or ``"mul"`` triangle; raises at the first failing cell, row-major."""
+
+    def add(r, k, east, west, north):
+        return east + west + constant - north
+
+    def mul(r, k, east, west, north):
+        if north == 0:
+            raise ZeroNorthError(r, k)
+        numerator = east * west + constant
+        quotient, remainder = divmod(numerator, north)
+        if remainder:
+            raise InexactDivisionError(r, k, numerator, north)
+        return quotient
+
+    fill = {"add": add, "mul": mul}[rule]
+    rows = [[boundary.apex]]
+    for n in range(1, boundary.n_rows):
+        row = [0] * (n + 1)
+        row[0] = boundary.major_edge[n]
+        row[n] = boundary.minor_edge[n]
+        prev = rows[n - 1]
+        above = rows[n - 2] if n >= 2 else None
+        for r in range(1, n):
+            # row n, position r is T(r, k) with k = n - r
+            row[r] = fill(r, n - r, east=prev[r], west=prev[r - 1], north=above[r - 1])
+        rows.append(row)
+    return [tuple(row) for row in rows]
+
+
+def oracle_closed_form(params, n_rows):
+    return [tuple(closed_form_entry(params, r, n - r) for r in range(n + 1)) for n in range(n_rows)]
+
+
+def oracle_render_text(rows):
+    return "\n".join(" ".join(str(v) for v in row) for row in rows) + "\n"
+
+
+def oracle_render_json(rows):
+    i64_min, i64_max = -(2**63), 2**63 - 1
+    rows = [[v if i64_min <= v <= i64_max else str(v) for v in row] for row in rows]
+    return json.dumps({"rows": rows}) + "\n"
+
+
+def oracle_render_csv(rows):
+    lines = [f"{n},{r},{n - r},{value}\n" for n, row in enumerate(rows) for r, value in enumerate(row)]
+    return "n,r,k,value\n" + "".join(lines)
 
 
 # --- reference classifier ------------------------------------------------

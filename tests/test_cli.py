@@ -2,12 +2,26 @@
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from helpers import oracle_props, u_style_grid
-from rascal import GrtParams, closed_form_entry, render_text
+import rascal
+from helpers import (
+    oracle_closed_form,
+    oracle_generate,
+    oracle_props,
+    oracle_render_csv,
+    oracle_render_json,
+    oracle_render_text,
+    u_style_grid,
+)
+from rascal import GrtParams, boundary_from_params, closed_form_entry, mult_constant, render_text
 from rascal.cli import CHECK_NAMES, main
 
 RASCAL_FLAGS = ["--c", "1", "--d", "1", "--d1", "0", "--d2", "0"]
@@ -86,6 +100,70 @@ class TestGenerate:
         assert code == 64
 
 
+class TestGenerateStreaming:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            GrtParams(1, 1, 0, 0),
+            GrtParams(-7, -3, -2, -9),
+            GrtParams(2**63 - 3, 1, 1, 2),  # entries cross into 64-bit overflow mid-row
+            GrtParams(-(2**70), 3, -5, 7),
+        ],
+    )
+    @pytest.mark.parametrize("rule", ["closed", "add", "mul"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_bytes_match_whole_grid_rendering(self, capsys, params, rule, fmt):
+        n_rows = 9
+        if rule == "closed":
+            rows = oracle_closed_form(params, n_rows)
+        else:
+            constant = params.d if rule == "add" else mult_constant(params)
+            rows = oracle_generate(boundary_from_params(params, n_rows), rule, constant)
+        render = {"text": oracle_render_text, "json": oracle_render_json, "csv": oracle_render_csv}[fmt]
+        code, out, err = run(
+            capsys, "generate", *_flags(params), "--rows", str(n_rows), "--rule", rule, "--format", fmt
+        )
+        assert (code, out, err) == (0, render(rows), "")
+
+    @pytest.mark.parametrize("rule", ["closed", "add"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_memory_grows_with_rows_not_cells(self, monkeypatch, rule, fmt):
+        class Discard(io.TextIOBase):
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr("sys.stdout", Discard())
+        argv = ["generate", *_flags(GrtParams(1, 5, 2, 3)), "--rows", "1000", "--rule", rule, "--format", fmt]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 * 2**20  # the whole 1000-row triangle holds about 500k cells
+
+    def test_closed_reader_exit_141_quietly(self):
+        src = str(Path(rascal.__file__).resolve().parents[1])
+        # stdout block-buffered, as by default: 3 rows reach the pipe only when flushed
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONUNBUFFERED", None)
+        for rows in ("3", "2000"):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "rascal", "generate", *RASCAL_FLAGS, "--rows", rows, "--format", "csv"],
+                    stdout=write_end,
+                    stderr=subprocess.PIPE,
+                    env=env,
+                    timeout=120,
+                )
+            finally:
+                os.close(write_end)
+            assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 class TestClassify:
     def test_grt_file(self, capsys, tmp_path):
         path = write(tmp_path, "t.txt", "1\n1 1\n1 2 1\n1 3 3 1\n")
@@ -162,6 +240,12 @@ class TestClassify:
         code, out, _ = run(capsys, "classify")
         assert code == 0
         assert "params: c=1 d=1 d1=0 d2=0" in out
+
+    @pytest.mark.parametrize("argv", [["classify"], ["props", "--input", "-"]])
+    def test_closed_stdin_exit_65(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("sys.stdin", None)  # what the interpreter sets when fd 0 is closed
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (65, "", "rascal: cannot read -: stdin is closed\n")
 
     def test_integer_past_digit_limit_exit_65(self, capsys, tmp_path):
         path = write(tmp_path, "long.txt", "1\n1 {}\n".format("9" * 5000))

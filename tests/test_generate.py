@@ -4,18 +4,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import boundaries
+from helpers import boundaries, oracle_closed_form, oracle_generate
 from rascal import (
     Boundary,
     GrtParams,
     InexactDivisionError,
+    MultiplicationRuleError,
     ZeroNorthError,
+    addition_rows,
     boundary_from_params,
     closed_form_entry,
+    closed_form_rows,
     generate_by_addition,
     generate_by_multiplication,
     generate_closed_form,
     mult_constant,
+    multiplication_rows,
 )
 
 RASCAL = GrtParams(1, 1, 0, 0)
@@ -152,3 +156,62 @@ class TestGeneratorEquivalence:
         south = closed_form_entry(params, r, k)
         north = closed_form_entry(params, r - 1, k - 1)
         assert east * west + mult_constant(params) == south * north
+
+
+def _outcome(make):
+    """The rows ``make()`` gives, or the class and location of the error it raises."""
+    try:
+        return [tuple(row) for row in make()]
+    except MultiplicationRuleError as err:
+        return type(err), err.r, err.k, getattr(err, "numerator", None), getattr(err, "divisor", None)
+
+
+class TestRowIteratorsAgreeWithReference:
+    """The row iterators and the public generators against the cell-by-cell reference."""
+
+    @given(
+        boundary=boundaries(lo=-2, hi=2, min_rows=1, max_rows=8),
+        constant=st.integers(-3, 3),
+    )
+    def test_recurrences(self, boundary, constant):
+        for rule, rows, grid in (
+            ("add", addition_rows, generate_by_addition),
+            ("mul", multiplication_rows, generate_by_multiplication),
+        ):
+            expected = _outcome(lambda: oracle_generate(boundary, rule, constant))
+            assert _outcome(lambda: rows(boundary, constant)) == expected
+            assert _outcome(lambda: grid(boundary, constant).rows) == expected
+
+    @given(boundary=boundaries(lo=-2, hi=2, min_rows=3, max_rows=8), constant=st.integers(-3, 3))
+    def test_rows_before_a_failure_are_yielded(self, boundary, constant):
+        produced = []
+        try:
+            for row in multiplication_rows(boundary, constant):
+                produced.append(row)
+        except MultiplicationRuleError as err:
+            assert len(produced) == err.r + err.k  # every row above the failing cell's
+        n = len(produced)
+        head = Boundary(boundary.apex, boundary.major_edge[:n], boundary.minor_edge[:n])
+        assert produced == oracle_generate(head, "mul", constant)
+
+    @given(params=params_st, n_rows=st.integers(1, 12))
+    def test_closed_form(self, params, n_rows):
+        expected = oracle_closed_form(params, n_rows)
+        assert list(closed_form_rows(params, n_rows)) == expected
+        assert list(generate_closed_form(params, n_rows).rows) == expected
+
+    def test_inexact_cell_before_a_zero_north(self):
+        # row 3: (r=1, k=2) is 3 / 2, then (r=2, k=1) has north T(1, 0) = 0
+        boundary = Boundary(1, (1, 2, 2, 5), (1, 0, 4, 6))
+        expected = (InexactDivisionError, 1, 2, 3, 2)
+        assert _outcome(lambda: oracle_generate(boundary, "mul", 1)) == expected
+        assert _outcome(lambda: multiplication_rows(boundary, 1)) == expected
+        assert _outcome(lambda: generate_by_multiplication(boundary, 1).rows) == expected
+
+    def test_zero_north_before_an_inexact_cell(self):
+        # row 3: (r=1, k=2) has north T(0, 1) = 0, then (r=2, k=1) is 3 / 2
+        boundary = Boundary(1, (1, 0, 5, 5), (1, 2, 2, 6))
+        expected = (ZeroNorthError, 1, 2, None, None)
+        assert _outcome(lambda: oracle_generate(boundary, "mul", 1)) == expected
+        assert _outcome(lambda: multiplication_rows(boundary, 1)) == expected
+        assert _outcome(lambda: generate_by_multiplication(boundary, 1).rows) == expected
