@@ -13,10 +13,9 @@ remaining rows, made of whole-row differences and products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul, sub
 
-from .core import GrtParams, TriangleGrid, closed_form_row
+from .core import GrtParams, Record, TriangleGrid, closed_form_row
 from .generate import mult_constant
 
 VERDICT_GRT = "grt"
@@ -47,8 +46,7 @@ class NotGrtError(ValueError):
         self.actual = actual
 
 
-@dataclass(frozen=True)
-class DiagonalReport:
+class DiagonalReport(Record):
     """Arithmetic-sequence analysis of one stored diagonal.
 
     Exactly one of ``common_difference`` / ``first_violation`` is set for
@@ -69,8 +67,7 @@ class DiagonalReport:
         return self.common_difference is not None
 
 
-@dataclass(frozen=True)
-class RuleWitness:
+class RuleWitness(Record):
     """One diamond, named by its south cell, and the rule constant it implies."""
 
     r: int
@@ -78,8 +75,7 @@ class RuleWitness:
     implied_constant: int
 
 
-@dataclass(frozen=True)
-class RuleReport:
+class RuleReport(Record):
     """Either the single constant every diamond implies, or two diamonds that disagree."""
 
     rule: str  # "addition" or "multiplication"
@@ -91,8 +87,7 @@ class RuleReport:
             raise ValueError("exactly one of constant / witnesses must be present")
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
     """Verdict plus the evidence it rests on.
 
     ``params`` is set exactly when the verdict is "grt"; the rule constants,

@@ -9,16 +9,83 @@ edge, minor diagonals run down-right from the left edge, and every entry of
 row ``n`` satisfies ``r + k = n``.
 
 All entries are plain Python integers, so arithmetic is exact at any size.
+
+The package's value types (parameters, grids, diamonds, reports) are
+``Record`` subclasses: immutable, compared and hashed by value, with fields
+declared as class annotations.  ``Record`` replaces frozen dataclasses, which
+cost a fresh interpreter (each CLI call is one) the import of ``dataclasses``
+and its dependencies plus a compiled ``__init__`` per class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 
 
-@dataclass(frozen=True)
-class GrtParams:
+class Record:
+    """Immutable record whose fields are the subclass's annotations, in order.
+
+    Construction takes the fields positionally or by keyword; a class
+    attribute of a field's name is its default.  Then ``__post_init__`` runs,
+    to validate or normalize (normalizing with ``object.__setattr__``).
+    Records are equal when their classes and field values are, hash like the
+    tuple of their field values, and refuse assignment and deletion.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """Field values in order from positional and keyword arguments and the defaults."""
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            values[name] = value
+        missing = [name for name in fields if name not in values and name not in cls.__dict__]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing {', '.join(map(repr, missing))}")
+        return [values[name] if name in values else cls.__dict__[name] for name in fields]
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GrtParams(Record):
     """The four constants defining the triangle T(r, k) = c + k*d1 + r*d2 + r*k*d.
 
     ``c`` is the apex entry, ``d1`` the common difference of the outside
@@ -37,8 +104,7 @@ class GrtParams:
 _INT_ONLY = frozenset({int})
 
 
-@dataclass(frozen=True)
-class TriangleGrid:
+class TriangleGrid(Record):
     """Immutable jagged triangle of arbitrary-precision integers."""
 
     rows: tuple[tuple[int, ...], ...]
@@ -82,8 +148,7 @@ class TriangleGrid:
         return [self.rows[r + k][r] for r in range(self.n_rows - k)]
 
 
-@dataclass(frozen=True)
-class Diamond:
+class Diamond(Record):
     """Square block of cells {(top_r + i, top_k + j) : 0 <= i, j < side}."""
 
     top_r: int

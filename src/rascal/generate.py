@@ -17,12 +17,11 @@ the rows into a ``TriangleGrid``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, floordiv, mod, mul, sub
 from typing import Callable, Iterable, Iterator
 
-from .core import GrtParams, TriangleGrid, closed_form_row
+from .core import GrtParams, Record, TriangleGrid, closed_form_row
 
 
 class MultiplicationRuleError(ArithmeticError):
@@ -54,8 +53,7 @@ class InexactDivisionError(MultiplicationRuleError):
         self.divisor = divisor
 
 
-@dataclass(frozen=True)
-class Boundary:
+class Boundary(Record):
     """Apex plus both outside edges; the data the recurrences grow from.
 
     ``major_edge[k]`` is T(0, k) (the left edge) and ``minor_edge[r]`` is

@@ -18,13 +18,11 @@ entries come from the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add, sub
 from typing import Callable, Sequence
 
-from .core import Diamond, GrtParams, closed_form_entry, closed_form_row, major_diagonal
+from .core import Diamond, GrtParams, Record, closed_form_entry, closed_form_row, major_diagonal
 
 EntryFn = Callable[[int, int], int]
 DiagonalFn = Callable[[int, int], Sequence[int]]
@@ -34,8 +32,7 @@ class InapplicableCheckError(ValueError):
     """The identity's domain restriction rules out these parameters."""
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(Record):
     """Outcome of one identity instance; ``first_failure`` is (location, lhs, rhs)."""
 
     name: str
@@ -43,8 +40,7 @@ class IdentityCheck:
     first_failure: tuple | None
 
 
-@dataclass(frozen=True)
-class IdentitySweep:
+class IdentitySweep(Record):
     """Outcome of one sweep: instances evaluated (a failing one included) and the first failure.
 
     ``values`` holds what a report lists per instance (the row sums of
@@ -72,24 +68,30 @@ def _entry_fn(params: GrtParams, entry: EntryFn | None) -> EntryFn:
 def row_sum_formula(params: GrtParams, n: int) -> int:
     """Row sum s_n = (d/6)n^3 + ((d1+d2)/2)n^2 + (c + (d1+d2)/2 - d/6)n + c.
 
-    Evaluated as one exact fraction over 6.  The result is integral for every
-    integer parameter choice; a non-integral value would mean a broken
+    Evaluated as one exact integer division by 6.  The result is integral for
+    every integer parameter choice; a non-integral value would mean a broken
     invariant, not bad input, and raises ArithmeticError.
     """
     if n < 0:
         raise ValueError(f"row index must be nonnegative, got {n}")
     c, d, d1, d2 = params.c, params.d, params.d1, params.d2
     numerator = d * n**3 + 3 * (d1 + d2) * n**2 + (6 * c + 3 * (d1 + d2) - d) * n + 6 * c
-    value = Fraction(numerator, 6)
-    if value.denominator != 1:
-        raise ArithmeticError(f"row sum for n={n} came out non-integral: {value}")
-    return value.numerator
+    value, remainder = divmod(numerator, 6)
+    if remainder:
+        from fractions import Fraction
+
+        raise ArithmeticError(
+            f"row sum for n={n} came out non-integral: {Fraction(numerator, 6)}"
+        )
+    return value
 
 
 def odd_diamond_check(
     params: GrtParams, top_r: int, top_k: int, half: int, entry: EntryFn | None = None
 ) -> IdentityCheck:
     """Mean of the 8*half rim entries of a (2*half + 1)-side diamond equals its center entry."""
+    from fractions import Fraction
+
     if half < 1:
         raise ValueError(f"half must be at least 1, got {half}")
     t = _entry_fn(params, entry)
@@ -108,6 +110,8 @@ def even_diamond_check(
     be at least n - 1 so the outer diamond, whose top sits n - 1 cells up-left,
     stays inside the triangle.  The outer rim has 8n - 4 entries.
     """
+    from fractions import Fraction
+
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if top_r < n - 1 or top_k < n - 1:
@@ -206,7 +210,9 @@ def embed_in_rascal(params: GrtParams, window: int = 10) -> tuple[int, int] | No
     An embedding exists exactly when d = 1, c - d1*d2 = 1, and the offsets
     (d1, d2) are valid indices; the window equality T(r, k) = 1 + (d1+r)(d2+k)
     is verified over ``window`` x ``window`` cells before the offset is
-    returned.  Algebraic matches at negative offsets are not embeddings.
+    returned, one major diagonal r at a time against the arithmetic sequence
+    with first term 1 + (d1+r)*d2 and step d1 + r.  Algebraic matches at
+    negative offsets are not embeddings.
     """
     if params.d != 1 or params.c - params.d1 * params.d2 != 1:
         return None
@@ -214,9 +220,10 @@ def embed_in_rascal(params: GrtParams, window: int = 10) -> tuple[int, int] | No
         return None
     r0, k0 = params.d1, params.d2
     for r in range(window):
-        for k in range(window):
-            if closed_form_entry(params, r, k) != 1 + (r0 + r) * (k0 + k):
-                return None
+        step = r0 + r
+        rascal = list(accumulate(repeat(step, window - 1), initial=1 + step * k0))
+        if major_diagonal(params, r, window) != rascal:
+            return None
     return (r0, k0)
 
 

@@ -41,6 +41,27 @@ def sweep_params(lo=-3, hi=3):
     return [GrtParams(c, d, d1, d2) for c, d, d1, d2 in product(values, repeat=4)]
 
 
+# Fragments of both grammars, plus near misses: other scripts' digits and whitespace,
+# floats, booleans, nesting and a line separator str.splitlines() knows.
+_TRIANGLE_PIECES = [
+    "0", "1", "7", "-", "12", " ", "\t", "\n", "\r\n", "#", "{", "}", "[", "]", ",", ":",
+    '"', '"rows"', '"5"', "1.5", "1e3", "true", "null", "\u3000", "\u0663", "\x85", "\u2028",
+]
+_plain_line = st.lists(st.one_of(st.integers(-99, 99).map(str), st.sampled_from(_TRIANGLE_PIECES)), max_size=6)
+_json_value = st.one_of(
+    st.integers(-99, 99), st.integers(-99, 99).map(str), st.sampled_from([1.5, True, None, "x", [], {}])
+)
+# Arbitrary piece strings, near-plain rows (often ragged) and well-formed JSON with
+# ragged rows and bad values, so that parsing reaches whole grids and the late checks.
+triangle_like_text = st.one_of(
+    st.lists(st.sampled_from(_TRIANGLE_PIECES), max_size=40).map("".join),
+    st.lists(_plain_line.map(" ".join), max_size=6).map("\n".join),
+    st.lists(st.one_of(st.lists(_json_value, max_size=4), _json_value), max_size=5).map(
+        lambda rows: json.dumps({"rows": rows})
+    ),
+)
+
+
 def u_style_grid(n_rows=6):
     """Addition rule, constant 1, over an all-ones major edge and a doubling minor edge.
 
@@ -284,6 +305,20 @@ def oracle_row_sums(params, depth):
             return n + 1, (n, formula, direct), sums
         sums.append(direct)
     return depth + 1, None, sums
+
+
+def oracle_embed(params, window):
+    """embed_in_rascal's offset or None, its window checked cell by cell with the closed form."""
+    if params.d != 1 or params.c - params.d1 * params.d2 != 1:
+        return None
+    if params.d1 < 0 or params.d2 < 0:
+        return None
+    r0, k0 = params.d1, params.d2
+    for r in range(window):
+        for k in range(window):
+            if closed_form_entry(params, r, k) != 1 + (r0 + r) * (k0 + k):
+                return None
+    return (r0, k0)
 
 
 def _oracle_record(name, params, depth, explicit, entry):

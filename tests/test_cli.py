@@ -10,6 +10,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rascal
 from helpers import (
@@ -19,6 +21,7 @@ from helpers import (
     oracle_render_csv,
     oracle_render_json,
     oracle_render_text,
+    triangle_like_text,
     u_style_grid,
 )
 from rascal import GrtParams, boundary_from_params, closed_form_entry, mult_constant, render_text
@@ -164,6 +167,19 @@ class TestGenerateStreaming:
             assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+def test_import_loads_no_dataclasses_or_fractions():
+    # every CLI call is a fresh interpreter, so each module rascal.cli pulls in is paid per call
+    src = str(Path(rascal.__file__).resolve().parents[1])
+    code = "import sys; before = set(sys.modules); import rascal.cli; print(*sorted(set(sys.modules) - before))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "rascal.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal"}
+
+
 class TestClassify:
     def test_grt_file(self, capsys, tmp_path):
         path = write(tmp_path, "t.txt", "1\n1 1\n1 2 1\n1 3 3 1\n")
@@ -258,6 +274,18 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--input", path)
         assert code == 65
         assert "line 3" in err
+
+    @given(data=st.one_of(st.binary(), triangle_like_text.map(str.encode)))
+    def test_any_stdin_bytes_exit_0_1_or_65(self, data):
+        # capsys and monkeypatch are per test, not per example, so swap the streams here
+        streams = sys.stdin, sys.stdout, sys.stderr
+        sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+        try:
+            code = main(["classify"])
+        finally:
+            sys.stdin, sys.stdout, sys.stderr = streams
+        assert code in (0, 1, 65)
 
     def test_unexpected_exception_exit_70(self, capsys, tmp_path, monkeypatch):
         import rascal.cli as cli

@@ -5,8 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rascal import (
+    Boundary,
+    Classification,
+    DiagonalReport,
     Diamond,
     GrtParams,
+    IdentityCheck,
+    IdentitySweep,
+    RuleReport,
+    RuleWitness,
     TriangleGrid,
     closed_form_entry,
     generate_closed_form,
@@ -186,3 +193,141 @@ class TestDiamond:
     def test_top_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             Diamond(-1, 0, 2)
+
+
+_ADDITION = RuleReport("addition", 1, None)
+_WITNESSES = (RuleWitness(1, 1, 0), RuleWitness(2, 1, 3))
+
+# (type, fields by keyword in declaration order, one field changed, repr,
+#  __post_init__ failures as (arguments, exception, message))
+VALUE_TYPES = [
+    (GrtParams, dict(c=1, d=5, d1=2, d2=3), dict(d2=4), "GrtParams(c=1, d=5, d1=2, d2=3)", []),
+    (
+        TriangleGrid,
+        dict(rows=((1,), (2, 3))),
+        dict(rows=((1,), (2, 4))),
+        "TriangleGrid(rows=((1,), (2, 3)))",
+        [
+            (((),), ValueError, "a triangle needs at least one row"),
+            ((((1,), (2,)),), ValueError, "row 1 has 1 entries, expected 2"),
+            ((((1.5,),),), TypeError, "row 0 holds 1.5; entries must be integers"),
+        ],
+    ),
+    (
+        Diamond,
+        dict(top_r=0, top_k=1, side=2),
+        dict(side=3),
+        "Diamond(top_r=0, top_k=1, side=2)",
+        [
+            ((-1, 0, 2), ValueError, "diamond top must have nonnegative indices, got (-1, 0)"),
+            ((0, 0, 1), ValueError, "diamond side must be at least 2, got 1"),
+        ],
+    ),
+    (
+        Boundary,
+        dict(apex=1, major_edge=(1, 3), minor_edge=(1, 4)),
+        dict(minor_edge=(1, 5)),
+        "Boundary(apex=1, major_edge=(1, 3), minor_edge=(1, 4))",
+        [
+            ((1, (), ()), ValueError, "edges must hold at least the apex"),
+            ((1, (1, 3), (1,)), ValueError, "edges differ in length: 2 vs 1"),
+            ((1, (2,), (1,)), ValueError, "both edges must start at the apex"),
+        ],
+    ),
+    (
+        DiagonalReport,
+        dict(
+            kind="major", index=2, first_term=5, common_difference=None,
+            first_violation=(2, 9, 8), under_determined=False,
+        ),
+        dict(index=3),
+        "DiagonalReport(kind='major', index=2, first_term=5, common_difference=None, "
+        "first_violation=(2, 9, 8), under_determined=False)",
+        [],
+    ),
+    (
+        RuleWitness,
+        dict(r=2, k=1, implied_constant=-4),
+        dict(implied_constant=-5),
+        "RuleWitness(r=2, k=1, implied_constant=-4)",
+        [],
+    ),
+    (
+        RuleReport,
+        dict(rule="multiplication", constant=None, witnesses=_WITNESSES),
+        dict(witnesses=_WITNESSES[::-1]),
+        "RuleReport(rule='multiplication', constant=None, "
+        "witnesses=(RuleWitness(r=1, k=1, implied_constant=0), RuleWitness(r=2, k=1, implied_constant=3)))",
+        [
+            (("addition", None, None), ValueError, "exactly one of constant / witnesses must be present"),
+            (("addition", 1, _WITNESSES), ValueError, "exactly one of constant / witnesses must be present"),
+        ],
+    ),
+    (
+        Classification,
+        dict(verdict="grt", params=GrtParams(1, 1, 0, 0), diagonals=(), addition=_ADDITION, multiplication=_ADDITION),
+        dict(verdict="neither"),
+        "Classification(verdict='grt', params=GrtParams(c=1, d=1, d1=0, d2=0), diagonals=(), "
+        "addition=RuleReport(rule='addition', constant=1, witnesses=None), "
+        "multiplication=RuleReport(rule='addition', constant=1, witnesses=None))",
+        [],
+    ),
+    (
+        IdentityCheck,
+        dict(name="ashley", holds=False, first_failure=((2, 1), 7, 8)),
+        dict(holds=True),
+        "IdentityCheck(name='ashley', holds=False, first_failure=((2, 1), 7, 8))",
+        [],
+    ),
+    (
+        IdentitySweep,
+        dict(name="rowsums", instances=3, failure=None, values=(1, 2, 3)),
+        dict(values=()),
+        "IdentitySweep(name='rowsums', instances=3, failure=None, values=(1, 2, 3))",
+        [],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, change, expected_repr, invalid", VALUE_TYPES, ids=[case[0].__name__ for case in VALUE_TYPES]
+)
+def test_value_type_contract(cls, fields, change, expected_repr, invalid):
+    values = tuple(fields.values())
+    value = cls(*values)
+    assert cls(**fields) == value
+    first, *rest = fields
+    assert cls(values[0], **{name: fields[name] for name in rest}) == value
+    assert value == cls(*values) and not value != cls(*values)
+    assert value != cls(**{**fields, **change})
+    assert value != values and not value == values
+    assert hash(value) == hash(cls(**fields)) == hash(values)
+    assert repr(value) == expected_repr
+    for name in fields:
+        assert getattr(value, name) == fields[name]
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == cls(*values)  # unchanged by the refused writes
+
+    with pytest.raises(TypeError, match=repr(first)):
+        cls()
+    with pytest.raises(TypeError, match="'bogus'"):
+        cls(*values, bogus=1)
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError, match=repr(first)):
+        cls(*values, **{first: values[0]})
+
+    for args, error, message in invalid:
+        with pytest.raises(error) as caught:
+            cls(*args)
+        assert str(caught.value) == message
+
+
+def test_value_type_default():
+    assert IdentitySweep("ashley", 4, None) == IdentitySweep("ashley", 4, None, ())
+    assert IdentitySweep(name="ashley", instances=4, failure=None).values == ()
+    with pytest.raises(TypeError, match="'failure'"):
+        IdentitySweep("ashley", 4)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_row_sums, oracle_sweep, walk_rim
+from helpers import oracle_embed, oracle_row_sums, oracle_sweep, walk_rim
 from rascal import (
     IDENTITY_SWEEPS,
     GrtParams,
@@ -327,6 +327,17 @@ class TestEmbedding:
     def test_every_valid_offset_pair_embeds(self, d1, d2):
         params = GrtParams(1 + d1 * d2, 1, d1, d2)
         assert embed_in_rascal(params) == (d1, d2)
+
+    @given(
+        d=st.integers(0, 2),
+        d1=st.integers(-2, 6),
+        d2=st.integers(-2, 6),
+        apex_shift=st.integers(-1, 1),
+        window=st.integers(-1, 12),
+    )
+    def test_agrees_with_cell_by_cell_window(self, d, d1, d2, apex_shift, window):
+        params = GrtParams(1 + d1 * d2 + apex_shift, d, d1, d2)
+        assert embed_in_rascal(params, window) == oracle_embed(params, window)
 
 
 class TestMultiple:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import triangle_like_text
 from rascal import (
     GrtParams,
     TriangleGrid,
@@ -134,6 +135,25 @@ class TestFormatDetection:
 
     def test_plain_with_leading_comment(self):
         assert parse_triangle("# note\n3\n").rows == ((3,),)
+
+
+class TestParseFuzz:
+    """Any input is a grid or a TriangleParseError, never another exception."""
+
+    @staticmethod
+    def parse(text):
+        try:
+            assert isinstance(parse_triangle(text), TriangleGrid)
+        except TriangleParseError:
+            pass
+
+    @given(text=st.one_of(st.text(), triangle_like_text))
+    def test_any_text(self, text):
+        self.parse(text)
+
+    @given(data=st.binary())
+    def test_any_bytes(self, data):
+        self.parse(data.decode("utf-8", errors="surrogateescape"))
 
 
 class TestRendering:
