@@ -13,9 +13,10 @@ remaining rows, made of whole-row differences and products.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from operator import mul, sub
 
-from .core import GrtParams, Record, TriangleGrid, closed_form_row
+from .core import GrtParams, Record, TriangleGrid, checked_row, closed_form_row
 from .generate import mult_constant
 
 VERDICT_GRT = "grt"
@@ -103,10 +104,7 @@ class Classification(Record):
 
 def diagonal_reports(grid: TriangleGrid) -> list[DiagonalReport]:
     """One report per major diagonal and per minor diagonal, in index order."""
-    rows = grid.rows
-    start = _closed_form_prefix(rows, _fitted(rows)) if len(rows) >= 3 else len(rows)
-    majors, minors, _, _ = _scan(rows, start)
-    return _diagonal_reports(rows, majors, minors)
+    return list(_fold(grid.rows, addition=False, multiplication=False).diagonals)
 
 
 def fit_grt(grid: TriangleGrid) -> GrtParams:
@@ -121,21 +119,16 @@ def fit_grt(grid: TriangleGrid) -> GrtParams:
         raise UnderDeterminedError(
             f"need at least 3 rows to determine the parameters, got {grid.n_rows}"
         )
-    rows = grid.rows
-    params = _fitted(rows)
-    n = _closed_form_prefix(rows, params)
-    if n < len(rows):
-        expected = closed_form_row(params, n)
-        r = next(r for r, value in enumerate(rows[n]) if value != expected[r])
-        raise NotGrtError(r, n - r, expected[r], rows[n][r])
-    return params
+    folded = _fold(grid.rows, addition=False, multiplication=False, diagonals=False)
+    if folded.mismatch is not None:
+        raise NotGrtError(*folded.mismatch)
+    return folded.params
 
 
 def detect_addition_rule(grid: TriangleGrid) -> RuleReport:
     """Constant d with south = east + west + d - north over every interior diamond."""
-    params, start = _fit_prefix(grid)
-    _, _, conflict, _ = _scan(grid.rows, start, addition=params.d)
-    return _rule_report("addition", params.d, conflict)
+    folded = _fold(grid.rows, multiplication=False, diagonals=False)
+    return _rule_report("addition", _fitted_params(folded).d, folded.addition)
 
 
 def detect_multiplication_rule(grid: TriangleGrid) -> RuleReport:
@@ -144,10 +137,9 @@ def detect_multiplication_rule(grid: TriangleGrid) -> RuleReport:
     The multiplicative form needs no division, so zero entries cannot crash
     the scan; on triangles without zeros it coincides with the quotient rule.
     """
-    params, start = _fit_prefix(grid)
-    constant = mult_constant(params)
-    _, _, _, conflict = _scan(grid.rows, start, multiplication=constant)
-    return _rule_report("multiplication", constant, conflict)
+    folded = _fold(grid.rows, addition=False, diagonals=False)
+    constant = mult_constant(_fitted_params(folded))
+    return _rule_report("multiplication", constant, folded.multiplication)
 
 
 def classify(grid: TriangleGrid) -> Classification:
@@ -157,96 +149,139 @@ def classify(grid: TriangleGrid) -> Classification:
     "multiplication-only" when exactly one detector finds a constant;
     "neither" otherwise.
     """
-    params, start = _fit_prefix(grid)
-    rows = grid.rows
-    majors, minors, add_conflict, mult_conflict = _scan(
-        rows, start, addition=params.d, multiplication=mult_constant(params)
-    )
-    diagonals = tuple(_diagonal_reports(rows, majors, minors))
-    addition = _rule_report("addition", params.d, add_conflict)
-    multiplication = _rule_report("multiplication", mult_constant(params), mult_conflict)
-    if start == len(rows):
-        return Classification(VERDICT_GRT, params, diagonals, addition, multiplication)
+    return classify_rows(grid.rows)
+
+
+def classify_rows(rows: Iterable[Sequence[int]]) -> Classification:
+    """``classify`` of the triangle whose rows ``rows`` yields, read once, in order.
+
+    Holds O(rows) integers whatever the triangle's size, so a caller that
+    produces rows one at a time (a parser reading a file, a generator) never
+    needs the whole triangle.  Each row is checked as ``TriangleGrid`` checks
+    it, with the same ValueError or TypeError.
+    """
+    folded = _fold(rows)
+    params = _fitted_params(folded)
+    addition = _rule_report("addition", params.d, folded.addition)
+    multiplication = _rule_report("multiplication", mult_constant(params), folded.multiplication)
+    if folded.mismatch is None:
+        return Classification(VERDICT_GRT, params, folded.diagonals, addition, multiplication)
     if addition.constant is not None and multiplication.constant is None:
         verdict = VERDICT_ADDITION_ONLY
     elif multiplication.constant is not None and addition.constant is None:
         verdict = VERDICT_MULTIPLICATION_ONLY
     else:
         verdict = VERDICT_NEITHER
-    return Classification(verdict, None, diagonals, addition, multiplication)
+    return Classification(verdict, None, folded.diagonals, addition, multiplication)
 
 
-def _fitted(rows) -> GrtParams:
-    """The parameters rows 0-2 determine (see fit_grt)."""
-    c = rows[0][0]
-    return GrtParams(c, rows[2][1] - rows[1][0] - rows[1][1] + c, rows[1][0] - c, rows[1][1] - c)
+class _Folded(Record):
+    """What one pass over the rows found; ``params`` is None below 3 rows."""
+
+    n_rows: int  # rows read, which is all of them unless only the fit was asked for
+    params: GrtParams | None
+    mismatch: tuple[int, int, int, int] | None  # NotGrtError's (r, k, expected, actual)
+    diagonals: tuple[DiagonalReport, ...]  # empty unless asked for
+    addition: RuleWitness | None  # the first diamond that breaks the rule
+    multiplication: RuleWitness | None
 
 
-def _closed_form_prefix(rows, params: GrtParams) -> int:
-    """The number of leading rows equal to the closed form of ``params``."""
-    for n, row in enumerate(rows):
-        if row != closed_form_row(params, n):
-            return n
-    return len(rows)
+def _fitted_params(folded: _Folded) -> GrtParams:
+    """The fitted parameters of a triangle that has a diamond; TooSmallError otherwise."""
+    if folded.params is None:
+        raise TooSmallError(f"rule detection needs at least 3 rows, got {folded.n_rows}")
+    return folded.params
 
 
-def _fit_prefix(grid: TriangleGrid) -> tuple[GrtParams, int]:
-    """Fitted parameters and the closed-form prefix; the grid must have a diamond."""
-    if grid.n_rows < 3:
-        raise TooSmallError(f"rule detection needs at least 3 rows, got {grid.n_rows}")
-    params = _fitted(grid.rows)
-    return params, _closed_form_prefix(grid.rows, params)
+def _fold(
+    rows: Iterable[Sequence[int]],
+    addition: bool = True,
+    multiplication: bool = True,
+    diagonals: bool = True,
+) -> _Folded:
+    """Read the rows once, in order, keeping only what the reports asked for need.
 
-
-def _scan(rows, start: int, addition: int | None = None, multiplication: int | None = None):
-    """Check rows ``start``.. in one pass; returns (majors, minors, addition, multiplication).
-
-    Rows before ``start`` must equal the closed form fitted from rows 0-2
-    (``start`` >= 2), so up to there every diagonal is arithmetic and every
-    diamond implies ``d`` and ``c*d - d1*d2``: the first diamond, (1, 1),
-    implies exactly those.  ``majors`` and ``minors`` map a diagonal's index
-    to its first violation.  ``addition`` and ``multiplication`` are the
-    constants to hold each rule to (None skips the rule); each is answered by
-    the first diamond that implies another constant, or None.
-
-    Row n is compared with row n - 1 by two difference vectors: ``down[r]``
-    is major r's step into row n and ``across[j]`` minor (n - 1 - j)'s.  A
+    Rows 0-2 fix the parameters; each row is compared with their closed form
+    until the first that differs (the mismatch).  From that row on, each is
+    checked against the one before by two difference vectors: ``down[r]`` is
+    major r's step into row n and ``across[j]`` minor (n - 1 - j)'s.  A
     diagonal stays arithmetic while its step repeats, so a family is checked
     cell by cell only in a row whose vector differs from the previous one, and
-    then only at the diagonals that have not failed yet.
+    then only at the diagonals that have not failed yet.  Up to the mismatch
+    every diagonal is arithmetic and every diamond implies ``d`` and
+    ``c*d - d1*d2``, the constants of the first diamond, (1, 1), so the
+    requested rules are checked from there on too: each is answered by the
+    first diamond that implies another constant.  With no rule and no
+    diagonals asked for, reading stops at the mismatch.
+
+    Held at any time: the last two rows and their step vectors, the
+    diagonals still arithmetic, and the first two entries of every diagonal
+    (major r: rows[r][r] and rows[r + 1][r]; minor k: rows[k][0] and
+    rows[k + 1][1]).
     """
-    majors: dict[int, tuple[int, int, int]] = {}
+    major_first, major_second, minor_first, minor_second = [], [], [], []
+    majors: dict[int, tuple[int, int, int]] = {}  # a diagonal's index -> its first violation
     minors: dict[int, tuple[int, int, int]] = {}
-    add_conflict = mult_conflict = None
-    if start >= len(rows):
-        return majors, minors, add_conflict, mult_conflict
-    # diagonals whose third entry lies above row ``start``, all arithmetic so far
-    active_majors = list(range(start - 2))
-    active_minors = list(range(start - 2))
-    prev2, prev = rows[start - 2], rows[start - 1]
-    down_prev = list(map(sub, prev, prev2))
-    across_prev = list(map(sub, prev[1:], prev2))
-    for n in range(start, len(rows)):
-        row = rows[n]
-        down = list(map(sub, row, prev))
-        across = list(map(sub, row[1:], prev))
-        active_majors.append(n - 2)
-        active_minors.append(n - 2)
-        if down[:-1] != down_prev:
-            active_majors = _check_steps(
-                active_majors, n, row, prev, down, down_prev, majors, mirrored=False
-            )
-        if across[1:] != across_prev:
-            active_minors = _check_steps(
-                active_minors, n, row, prev, across, across_prev, minors, mirrored=True
-            )
-        if addition is not None and add_conflict is None:
-            add_conflict = _conflict(list(map(sub, across, across_prev)), addition, n)
-        if multiplication is not None and mult_conflict is None:
-            implied = map(sub, map(mul, row[1:], prev2), map(mul, prev[1:], prev))
-            mult_conflict = _conflict(list(implied), multiplication, n)
-        prev2, prev, down_prev, across_prev = prev, row, down, across
-    return majors, minors, add_conflict, mult_conflict
+    params = mismatch = add_conflict = mult_conflict = None
+    prev2 = prev = down_prev = across_prev = ()
+    active_majors: list[int] = []
+    active_minors: list[int] = []
+    n = -1
+    for n, row in enumerate(rows):
+        row = checked_row(n, row)
+        major_first.append(row[n])
+        minor_first.append(row[0])
+        if n:
+            major_second.append(row[n - 1])
+            minor_second.append(row[1])
+        if n == 2:
+            params = _fitted(prev2, prev, row)
+            d_mult = mult_constant(params)
+        if mismatch is None and n >= 2:
+            expected = closed_form_row(params, n)
+            if row != expected:
+                r = next(r for r, value in enumerate(row) if value != expected[r])
+                mismatch = (r, n - r, expected[r], row[r])
+                if not (addition or multiplication or diagonals):
+                    break
+                # diagonals whose third entry lies above row n, all arithmetic so far
+                active_majors = list(range(n - 2))
+                active_minors = list(range(n - 2))
+                down_prev = list(map(sub, prev, prev2))
+                across_prev = list(map(sub, prev[1:], prev2))
+        if mismatch is not None:
+            across = list(map(sub, row[1:], prev))
+            if diagonals:
+                down = list(map(sub, row, prev))
+                active_majors.append(n - 2)
+                active_minors.append(n - 2)
+                if down[:-1] != down_prev:
+                    active_majors = _check_steps(
+                        active_majors, n, row, prev, down, down_prev, majors, mirrored=False
+                    )
+                if across[1:] != across_prev:
+                    active_minors = _check_steps(
+                        active_minors, n, row, prev, across, across_prev, minors, mirrored=True
+                    )
+                down_prev = down
+            if addition and add_conflict is None:
+                add_conflict = _conflict(list(map(sub, across, across_prev)), params.d, n)
+            if multiplication and mult_conflict is None:
+                implied = map(sub, map(mul, row[1:], prev2), map(mul, prev[1:], prev))
+                mult_conflict = _conflict(list(implied), d_mult, n)
+            across_prev = across
+        prev2, prev = prev, row
+    reports = []
+    if diagonals:
+        reports += _diagonal_reports("major", major_first, major_second, majors)
+        reports += _diagonal_reports("minor", minor_first, minor_second, minors)
+    return _Folded(n + 1, params, mismatch, tuple(reports), add_conflict, mult_conflict)
+
+
+def _fitted(row0, row1, row2) -> GrtParams:
+    """The parameters rows 0-2 determine (see fit_grt)."""
+    c = row0[0]
+    return GrtParams(c, row2[1] - row1[0] - row1[1] + c, row1[0] - c, row1[1] - c)
 
 
 def _check_steps(active, n, row, prev, steps, steps_prev, violations, mirrored) -> list[int]:
@@ -282,22 +317,15 @@ def _rule_report(rule: str, constant: int, conflict: RuleWitness | None) -> Rule
     return RuleReport(rule, None, (RuleWitness(1, 1, constant), conflict))
 
 
-def _diagonal_reports(rows, majors, minors) -> list[DiagonalReport]:
-    """Reports from each diagonal's first two entries and its violation, if any."""
-    last = len(rows) - 1
-    reports = [
+def _diagonal_reports(kind, firsts, seconds, violations) -> list[DiagonalReport]:
+    """Reports of one family from each diagonal's first two entries and its violation, if any."""
+    last = len(firsts) - 1
+    return [
         _diagonal_report(
-            "major", r, rows[r][r], rows[r + 1][r] if r < last else None, majors.get(r), last - r
+            kind, i, first, seconds[i] if i < last else None, violations.get(i), last - i
         )
-        for r in range(last + 1)
+        for i, first in enumerate(firsts)
     ]
-    reports += [
-        _diagonal_report(
-            "minor", k, rows[k][0], rows[k + 1][1] if k < last else None, minors.get(k), last - k
-        )
-        for k in range(last + 1)
-    ]
-    return reports
 
 
 def _diagonal_report(kind, index, first, second, violation, steps) -> DiagonalReport:

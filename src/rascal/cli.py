@@ -12,11 +12,11 @@ command killed by that signal; nothing is printed).
 from __future__ import annotations
 
 import argparse
-import json
+import codecs
 import os
 import sys
 
-from .analyze import VERDICT_GRT, Classification, DiagonalReport, RuleReport, TooSmallError, classify
+from .analyze import VERDICT_GRT, Classification, DiagonalReport, RuleReport, TooSmallError, classify_rows
 from .core import GrtParams
 from .generate import (
     MultiplicationRuleError,
@@ -33,7 +33,7 @@ from .identities import (
     multiple_of_rascal,
     row_sum_sweep,
 )
-from .triangle_io import TriangleParseError, csv_chunks, json_chunks, parse_triangle, text_chunks
+from .triangle_io import TriangleParseError, csv_chunks, int_for_json, json_chunks, text_chunks, triangle_rows
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -154,6 +154,7 @@ def _cmd_generate(args) -> int:
     if args.rows < 1:
         raise UsageError("--rows must be at least 1")
     params = GrtParams(args.c, args.d, args.d1, args.d2)
+    _check_printable(params, args.rows)
     if args.rule == "closed":
         rows = closed_form_rows(params, args.rows)
     elif args.rule == "add":
@@ -169,43 +170,83 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _check_printable(params: GrtParams, n_rows: int) -> None:
+    """UsageError unless every entry can be written under the interpreter's int-to-str digit limit.
+
+    Every rule makes the closed form's entries, so none exceeds
+    |c| + n*(|d1| + |d2|) + n²*|d| with n = n_rows - 1; checked before any output.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() == 0: no limit before 3.10.7
+    n = n_rows - 1
+    bound = abs(params.c) + n * (abs(params.d1) + abs(params.d2)) + n * n * abs(params.d)
+    # 10**limit has at least 3.32*limit bits: build it only for a bound about that long
+    if limit and bound.bit_length() > 3.32 * limit and bound >= 10**limit:
+        raise UsageError(
+            f"entries of {n_rows} rows may exceed {limit} digits, the interpreter's limit "
+            "for writing an integer (sys.set_int_max_str_digits)"
+        )
+
+
 # output format -> one chunk of text per row, written as the rows come
 _CHUNKS = {"text": text_chunks, "json": json_chunks, "csv": csv_chunks}
 
 
-def _read_input(source: str) -> str:
+_BLOCK = 1 << 16  # bytes read at a time
+
+
+def _read_input(source: str):
+    """The text of ``source`` (a path, or - for stdin) in pieces of about ``_BLOCK``, decoded as UTF-8."""
     if source == "-":
         if sys.stdin is None:  # started with stdin closed
             raise OSError("stdin is closed")
         # decode strictly, as for files, whatever error handler the interpreter gave stdin
         stream = getattr(sys.stdin, "buffer", None)
-        return sys.stdin.read() if stream is None else stream.read().decode("utf-8")
-    with open(source, "r", encoding="utf-8") as handle:
-        return handle.read()
+        if stream is None:  # a text stream with no bytes beneath
+            yield from iter(lambda: sys.stdin.read(_BLOCK), "")
+        else:
+            yield from _decoded(stream)
+        return
+    with open(source, "rb") as handle:
+        yield from _decoded(handle)
 
 
-def _load_grid(source: str):
+def _decoded(stream):
+    """Blocks of ``stream`` decoded strictly as UTF-8; an error's ``start`` counts from the stream's first byte."""
+    decoder = codecs.getincrementaldecoder("utf-8")("strict")
+    offset = 0  # bytes read before this block
+    while True:
+        block = stream.read(_BLOCK)
+        held = len(decoder.getstate()[0])  # undecoded bytes of earlier blocks, decoded with this one
+        try:
+            yield decoder.decode(block, final=not block)
+        except UnicodeDecodeError as err:
+            err.start += offset - held
+            raise
+        if not block:
+            return
+        offset += len(block)
+
+
+def _classified(source: str):
+    """(classification of the triangle in ``source``, None), or (None, why it cannot be classified)."""
     try:
-        return parse_triangle(_read_input(source)), None
+        return classify_rows(triangle_rows(_read_input(source))), None
     except OSError as err:
         return None, f"cannot read {source}: {err.strerror or err}"
     except UnicodeDecodeError as err:
         return None, f"cannot read {source}: not valid UTF-8 ({err.reason} at byte {err.start})"
-    except TriangleParseError as err:
+    except (TriangleParseError, TooSmallError) as err:
         return None, str(err)
 
 
 def _cmd_classify(args) -> int:
-    grid, problem = _load_grid(args.input)
-    if grid is None:
+    # the whole input is read and checked before anything is written
+    result, problem = _classified(args.input)
+    if result is None:
         print(f"rascal: {problem}", file=sys.stderr)
         return EXIT_DATA
-    try:
-        result = classify(grid)
-    except TooSmallError as err:
-        print(f"rascal: {err}", file=sys.stderr)
-        return EXIT_DATA
-    sys.stdout.write(_classification_report(result, args.format))
+    # joined before writing: a report that fails part way must print nothing
+    sys.stdout.write("".join(_classification_report(result, args.format)))
     return EXIT_OK if result.verdict == VERDICT_GRT else EXIT_NEGATIVE
 
 
@@ -222,14 +263,9 @@ def _cmd_props(args) -> int:
             raise UsageError(f"missing {missing} (or use --input)")
         params = GrtParams(args.c, args.d, args.d1, args.d2)
     else:
-        grid, problem = _load_grid(args.input)
-        if grid is None:
+        result, problem = _classified(args.input)
+        if result is None:
             print(f"rascal: {problem}", file=sys.stderr)
-            return EXIT_DATA
-        try:
-            result = classify(grid)
-        except TooSmallError as err:
-            print(f"rascal: {err}", file=sys.stderr)
             return EXIT_DATA
         if result.verdict != VERDICT_GRT:
             print(
@@ -275,7 +311,10 @@ def _parse_check_names(requested: str) -> list[str]:
 
 
 def _jsonable(value):
-    return value if isinstance(value, int) else str(value)
+    """A report value as JSON writes it: None, an integer by ``int_for_json``, anything else as text."""
+    if value is None:
+        return None
+    return int_for_json(value) if isinstance(value, int) else str(value)
 
 
 def _sweep_identity(sweep):
@@ -299,7 +338,7 @@ def _run_rowsums(params, depth):
             "check": "rowsums",
             "status": "failed",
             "summary": f"failed at n={n}: formula {formula} != row sum {direct}",
-            "first_failure": {"location": [n], "lhs": formula, "rhs": direct},
+            "first_failure": {"location": [n], "lhs": _jsonable(formula), "rhs": _jsonable(direct)},
         }
     sums = list(sweep.values)
     return {
@@ -307,7 +346,7 @@ def _run_rowsums(params, depth):
         "status": "holds",
         "summary": "holds for n <= {} (sums {})".format(depth, " ".join(map(str, sums))),
         "instances": sweep.instances,
-        "sums": sums,
+        "sums": list(map(int_for_json, sums)),
     }
 
 
@@ -331,7 +370,7 @@ def _run_multiple(params, depth):
         "check": "multiple",
         "status": "found",
         "summary": f"multiple with m = {m}",
-        "multiplier": m,
+        "multiplier": int_for_json(m),
     }
 
 
@@ -354,14 +393,15 @@ _CHECK_RUNNERS = {
 def _params_dict(params: GrtParams | None):
     if params is None:
         return None
-    return {"c": params.c, "d": params.d, "d1": params.d1, "d2": params.d2}
+    return {name: int_for_json(getattr(params, name)) for name in ("c", "d", "d1", "d2")}
 
 
 def _rule_dict(report: RuleReport):
-    data = {"rule": report.rule, "constant": report.constant, "witnesses": None}
+    data = {"rule": report.rule, "constant": _jsonable(report.constant), "witnesses": None}
     if report.witnesses is not None:
         data["witnesses"] = [
-            {"r": w.r, "k": w.k, "implied_constant": w.implied_constant} for w in report.witnesses
+            {"r": w.r, "k": w.k, "implied_constant": int_for_json(w.implied_constant)}
+            for w in report.witnesses
         ]
     return data
 
@@ -370,14 +410,18 @@ def _diagonal_dict(report: DiagonalReport):
     data = {
         "kind": report.kind,
         "index": report.index,
-        "first_term": report.first_term,
-        "common_difference": report.common_difference,
+        "first_term": int_for_json(report.first_term),
+        "common_difference": _jsonable(report.common_difference),
         "first_violation": None,
         "under_determined": report.under_determined,
     }
     if report.first_violation is not None:
         position, expected, actual = report.first_violation
-        data["first_violation"] = {"position": position, "expected": expected, "actual": actual}
+        data["first_violation"] = {
+            "position": position,
+            "expected": int_for_json(expected),
+            "actual": int_for_json(actual),
+        }
     return data
 
 
@@ -405,33 +449,48 @@ def _diagonal_line(report: DiagonalReport) -> str:
     )
 
 
-def _classification_report(result: Classification, fmt: str) -> str:
+def _classification_report(result: Classification, fmt: str):
+    """The report in pieces, one per diagonal, so that no document object of it is built whole."""
     if fmt == "json":
-        doc = {
+        import json
+
+        head = {
             "verdict": result.verdict,
             "params": _params_dict(result.params),
             "addition": _rule_dict(result.addition),
             "multiplication": _rule_dict(result.multiplication),
-            "diagonals": [_diagonal_dict(rep) for rep in result.diagonals],
         }
-        return json.dumps(doc) + "\n"
-    lines = [f"verdict: {result.verdict}"]
+        # the text of _json_line({**head, "diagonals": [...]}), one diagonal at a time
+        yield _json_line(head)[:-2] + ', "diagonals": ['
+        separator = ""
+        for rep in result.diagonals:
+            yield separator + json.dumps(_diagonal_dict(rep))
+            separator = ", "
+        yield "]}\n"
+        return
+    yield f"verdict: {result.verdict}\n"
     if result.params is not None:
         p = result.params
-        lines.append(f"params: c={p.c} d={p.d} d1={p.d1} d2={p.d2}")
-    lines.append(_rule_line(result.addition))
-    lines.append(_rule_line(result.multiplication))
-    lines.extend(_diagonal_line(rep) for rep in result.diagonals)
-    return "\n".join(lines) + "\n"
+        yield f"params: c={p.c} d={p.d} d1={p.d1} d2={p.d2}\n"
+    yield _rule_line(result.addition) + "\n"
+    yield _rule_line(result.multiplication) + "\n"
+    for rep in result.diagonals:
+        yield _diagonal_line(rep) + "\n"
 
 
 def _props_report(params: GrtParams, depth: int, records, fmt: str) -> str:
     if fmt == "json":
-        doc = {"params": _params_dict(params), "depth": depth, "checks": records}
-        return json.dumps(doc) + "\n"
+        return _json_line({"params": _params_dict(params), "depth": depth, "checks": records})
     lines = [
         f"params: c={params.c} d={params.d} d1={params.d1} d2={params.d2}",
         f"depth: {depth}",
     ]
     lines.extend(f"{record['check']}: {record['summary']}" for record in records)
     return "\n".join(lines) + "\n"
+
+
+def _json_line(doc) -> str:
+    """``doc`` as one line of JSON; its integers past 64 bits are already strings (``int_for_json``)."""
+    import json
+
+    return json.dumps(doc) + "\n"

@@ -104,6 +104,18 @@ class GrtParams(Record):
 _INT_ONLY = frozenset({int})
 
 
+def checked_row(n: int, row) -> tuple[int, ...]:
+    """Row ``n`` of a triangle as a tuple: ValueError unless it holds n + 1 entries, TypeError unless integers."""
+    row = tuple(row)
+    if len(row) != n + 1:
+        raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
+    if set(map(type, row)) != _INT_ONLY:
+        for value in row:  # int subclasses pass; name the first bad entry
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"row {n} holds {value!r}; entries must be integers")
+    return row
+
+
 class TriangleGrid(Record):
     """Immutable jagged triangle of arbitrary-precision integers."""
 
@@ -113,15 +125,7 @@ class TriangleGrid(Record):
         rows = tuple(tuple(row) for row in self.rows)
         if not rows:
             raise ValueError("a triangle needs at least one row")
-        for n, row in enumerate(rows):
-            if len(row) != n + 1:
-                raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
-            if set(map(type, row)) == _INT_ONLY:
-                continue
-            for value in row:  # int subclasses pass; name the first bad entry
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise TypeError(f"row {n} holds {value!r}; entries must be integers")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rows", tuple(map(checked_row, range(len(rows)), rows)))
 
     @property
     def n_rows(self) -> int:

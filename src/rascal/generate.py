@@ -17,9 +17,9 @@ the rows into a ``TriangleGrid``.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from itertools import repeat
 from operator import add, floordiv, mod, mul, sub
-from typing import Callable, Iterable, Iterator
 
 from .core import GrtParams, Record, TriangleGrid, closed_form_row
 

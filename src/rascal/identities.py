@@ -18,9 +18,9 @@ entries come from the closed form.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from itertools import accumulate, repeat
 from operator import add, sub
-from typing import Callable, Sequence
 
 from .core import Diamond, GrtParams, Record, closed_form_entry, closed_form_row, major_diagonal
 

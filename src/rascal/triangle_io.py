@@ -7,22 +7,35 @@ Two input formats:
 * JSON -- an object ``{"rows": [[...], ...]}``; entries may be JSON strings
   so values beyond 64-bit range survive lossy JSON readers.
 
+Each format has a row parser (``plain_rows`` and ``json_rows``, and
+``triangle_rows`` for either) that takes the text in pieces of any size and
+yields one row at a time, holding about one row of text.  The ``parse_*``
+functions collect those rows into a ``TriangleGrid``.
+
 Output adds a flattened CSV (``n,r,k,value``) since positional CSV is
 ambiguous for jagged rows.
 """
 
 from __future__ import annotations
 
-import json
 import re
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 from operator import add
-from typing import Iterable, Iterator, Sequence
 
 from .core import _INT_ONLY, TriangleGrid
 
 # ASCII digits only: ``\d`` would also admit other scripts' digits, which int() reads.
 _INT_RE = re.compile(r"-?[0-9]+")
 _ROW_RE = re.compile(r"-?[0-9]+(?:[ \t]+-?[0-9]+)*")
+# the characters str.splitlines ends a line at
+_LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+# a JSON document up to its first row, when its first member is "rows" (as json_chunks writes it)
+_JSON_HEAD = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"rows"[ \t\n\r]*:[ \t\n\r]*\[')
+_HEAD_WINDOW = 4096  # text read before deciding on _JSON_HEAD
+# what follows "[" (the first row, or "]" for none) and what follows a row ("," and the next, or "]")
+_JSON_FIRST = re.compile(r"[ \t\n\r]*(\]?)")
+_JSON_NEXT = re.compile(r"[ \t\n\r]*(?:,[ \t\n\r]*|(\]))")
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
@@ -38,8 +51,36 @@ class TriangleParseError(ValueError):
 
 
 def parse_plain_rows(text: str) -> TriangleGrid:
-    rows: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    return TriangleGrid(list(plain_rows([text])))
+
+
+def parse_json(text: str) -> TriangleGrid:
+    return TriangleGrid(list(json_rows([text])))
+
+
+def parse_triangle(text: str) -> TriangleGrid:
+    """Parse either format, deciding by the first non-blank character."""
+    return TriangleGrid(list(triangle_rows([text])))
+
+
+def triangle_rows(chunks: Iterable[str]) -> Iterator[Sequence[int]]:
+    """The rows of either format, deciding by the first non-blank character of the text."""
+    chunks = iter(chunks)
+    blank = []
+    for chunk in chunks:
+        blank.append(chunk)
+        stripped = chunk.lstrip()
+        if stripped:
+            rows = json_rows if stripped[0] == "{" else plain_rows
+            yield from rows(chain(blank, chunks))
+            return
+    yield from plain_rows(blank)
+
+
+def plain_rows(chunks: Iterable[str]) -> Iterator[tuple[int, ...]]:
+    """The rows of plain-rows text, given in consecutive pieces by ``chunks``, one at a time."""
+    n = 0
+    for lineno, raw in enumerate(_lines(chunks), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -52,43 +93,167 @@ def parse_plain_rows(text: str) -> TriangleGrid:
             row = tuple(map(int, line.split()))
         except ValueError:
             raise TriangleParseError(_too_long(max(line.split(), key=len)), lineno) from None
-        n = len(rows)
         if len(row) != n + 1:
             raise TriangleParseError(
                 f"row {n} has {len(row)} entries, expected {n + 1}", lineno
             )
-        rows.append(row)
-    if not rows:
+        yield row
+        n += 1
+    if not n:
         raise TriangleParseError("no rows found")
-    return TriangleGrid(rows)
 
 
-def parse_json(text: str) -> TriangleGrid:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise TriangleParseError(f"invalid JSON: {err.msg}", err.lineno) from err
-    except ValueError as err:  # a number past int()'s digit limit
-        raise TriangleParseError("invalid JSON: a number has too many digits to convert") from err
-    except RecursionError as err:
-        raise TriangleParseError("invalid JSON: arrays nested too deeply") from err
+def _lines(chunks: Iterable[str]) -> Iterator[str]:
+    """The lines of the text ``chunks`` joins to, ends kept, as ``str.splitlines(True)`` splits it."""
+    held: list[str] = []  # text after the last line given out: it may grow, or gain the "\n" of "\r\n"
+    for chunk in chunks:
+        held.append(chunk)
+        if _LINE_BREAK.search(chunk):
+            lines = "".join(held).splitlines(True)
+            held = [lines.pop()]
+            yield from lines
+    yield from "".join(held).splitlines(True)
+
+
+def json_rows(chunks: Iterable[str]) -> Iterator[list[int]]:
+    """The rows of a JSON triangle, given in consecutive pieces by ``chunks``, one at a time.
+
+    A document whose first member is "rows", as ``json_chunks`` writes it, is
+    decoded one row at a time with ``raw_decode``, holding the text of about
+    one row.  Any other is parsed whole by ``json.loads``.  Either way the rows
+    and the TriangleParseError of a bad document are those of ``json.loads``
+    on the whole text, except that a second "rows" member (which would
+    replace the first) is an error.
+    """
+    import json
+
+    chunks = iter(chunks)
+    text = ""
+    for chunk in chunks:
+        text += chunk
+        if len(text) >= _HEAD_WINDOW:
+            break
+    head = _JSON_HEAD.match(text)
+    if head is None:
+        yield from _document_rows(_loads(text + "".join(chunks)))
+        return
+
+    lines = 0  # line breaks in the text dropped from the front of ``text``
+    ended = False
+
+    def more(start: int) -> int:
+        """Drop the text before ``start`` and read until the rest has doubled; ``start``'s new index."""
+        nonlocal text, lines, ended
+        lines += text.count("\n", 0, start)
+        pieces = [text[start:]]
+        held = len(pieces[0])
+        wanted = 2 * held
+        while held <= wanted and not ended:
+            chunk = next(chunks, None)
+            ended = chunk is None
+            if chunk:
+                pieces.append(chunk)
+                held += len(chunk)
+        text = "".join(pieces)
+        return 0
+
+    def invalid(start: int, prefix: str) -> TriangleParseError:
+        """Raise the error of the whole document, read with ``prefix`` in place of its text up to ``start``.
+
+        The text up to ``start`` was valid and leaves the decoder in the
+        state ``prefix`` does, so ``json.loads`` stops at the same fault.
+        """
+        _loads(prefix + text[start:] + "".join(chunks), lines + text.count("\n", 0, start))
+        return TriangleParseError("invalid JSON")
+
+    raw_decode = json.JSONDecoder().raw_decode
+    start, after, prefix = head.end(), _JSON_FIRST, '{"rows": ['  # start: after "[" or the last row
+    n, problem = 0, None  # problem: the first bad row's error, raised once the syntax is known good
+    while True:
+        follows = after.match(text, start)
+        if (follows is None or follows.end() == len(text)) and not ended:
+            start = more(start)
+            continue
+        if follows is None:
+            raise invalid(start, prefix)
+        if follows.group(1):
+            break  # the "]" closing the rows
+        try:
+            value, end = raw_decode(text, follows.end())
+        except json.JSONDecodeError:
+            if ended:
+                raise invalid(start, prefix) from None
+            start = more(start)
+            continue
+        except (ValueError, RecursionError) as err:
+            raise _json_problem(err) from err
+        if end == len(text) and not ended:  # a number may go on in the next piece
+            start = more(start)
+            continue
+        if problem is None:
+            try:
+                row = _json_row(value, n)
+            except TriangleParseError as err:
+                problem = err
+            else:
+                yield row
+        n += 1
+        start, after, prefix = end, _JSON_NEXT, '{"rows": [0'
+    end = follows.end()
+    members = _loads(
+        '{"rows": 0' + text[end:] + "".join(chunks),
+        lines + text.count("\n", 0, end),
+        object_pairs_hook=list,
+    )
+    if [key for key, _ in members].count("rows") > 1:
+        raise TriangleParseError('more than one "rows" member')
+    if problem is not None:
+        raise problem
+    if not n:
+        raise TriangleParseError("no rows found")
+
+
+def _document_rows(doc) -> Iterator[list[int]]:
+    """The rows of a parsed JSON triangle document."""
     if not isinstance(doc, dict) or "rows" not in doc:
         raise TriangleParseError('expected a JSON object with a "rows" array')
     raw_rows = doc["rows"]
     if not isinstance(raw_rows, list):
         raise TriangleParseError('"rows" must be an array of arrays')
-    rows: list[list[int]] = []
     for n, raw in enumerate(raw_rows):
-        if not isinstance(raw, list):
-            raise TriangleParseError(f"row {n} is not an array")
-        # json.loads gives plain ints for integer numbers; anything else goes value by value
-        row = raw if set(map(type, raw)) <= _INT_ONLY else [_json_int(value, n) for value in raw]
-        if len(row) != n + 1:
-            raise TriangleParseError(f"row {n} has {len(row)} entries, expected {n + 1}")
-        rows.append(row)
-    if not rows:
+        yield _json_row(raw, n)
+    if not raw_rows:
         raise TriangleParseError("no rows found")
-    return TriangleGrid(rows)
+
+
+def _json_row(raw, n: int) -> list[int]:
+    """Row ``n`` from its decoded JSON value."""
+    if not isinstance(raw, list):
+        raise TriangleParseError(f"row {n} is not an array")
+    # json gives plain ints for integer numbers; anything else goes value by value
+    row = raw if set(map(type, raw)) <= _INT_ONLY else [_json_int(value, n) for value in raw]
+    if len(row) != n + 1:
+        raise TriangleParseError(f"row {n} has {len(row)} entries, expected {n + 1}")
+    return row
+
+
+def _loads(text: str, line_offset: int = 0, **options):
+    """``json.loads``, its failures raised as TriangleParseError; ``line_offset`` lines precede ``text``."""
+    import json
+
+    try:
+        return json.loads(text, **options)
+    except (ValueError, RecursionError) as err:
+        raise _json_problem(err, line_offset) from err
+
+
+def _json_problem(err: Exception, line_offset: int = 0) -> TriangleParseError:
+    """The TriangleParseError for an exception of the json decoder."""
+    if hasattr(err, "lineno"):  # json.JSONDecodeError
+        return TriangleParseError(f"invalid JSON: {err.msg}", err.lineno + line_offset)
+    if isinstance(err, RecursionError):
+        return TriangleParseError("invalid JSON: arrays nested too deeply")
+    return TriangleParseError("invalid JSON: a number has too many digits to convert")
 
 
 def _json_int(value, n: int) -> int:
@@ -109,11 +274,9 @@ def _too_long(token: str) -> str:
     return f"{len(token.lstrip('-'))}-digit integer is too long to convert"
 
 
-def parse_triangle(text: str) -> TriangleGrid:
-    """Parse either format, deciding by the first non-blank character."""
-    if text.lstrip().startswith("{"):
-        return parse_json(text)
-    return parse_plain_rows(text)
+def int_for_json(value: int) -> int | str:
+    """How JSON output writes an integer: a number in the signed 64-bit range, else a decimal string."""
+    return value if _I64_MIN <= value <= _I64_MAX else str(value)
 
 
 def render_text(grid: TriangleGrid) -> str:
@@ -137,12 +300,14 @@ def text_chunks(rows: Iterable[Sequence[int]]) -> Iterator[str]:
 
 
 def json_chunks(rows: Iterable[Sequence[int]]) -> Iterator[str]:
-    r"""The text of ``json.dumps({"rows": rows}) + "\n"``, entries past 64 bits as strings."""
+    r"""The text of ``json.dumps({"rows": rows}) + "\n"``, entries as ``int_for_json`` writes them."""
+    import json
+
     yield '{"rows": ['
     separator = ""
     for row in rows:
         if not (_I64_MIN <= min(row) and max(row) <= _I64_MAX):
-            row = [v if _I64_MIN <= v <= _I64_MAX else str(v) for v in row]
+            row = list(map(int_for_json, row))
         yield separator + json.dumps(row)
         separator = ", "
     yield "]}\n"

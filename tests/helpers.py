@@ -25,6 +25,7 @@ from rascal import (
     column_diff_check,
     embed_in_rascal,
     even_diamond_check,
+    TriangleGrid,
     generate_by_addition,
     generate_by_multiplication,
     generate_closed_form,
@@ -375,3 +376,35 @@ def oracle_props(params, depth, names, explicit, fmt, entry=None):
     statuses = {record["status"] for record in records}
     code = 3 if "inapplicable" in statuses else 1 if "failed" in statuses else 0
     return out, code
+
+
+# --- arbitrary grids for the classifier -------------------------------------
+
+
+@st.composite
+def small_grids(draw, values=st.integers(-4, 4), min_rows=3, max_rows=8):
+    n_rows = draw(st.integers(min_rows, max_rows))
+    return TriangleGrid(
+        [draw(st.lists(values, min_size=n + 1, max_size=n + 1)) for n in range(n_rows)]
+    )
+
+
+@st.composite
+def planted_grids(draw):
+    """A closed form with one cell changed; the change may land anywhere, edges included."""
+    params = draw(st.builds(GrtParams, *[st.integers(-5, 5)] * 4))
+    rows = [list(row) for row in generate_closed_form(params, draw(st.integers(3, 9))).rows]
+    n = draw(st.integers(0, len(rows) - 1))
+    r = draw(st.integers(0, n))
+    rows[n][r] += draw(st.integers(-3, 3).filter(bool))
+    return TriangleGrid(rows)
+
+
+zero_heavy = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
+any_grid = st.one_of(
+    small_grids(),
+    small_grids(values=zero_heavy),
+    planted_grids(),
+    st.builds(generate_by_addition, boundaries(min_rows=3), st.integers(-4, 4)),
+    st.builds(v_style_grid, st.integers(3, 8)),
+)

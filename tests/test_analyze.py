@@ -5,11 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    any_grid,
     boundaries,
     oracle_classify,
     oracle_diagonal_reports,
     oracle_fit,
     oracle_rule,
+    small_grids,
     u_style_grid,
     v_style_grid,
 )
@@ -24,8 +26,10 @@ from rascal import (
     TooSmallError,
     TriangleGrid,
     UnderDeterminedError,
+    addition_rows,
     boundary_from_params,
     classify,
+    classify_rows,
     detect_addition_rule,
     detect_multiplication_rule,
     diagonal_reports,
@@ -248,35 +252,6 @@ class TestArithmeticDiagonalStructure:
         assert fit_grt(grid) == GrtParams(c, d, d1, d2)
 
 
-@st.composite
-def small_grids(draw, values=st.integers(-4, 4), min_rows=3, max_rows=8):
-    n_rows = draw(st.integers(min_rows, max_rows))
-    return TriangleGrid(
-        [draw(st.lists(values, min_size=n + 1, max_size=n + 1)) for n in range(n_rows)]
-    )
-
-
-@st.composite
-def planted_grids(draw):
-    """A closed form with one cell changed; the change may land anywhere, edges included."""
-    params = draw(st.builds(GrtParams, *[st.integers(-5, 5)] * 4))
-    rows = [list(row) for row in generate_closed_form(params, draw(st.integers(3, 9))).rows]
-    n = draw(st.integers(0, len(rows) - 1))
-    r = draw(st.integers(0, n))
-    rows[n][r] += draw(st.integers(-3, 3).filter(bool))
-    return TriangleGrid(rows)
-
-
-zero_heavy = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
-any_grid = st.one_of(
-    small_grids(),
-    small_grids(values=zero_heavy),
-    planted_grids(),
-    st.builds(generate_by_addition, boundaries(min_rows=3), st.integers(-4, 4)),
-    st.builds(v_style_grid, st.integers(3, 8)),
-)
-
-
 def fit_outcome(fit, grid):
     try:
         return fit(grid)
@@ -313,3 +288,42 @@ class TestAgreesWithReference:
         for rep in result.diagonals:
             if rep.kind == "minor" and 1 <= rep.index <= 9:
                 assert rep.first_violation[0] == 2
+
+
+class TestClassifyRows:
+    """classify_rows reads any iterable of rows once, checking each as TriangleGrid does."""
+
+    @given(grid=any_grid)
+    def test_matches_classify_on_a_one_pass_iterator(self, grid):
+        rows = (list(row) for row in grid.rows)
+        assert classify_rows(rows) == classify(grid)
+
+    def test_ragged_row_rejected_as_by_triangle_grid(self):
+        with pytest.raises(ValueError, match=r"^row 2 has 2 entries, expected 3$"):
+            classify_rows([[1], [1, 1], [1, 1], [1, 1, 1, 1]])
+
+    def test_bad_entry_rejected_as_by_triangle_grid(self):
+        with pytest.raises(TypeError, match=r"^row 1 holds True; entries must be integers$"):
+            classify_rows([[1], [1, True], [1, 2, 1]])
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 2])
+    def test_too_small(self, n_rows):
+        with pytest.raises(TooSmallError, match=f"got {n_rows}"):
+            classify_rows(generate_closed_form(RASCAL, 3).rows[:n_rows])
+
+    @pytest.mark.parametrize("arithmetic", [True, False])
+    def test_memory_grows_with_rows_not_cells(self, arithmetic):
+        # an arithmetic right edge gives a closed form (no scan); a quadratic one is scanned to the end
+        import tracemalloc
+
+        n_rows = 500
+        minor = [1 + 3 * r if arithmetic else 1 + r * r for r in range(n_rows)]
+        boundary = Boundary(1, [1 + 2 * k for k in range(n_rows)], minor)
+        tracemalloc.start()
+        try:
+            result = classify_rows(addition_rows(boundary, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.verdict == VERDICT_GRT) == arithmetic
+        assert peak < 2**20  # the whole triangle's 125k cells would take several MiB

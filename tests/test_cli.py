@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 import rascal
 from helpers import (
+    any_grid,
+    oracle_classify,
     oracle_closed_form,
     oracle_generate,
     oracle_props,
@@ -24,8 +26,17 @@ from helpers import (
     triangle_like_text,
     u_style_grid,
 )
-from rascal import GrtParams, boundary_from_params, closed_form_entry, mult_constant, render_text
-from rascal.cli import CHECK_NAMES, main
+from rascal import (
+    GrtParams,
+    TriangleGrid,
+    boundary_from_params,
+    closed_form_entry,
+    generate_closed_form,
+    mult_constant,
+    render_json,
+    render_text,
+)
+from rascal.cli import CHECK_NAMES, _classification_report, main
 
 RASCAL_FLAGS = ["--c", "1", "--d", "1", "--d1", "0", "--d2", "0"]
 
@@ -103,6 +114,59 @@ class TestGenerate:
         assert code == 64
 
 
+class TestGenerateDigitLimit:
+    """Entries that could not be written as text are refused before any output."""
+
+    @pytest.mark.parametrize("rule", ["closed", "add", "mul"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_bound_past_the_limit_is_a_usage_error(self, capsys, rule, fmt):
+        limit = sys.get_int_max_str_digits()
+        flags = ["--c", "9" * limit, "--d", "1", "--d1", "1", "--d2", "1"]
+        code, out, err = run(capsys, "generate", *flags, "--rows", "3", "--rule", rule, "--format", fmt)
+        assert (code, out) == (64, "")
+        assert err.startswith("rascal: error: ") and f"{limit} digits" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("rule", ["closed", "add", "mul"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_bound_at_the_limit_is_written(self, capsys, rule, fmt):
+        big = int("9" * sys.get_int_max_str_digits())  # every entry has exactly the limit's digits
+        params = GrtParams(big, 0, 0, 0)
+        code, out, err = run(capsys, "generate", *_flags(params), "--rows", "3", "--rule", rule, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert str(big) in out
+
+    def test_rows_count_in_the_bound(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        flags = ["--c", "0", "--d", "9" * (limit - 2), "--d1", "0", "--d2", "0"]
+        assert run(capsys, "generate", *flags, "--rows", "10")[0] == 0
+        assert run(capsys, "generate", *flags, "--rows", "12")[0] == 64
+
+
+class TestJsonIntegers:
+    """JSON reports write integers outside the signed 64-bit range as strings, as json_chunks does."""
+
+    def test_classify_report(self, capsys, tmp_path):
+        params = GrtParams(10**19, 2**63, -(2**63), 3)
+        path = write(tmp_path, "t.json", render_json(generate_closed_form(params, 4)))
+        code, out, _ = run(capsys, "classify", "--input", path, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["params"] == {"c": "10000000000000000000", "d": str(2**63), "d1": -(2**63), "d2": 3}
+        assert doc["diagonals"][0]["first_term"] == "10000000000000000000"
+        assert doc["addition"]["constant"] == str(2**63)
+
+    def test_props_report(self, capsys):
+        params = GrtParams(2**62, 2**62, 0, 0)
+        code, out, _ = run(capsys, *["props", *_flags(params), "--depth", "3", "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        checks = {record["check"]: record for record in doc["checks"]}
+        assert checks["multiple"]["multiplier"] == 2**62
+        assert checks["rowsums"]["sums"][:2] == [2**62, str(2**63)]
+        assert doc["params"]["c"] == 2**62
+
+
 class TestGenerateStreaming:
     @pytest.mark.parametrize(
         "params",
@@ -168,16 +232,18 @@ class TestGenerateStreaming:
 
 
 def test_import_loads_no_dataclasses_or_fractions():
-    # every CLI call is a fresh interpreter, so each module rascal.cli pulls in is paid per call
+    # every CLI call is a fresh interpreter, so each module rascal.cli pulls in is paid per call;
+    # without site (-S), a module that site would have loaded first shows up too, such as typing
     src = str(Path(rascal.__file__).resolve().parents[1])
     code = "import sys; before = set(sys.modules); import rascal.cli; print(*sorted(set(sys.modules) - before))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True,
-    )
-    loaded = set(proc.stdout.split())
-    assert "rascal.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "fractions", "decimal"}
+    for flags in ([], ["-S"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", code],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True,
+        )
+        loaded = set(proc.stdout.split())
+        assert "rascal.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "json", "typing"}, flags
 
 
 class TestClassify:
@@ -290,15 +356,131 @@ class TestClassify:
     def test_unexpected_exception_exit_70(self, capsys, tmp_path, monkeypatch):
         import rascal.cli as cli
 
-        def crash(grid):
+        def crash(rows):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "classify", crash)
+        monkeypatch.setattr(cli, "classify_rows", crash)
         path = write(tmp_path, "t.txt", "1\n1 1\n1 2 1\n")
         code, out, err = run(capsys, "classify", "--input", path)
         assert code == 70
         assert out == ""
         assert err == "rascal: internal error: RuntimeError: boom\n"
+
+
+def classify_bytes(data, *argv):
+    """(exit code, stdout, stderr) of ``classify`` reading ``data`` from stdin."""
+    streams = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    try:
+        code = main(["classify", *argv])
+        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = streams
+
+
+class TestClassifyStream:
+    """classify reads its input in blocks and folds over the rows; the report is the whole grid's."""
+
+    @given(grid=any_grid, fmt=st.sampled_from(["text", "json"]), json_input=st.booleans())
+    def test_report_matches_reference(self, grid, fmt, json_input):
+        data = (render_json if json_input else render_text)(grid).encode()
+        code, out, err = classify_bytes(data, "--format", fmt)
+        expected = oracle_classify(grid)
+        assert (out, err) == ("".join(_classification_report(expected, fmt)), "")
+        assert code == (0 if expected.verdict == "grt" else 1)
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        import rascal.cli as cli
+
+        def use(size):
+            monkeypatch.setattr(cli, "_BLOCK", size)
+
+        return use
+
+    @pytest.mark.parametrize("render", [render_text, render_json])
+    def test_rows_longer_than_a_block(self, small_blocks, render):
+        grid = generate_closed_form(GrtParams(10**30, 7, -3, 11), 12)
+        expected = classify_bytes(render(grid).encode())
+        assert expected[0] == 0
+        for size in (1, 5, 64):
+            small_blocks(size)
+            assert classify_bytes(render(grid).encode()) == expected
+
+    def test_character_split_between_blocks(self, small_blocks):
+        data = "# \u00e9t\u00e9 \u2028\n1\n1 1\n1\u30002 1\n".encode()
+        expected = classify_bytes(data)
+        assert expected[0] == 0
+        for size in range(1, 8):
+            small_blocks(size)
+            assert classify_bytes(data) == expected
+
+    def test_invalid_byte_reported_at_its_offset_in_the_input(self, small_blocks, tmp_path):
+        data = b"# caf\xc3\xa9\n1\n1 1\n1 2 1\n\xe2\x82\x28\n"
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        for size in (2, 3, 5, 1 << 16):
+            small_blocks(size)
+            message = "not valid UTF-8 (invalid continuation byte at byte 20)\n"
+            assert classify_bytes(data) == (65, "", "rascal: cannot read -: " + message)
+            assert run_main("classify", "--input", str(path)) == (65, "", f"rascal: cannot read {path}: {message}")
+
+    def test_truncated_character_at_the_end(self, small_blocks):
+        small_blocks(4)
+        code, out, err = classify_bytes(b"1\n1 1\n1 2 1\n\xe2\x82")
+        assert (code, out) == (65, "")
+        assert err.endswith("(unexpected end of data at byte 12)\n")
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_other_json_layouts(self, small_blocks, indent, first):
+        grid = generate_closed_form(GrtParams(3, 1, 4, 1), 9)
+        rows = [list(row) for row in grid.rows]
+        doc = {"rows": rows, "note": "x"} if first else {"note": "x", "rows": rows}
+        small_blocks(7)
+        expected = classify_bytes(render_json(grid).encode())
+        assert classify_bytes(json.dumps(doc, indent=indent).encode()) == expected
+
+    @pytest.mark.parametrize("last", ["1 2 x 4 5 6 7 8 9 10 11 12 13", "1 2 3"])
+    def test_malformed_last_line_prints_nothing(self, small_blocks, tmp_path, last):
+        text = render_text(generate_closed_form(GrtParams(1, 1, 0, 0), 12)) + last + "\n"
+        path = write(tmp_path, "t.txt", text)
+        small_blocks(16)
+        code, out, err = run_main("classify", "--input", path)
+        assert (code, out) == (65, "")
+        assert err.startswith("rascal: line 13: ")
+        code, out, err = run_main("props", "--input", path)
+        assert (code, out) == (65, "")
+        assert err.startswith("rascal: line 13: ")
+
+    @pytest.mark.parametrize("render", [render_text, render_json])
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_memory_grows_with_rows_not_cells(self, tmp_path, render, planted):
+        rows = [list(row) for row in generate_closed_form(GrtParams(1, 5, 2, 3), 500).rows]
+        if planted:  # a non-grt input is scanned row by row from row 3 on
+            rows[3][1] += 1
+        path = tmp_path / "t.txt"
+        path.write_text(render(TriangleGrid(rows)))
+        del rows
+        tracemalloc.start()
+        try:
+            code, _, _ = run_main("classify", "--input", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == (1 if planted else 0)
+        assert peak < 2**20  # the file is over 1.5 MB and its 125k cells would take several MiB
+
+
+def run_main(*argv):
+    streams = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    try:
+        code = main(list(argv))
+        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdout, sys.stderr = streams
 
 
 class TestProps:

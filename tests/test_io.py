@@ -1,5 +1,7 @@
 """Triangle file parsing and serialization."""
 
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,12 +12,15 @@ from rascal import (
     TriangleGrid,
     TriangleParseError,
     generate_closed_form,
+    json_rows,
     parse_json,
     parse_plain_rows,
     parse_triangle,
+    plain_rows,
     render_csv,
     render_json,
     render_text,
+    triangle_rows,
 )
 
 RASCAL_TEXT = "# leading comment\n1\n1 1\n\n1 2 1\n1\t3 3\t1\n1 4 5 4 1\n"
@@ -187,3 +192,105 @@ class TestRoundTrips:
         assert parse_plain_rows(render_text(grid)) == grid
         assert parse_json(render_json(grid)) == grid
         assert parse_triangle(render_text(grid)) == parse_triangle(render_json(grid))
+
+
+def pieces(text, cuts):
+    """``text`` cut at the given offsets (taken modulo its length, in order)."""
+    points = sorted({cut % (len(text) + 1) for cut in cuts} | {0, len(text)})
+    return [text[a:b] for a, b in zip(points, points[1:])]
+
+
+def outcome(parse):
+    try:
+        return TriangleGrid(list(parse()))
+    except TriangleParseError as err:
+        return str(err)
+
+
+# JSON documents around the grammar's edges: spacing the writer never uses,
+# members before and after "rows", ragged rows and bad values, cut short
+json_like_text = st.builds(
+    lambda rows, extra, first, indent, cut: json.dumps(
+        {"rows": rows, **extra} if first else {**extra, "rows": rows}, indent=indent
+    )[:cut],
+    st.one_of(
+        st.integers(0, 5).map(lambda n: [list(range(k + 1)) for k in range(n)]),
+        st.lists(st.one_of(st.lists(st.one_of(st.integers(-99, 99), st.just("7"), st.just(1.5))), st.just(1234))),
+    ),
+    st.sampled_from([{}, {"note": "\u00e9"}, {"x": [1, 2]}]),
+    st.booleans(),
+    st.sampled_from([None, 2]),
+    st.one_of(st.none(), st.integers(0, 60)),
+)
+
+
+class TestRowParsers:
+    """The row parsers read text in pieces of any size, with the whole-text parse's rows and errors."""
+
+    @given(text=st.one_of(triangle_like_text, json_like_text), cuts=st.lists(st.integers(0, 200), max_size=8))
+    def test_any_cut_matches_the_whole_text(self, text, cuts):
+        whole = outcome(lambda: triangle_rows([text]))
+        assert outcome(lambda: triangle_rows(pieces(text, cuts))) == whole
+        assert outcome(lambda: triangle_rows(text)) == whole  # one character at a time
+
+    def test_whole_text_parsers_wrap_the_row_parsers(self):
+        assert parse_plain_rows(RASCAL_TEXT) == TriangleGrid(list(plain_rows([RASCAL_TEXT])))
+        text = '{"rows": [[1], [1, 1]]}'
+        assert parse_json(text) == TriangleGrid(list(json_rows([text]))) == parse_triangle(text)
+
+    @pytest.mark.parametrize("value", ["1234", "12.5", "true"])
+    def test_value_cut_between_pieces_is_read_whole(self, value):
+        head = render_json(generate_closed_form(GrtParams(4, 1, 2, 3), 100))[:-3]  # past the head window
+        text = head + ", " + value + "]}"
+        cut = len(head) + 3
+        with pytest.raises(TriangleParseError, match="^row 100 is not an array$"):
+            list(json_rows([text[:cut], text[cut:]]))
+
+    def test_crlf_split_between_pieces_is_one_line_break(self):
+        with pytest.raises(TriangleParseError, match="^line 3: "):
+            list(plain_rows(["1\r", "\n1 1\r", "\nx\n"]))
+
+    def test_rows_come_before_the_text_ends(self):
+        head = render_json(generate_closed_form(GrtParams(4, 1, 2, 3), 100))[:-3]
+        assert len(head) > 4096  # the parser reads this much to tell its own layout from others
+
+        def text(first):
+            yield first
+            raise AssertionError("read past the rows asked for")
+
+        assert next(json_rows(text(head))) == [4]
+        assert next(plain_rows(text("4\n4 4\n"))) == (4,)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"meta": {"rows": 1}, "rows": [[1], [1, 1]]},
+            {"rows": [[1], [1, 1]], "meta": [2, 3]},
+        ],
+    )
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_other_layouts_parse_as_json_loads_reads_them(self, doc, indent):
+        text = json.dumps(doc, indent=indent)
+        assert list(json_rows(pieces(text, range(0, 200, 3)))) == doc["rows"]
+
+    @pytest.mark.parametrize("fault", ["[1 2]", "[1, 2],", "[1, 2]] x", '[1, "2\n"]'])
+    def test_late_syntax_error_keeps_its_line(self, fault):
+        rows = ",\n".join(json.dumps(list(range(n + 1))) for n in range(100))
+        text = '{"rows": [\n' + rows + ",\n" + fault + "\n]}\n"
+        with pytest.raises(json.JSONDecodeError) as whole:
+            json.loads(text)
+        message = f"line {whole.value.lineno}: invalid JSON: {whole.value.msg}"
+        assert whole.value.lineno > 100
+        for cuts in ([], range(0, len(text), 7), range(0, len(text), 5000)):
+            with pytest.raises(TriangleParseError) as exc_info:
+                list(json_rows(pieces(text, cuts)))
+            assert str(exc_info.value) == message
+
+    def test_second_rows_member_rejected(self):
+        with pytest.raises(TriangleParseError, match='more than one "rows" member'):
+            parse_json('{"rows": [[1]], "rows": [[2]]}')
+
+    def test_syntax_error_after_a_bad_row_wins(self):
+        # as json.loads sees it: the document is invalid before any row is looked at
+        with pytest.raises(TriangleParseError, match="^line 3: invalid JSON"):
+            list(json_rows(['{"rows": [[1], 5,\n', "[1, 2],\n", "[1 2 3]]}"]))
