@@ -1,4 +1,4 @@
-"""Command-line interface: generate triangles, classify files, sweep identity checks.
+"""Command-line interface: generate triangles, classify files, verify identities.
 
 Exit codes are a stable contract: 0 success (or verdict "grt"), 1 negative
 classification or failed check, 2 multiplication-rule arithmetic failure,
@@ -17,7 +17,7 @@ import os
 import sys
 
 from .analyze import VERDICT_GRT, Classification, DiagonalReport, RuleReport, TooSmallError, classify_rows
-from .core import GrtParams
+from .core import GrtParams, closed_form_row
 from .generate import (
     MultiplicationRuleError,
     addition_rows,
@@ -27,11 +27,12 @@ from .generate import (
     multiplication_rows,
 )
 from .identities import (
-    IDENTITY_SWEEPS,
+    PROOF_GRIDS,
     InapplicableCheckError,
     embed_in_rascal,
     multiple_of_rascal,
-    row_sum_sweep,
+    prove_identity,
+    row_sum_formula,
 )
 from .triangle_io import TriangleParseError, csv_chunks, int_for_json, json_chunks, text_chunks, triangle_rows
 
@@ -126,7 +127,12 @@ def _build_parser() -> _Parser:
         default="all",
         help="comma-separated subset of: %s (default: all)" % ", ".join(CHECK_NAMES),
     )
-    props.add_argument("--depth", type=int, default=8, help="index sweep bound (default: 8)")
+    props.add_argument(
+        "--depth",
+        type=int,
+        default=8,
+        help="last row of the rowsums listing, and the embed window less one (default: 8)",
+    )
     props.add_argument(
         "--format",
         choices=["text", "json"],
@@ -245,8 +251,9 @@ def _cmd_classify(args) -> int:
     if result is None:
         print(f"rascal: {problem}", file=sys.stderr)
         return EXIT_DATA
-    # joined before writing: a report that fails part way must print nothing
-    sys.stdout.write("".join(_classification_report(result, args.format)))
+    # joined before writing: a report that fails part way must print nothing;
+    # a rule constant is a difference of products of two entries, so at most 2L + 1 digits
+    sys.stdout.write(_with_digit_limit(1, lambda: "".join(_classification_report(result, args.format))))
     return EXIT_OK if result.verdict == VERDICT_GRT else EXIT_NEGATIVE
 
 
@@ -276,6 +283,14 @@ def _cmd_props(args) -> int:
             return EXIT_INAPPLICABLE
         params = result.params
 
+    # parameters have at most L + 1 digits (fitted ones are sums of four entries), a row sum
+    # up to n = depth is at most (depth + 1)^3 times the largest, and (depth + 1)^3 has at
+    # most (depth + 1).bit_length() + 1 digits, since 8 < 10
+    return _with_digit_limit((args.depth + 1).bit_length() + 2, lambda: _props(params, args))
+
+
+def _props(params: GrtParams, args) -> int:
+    """Run the requested checks on ``params``, write their report and return the exit code."""
     explicit = args.checks.strip() != "all"
     # run-everything mode skips a restricted rule instead of erroring
     inapplicable = "inapplicable" if explicit else "skipped"
@@ -291,6 +306,24 @@ def _cmd_props(args) -> int:
     if any(record["status"] == "failed" for record in records):
         return EXIT_NEGATIVE
     return EXIT_OK
+
+
+def _with_digit_limit(extra_digits: int, build):
+    """``build()`` with the int-to-str digit limit L raised to 2L + ``extra_digits``, then restored.
+
+    Input is parsed under the limit, so no input integer has more than L
+    digits; a report writes values derived from them, which can have more.
+    Callers bound those values' digits from L: the limit guards against
+    quadratic conversion of huge integers, so it is raised only that far.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() == 0: no limit before 3.10.7
+    if not limit:
+        return build()
+    sys.set_int_max_str_digits(2 * limit + extra_digits)
+    try:
+        return build()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _parse_check_names(requested: str) -> list[str]:
@@ -317,13 +350,19 @@ def _jsonable(value):
     return int_for_json(value) if isinstance(value, int) else str(value)
 
 
-def _sweep_identity(sweep):
-    if sweep.failure is None:
-        count = sweep.instances
-        return {"check": sweep.name, "status": "holds", "summary": f"holds ({count} instances)", "instances": count}
-    location, lhs, rhs = sweep.failure.first_failure
+def _proved_identity(name, params):
+    points, failure = prove_identity(name, params)
+    if failure is None:
+        return {
+            "check": name,
+            "status": "holds",
+            "summary": f"holds for all indices (proved by {points} exact evaluations)",
+            "proved": True,
+            "points": points,
+        }
+    location, lhs, rhs = failure.first_failure
     return {
-        "check": sweep.name,
+        "check": name,
         "status": "failed",
         "summary": f"failed at {location}: {lhs} != {rhs}",
         "first_failure": {"location": list(location), "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)},
@@ -331,21 +370,23 @@ def _sweep_identity(sweep):
 
 
 def _run_rowsums(params, depth):
-    sweep = row_sum_sweep(params, depth)
-    if sweep.failure is not None:
-        (n,), formula, direct = sweep.failure.first_failure
-        return {
-            "check": "rowsums",
-            "status": "failed",
-            "summary": f"failed at n={n}: formula {formula} != row sum {direct}",
-            "first_failure": {"location": [n], "lhs": _jsonable(formula), "rhs": _jsonable(direct)},
-        }
-    sums = list(sweep.values)
+    """row_sum_formula against the summed closed-form row, for n = 0..depth."""
+    sums = []
+    for n in range(depth + 1):
+        formula, direct = row_sum_formula(params, n), sum(closed_form_row(params, n))
+        if formula != direct:
+            return {
+                "check": "rowsums",
+                "status": "failed",
+                "summary": f"failed at n={n}: formula {formula} != row sum {direct}",
+                "first_failure": {"location": [n], "lhs": _jsonable(formula), "rhs": _jsonable(direct)},
+            }
+        sums.append(direct)
     return {
         "check": "rowsums",
         "status": "holds",
         "summary": "holds for n <= {} (sums {})".format(depth, " ".join(map(str, sums))),
-        "instances": sweep.instances,
+        "instances": depth + 1,
         "sums": list(map(int_for_json, sums)),
     }
 
@@ -378,10 +419,7 @@ def _run_multiple(params, depth):
 # InapplicableCheckError when the check's domain rules the parameters out
 _CHECK_RUNNERS = {
     "rowsums": _run_rowsums,
-    **{
-        name: lambda params, depth, sweep=sweep: _sweep_identity(sweep(params, depth))
-        for name, sweep in IDENTITY_SWEEPS.items()
-    },
+    **{name: lambda params, depth, name=name: _proved_identity(name, params) for name in PROOF_GRIDS},
     "embed": _run_embed,
     "multiple": _run_multiple,
 }

@@ -145,12 +145,6 @@ class TriangleGrid(Record):
             raise IndexError(f"no major diagonal {r} in a triangle with {self.n_rows} rows")
         return [self.rows[r + k][r] for k in range(self.n_rows - r)]
 
-    def minor_diagonal(self, k: int) -> list[int]:
-        """All stored entries T(r, k) of the k-th minor diagonal, r ascending."""
-        if not 0 <= k < self.n_rows:
-            raise IndexError(f"no minor diagonal {k} in a triangle with {self.n_rows} rows")
-        return [self.rows[r + k][r] for r in range(self.n_rows - k)]
-
 
 class Diamond(Record):
     """Square block of cells {(top_r + i, top_k + j) : 0 <= i, j < side}."""
@@ -167,14 +161,6 @@ class Diamond(Record):
         if self.side < 2:
             raise ValueError(f"diamond side must be at least 2, got {self.side}")
 
-    def cells(self) -> list[tuple[int, int]]:
-        """All side*side cells, row-major in (i, j)."""
-        return [
-            (self.top_r + i, self.top_k + j)
-            for i in range(self.side)
-            for j in range(self.side)
-        ]
-
     def boundary_cells(self) -> list[tuple[int, int]]:
         """The 4*(side - 1) cells with i or j on the rim, each listed once."""
         s = self.side
@@ -184,10 +170,6 @@ class Diamond(Record):
             for j in range(s)
             if i in (0, s - 1) or j in (0, s - 1)
         ]
-
-    def fits_within(self, n_rows: int) -> bool:
-        """True when the deepest cell, on row top_r + top_k + 2*(side - 1), exists."""
-        return self.top_r + self.top_k + 2 * (self.side - 1) <= n_rows - 1
 
 
 def closed_form_entry(params: GrtParams, r: int, k: int) -> int:

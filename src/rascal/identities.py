@@ -1,31 +1,29 @@
 """Exact checks for the structural identities of parameterized triangles.
 
 Each ``*_check`` evaluates one concrete instance and reports holds / first
-failure; means are compared as exact fractions, never floats.  Each
-``*_sweep`` walks a check's whole index domain up to a depth, in a fixed
-order, and reports how many instances it evaluated and the first that fails.
-A sweep reads entries from major diagonals ``T(r, 0..)`` built by additions,
-keeps only the few diagonals its current ``r`` needs, and tests every
-instance with exact integer arithmetic (means as cross-products), many
-instances per list operation; the failing instance, if any, is rebuilt with
-the per-instance check so its report reads the same.
+failure; means are compared as exact fractions, never floats.  The checks
+accept an ``entry`` override (an ``(r, k) -> int`` source) so tests can feed
+perturbed values and confirm that they bite; by default entries come from
+the closed form.
 
-The checks accept an ``entry`` override (an ``(r, k) -> int`` source) and the
-sweeps a ``diagonal`` override (an ``(r, count) -> [T(r, 0), ...]`` source),
-so tests can feed perturbed values and confirm that both bite; by default
-entries come from the closed form.
+``prove_identity`` proves a check for every index at once.  For fixed
+parameters the closed form is bilinear in ``(r, k)``, so each check compares
+two polynomials in its index variables, of small degree in each.  A
+polynomial whose degree in each variable x is at most D(x), and which
+vanishes on a product grid of D(x) + 1 points per variable, is zero
+everywhere (Alon, *Combinatorial Nullstellensatz*, 1999, Lemma 2.1; Schwartz
+1980, Zippel 1979).  ``PROOF_GRIDS`` gives each check's grid, inside its
+domain, and the prover evaluates the per-instance check at every point.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
-from itertools import accumulate, repeat
-from operator import add, sub
+from collections.abc import Callable
+from itertools import accumulate, product, repeat
 
-from .core import Diamond, GrtParams, Record, closed_form_entry, closed_form_row, major_diagonal
+from .core import Diamond, GrtParams, Record, closed_form_entry, major_diagonal
 
 EntryFn = Callable[[int, int], int]
-DiagonalFn = Callable[[int, int], Sequence[int]]
 
 
 class InapplicableCheckError(ValueError):
@@ -38,19 +36,6 @@ class IdentityCheck(Record):
     name: str
     holds: bool
     first_failure: tuple | None
-
-
-class IdentitySweep(Record):
-    """Outcome of one sweep: instances evaluated (a failing one included) and the first failure.
-
-    ``values`` holds what a report lists per instance (the row sums of
-    ``row_sum_sweep``); it is empty for the other sweeps.
-    """
-
-    name: str
-    instances: int
-    failure: IdentityCheck | None
-    values: tuple = ()
 
 
 def _result(name: str, location: tuple, lhs, rhs) -> IdentityCheck:
@@ -189,19 +174,15 @@ def t_meg_check(
     Only defined on triangles with d1 = d2 = 0 (entries c + r*k*d); calling it
     with other parameters raises InapplicableCheckError.
     """
-    _require_tmeg_params(params)
+    if params.d1 != 0 or params.d2 != 0:
+        raise InapplicableCheckError(
+            f"needs d1 = d2 = 0, got d1={params.d1}, d2={params.d2}"
+        )
     if r < 1 or k < 2:
         raise ValueError(f"needs r >= 1 and k >= 2, got (r={r}, k={k})")
     t = _entry_fn(params, entry)
     rhs = t(r - 1, k - 1) + t(0, r + k - 2) + t(1, r + k - 3) + 2 * (params.d - params.c)
     return _result("tmeg", (r, k), t(r, k), rhs)
-
-
-def _require_tmeg_params(params: GrtParams) -> None:
-    if params.d1 != 0 or params.d2 != 0:
-        raise InapplicableCheckError(
-            f"needs d1 = d2 = 0, got d1={params.d1}, d2={params.d2}"
-        )
 
 
 def embed_in_rascal(params: GrtParams, window: int = 10) -> tuple[int, int] | None:
@@ -234,250 +215,39 @@ def multiple_of_rascal(params: GrtParams) -> int | None:
     return None
 
 
-# --- sweeps --------------------------------------------------------------
+# --- proofs ----------------------------------------------------------------
 
-
-def _diagonal_source(params: GrtParams, depth: int, diagonal: DiagonalFn | None) -> DiagonalFn:
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
-    if diagonal is not None:
-        return diagonal
-    return lambda r, count: major_diagonal(params, r, count)
-
-
-def _first_mismatch(values: list, expected: list) -> int:
-    return next(i for i, (a, b) in enumerate(zip(values, expected)) if a != b)
-
-
-def _rim_sums(lines: list[Sequence[int]], side: int, width: int):
-    """Rim sums of the diamonds with corners lines[0][k] and lines[side][k + side], k < width.
-
-    Top and bottom edges are windows of prefix sums; the diagonals between
-    contribute their entries at k and k + side.
-    """
-    edges = list(accumulate(map(add, lines[0], lines[side]), initial=0))
-    middle = list(map(sum, zip(*lines[1:side]))) if side > 1 else [0] * len(lines[0])
-    return map(add, map(sub, edges[side + 1 :], edges[:width]), map(add, middle, middle[side:]))
-
-
-def row_sum_sweep(params: GrtParams, depth: int) -> IdentitySweep:
-    """row_sum_formula against the summed closed-form row, for n = 0..depth.
-
-    ``values`` holds the row sums up to the first failure.
-    """
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
-    sums = []
-    for n in range(depth + 1):
-        direct = sum(closed_form_row(params, n))
-        formula = row_sum_formula(params, n)
-        if formula != direct:
-            failure = IdentityCheck("rowsums", False, ((n,), formula, direct))
-            return IdentitySweep("rowsums", n + 1, failure, tuple(sums))
-        sums.append(direct)
-    return IdentitySweep("rowsums", depth + 1, None, tuple(sums))
-
-
-def odd_diamond_sweep(
-    params: GrtParams, depth: int, diagonal: DiagonalFn | None = None
-) -> IdentitySweep:
-    """odd_diamond_check for half = 1, 2, 3 (outermost), then top_r and top_k in 0..depth.
-
-    A rim mean equals the centre exactly when rim_sum == 8*half * centre,
-    tested for every top_k of one top_r at once.
-    """
-    diagonal = _diagonal_source(params, depth, diagonal)
-    width = depth + 1  # top_k = 0..depth
-    count = 0
-    lines: list[Sequence[int]] = []  # diagonals top_r..top_r + side
-    for half in (1, 2, 3):
-        side = 2 * half  # a rim edge spans side + 1 cells
-        length = width + side
-        lines.clear()
-        for top_r in range(width):
-            while len(lines) <= side:
-                lines.append(diagonal(top_r + len(lines), length))
-            rims = list(_rim_sums(lines, side, width))
-            centres = [8 * half * v for v in lines[half][half : half + width]]
-            if rims != centres:
-                top_k = _first_mismatch(rims, centres)
-                failure = odd_diamond_check(
-                    params, top_r, top_k, half, lambda r, k: lines[r - top_r][k]
-                )
-                return IdentitySweep("odd-diamond", count + top_k + 1, failure)
-            count += width
-            del lines[0]
-    return IdentitySweep("odd-diamond", count, None)
-
-
-def even_diamond_sweep(
-    params: GrtParams, depth: int, diagonal: DiagonalFn | None = None
-) -> IdentitySweep:
-    """even_diamond_check for n = 1, 2, 3 (outermost), then top_r and top_k in n-1..depth.
-
-    The outer rim mean equals the inner mean exactly when
-    4 * outer_sum == (8n - 4) * inner_sum.
-    """
-    diagonal = _diagonal_source(params, depth, diagonal)
-    count = 0
-    lines: list[Sequence[int]] = []  # diagonals outer_r..outer_r + side
-    for n in (1, 2, 3):
-        side = 2 * n - 1  # an outer rim edge spans side + 1 cells
-        width = depth + 2 - n  # top_k = n-1..depth
-        length = width + side
-        lines.clear()
-        for outer_r in range(width):  # outer_r = top_r - (n - 1), likewise for k
-            while len(lines) <= side:
-                lines.append(diagonal(outer_r + len(lines), length))
-            pairs = list(map(add, lines[n - 1], lines[n]))
-            inner = map(add, pairs[n - 1 : n - 1 + width], pairs[n : n + width])
-            lhs = [4 * v for v in _rim_sums(lines, side, width)]
-            rhs = [(8 * n - 4) * v for v in inner]
-            if lhs != rhs:
-                top_r, top_k = outer_r + n - 1, _first_mismatch(lhs, rhs) + n - 1
-                failure = even_diamond_check(
-                    params, top_r, top_k, n, lambda r, k: lines[r - outer_r][k]
-                )
-                return IdentitySweep("even-diamond", count + top_k - n + 2, failure)
-            count += width
-            del lines[0]
-    return IdentitySweep("even-diamond", count, None)
-
-
-# The local relations moved to one side: sum(sign * T(r - dr, k - dk)) over
-# each equation's (dr, dk, sign) terms, the first being T(r, k) itself.
-_ASHLEY = ((0, 0, 1), (1, 0, -1), (0, 1, -1), (2, 1, 1))
-_ASHLEY_MOD = {
-    1: ((0, 0, 1), (1, 0, -1), (0, 1, -1), (2, 1, 1), (2, 2, 1), (3, 2, -1)),
-    2: ((0, 0, 1), (0, 1, -1), (1, 1, -1), (2, 2, 1), (2, 3, 1), (3, 3, -1)),
-    3: ((0, 0, 1), (1, 0, -1), (1, 1, -1), (2, 2, 1), (3, 2, 1), (3, 3, -1)),
+# check name -> (per-instance check, (first value, degree bound) per index
+# variable, in the order the check takes them).  Each check's two sides, with
+# the means' denominators cleared, have at most these degrees, and each grid
+# of degree + 1 values per variable lies inside the check's domain.
+PROOF_GRIDS: dict[str, tuple[Callable[..., IdentityCheck], tuple[tuple[int, int], ...]]] = {
+    # top_r, top_k, half: rim sum against 8*half * centre
+    "odd-diamond": (odd_diamond_check, ((0, 1), (0, 1), (1, 3))),
+    # top_r, top_k, n: 4 * outer rim sum against (8n - 4) * inner sum; the grid keeps tops >= n - 1
+    "even-diamond": (even_diamond_check, ((1, 1), (1, 1), (1, 1))),
+    "ashley": (ashley_check, ((2, 1), (1, 1))),
+    "ashley-mod1": (lambda params, r, k: ashley_mod_check(params, 1, r, k), ((3, 1), (2, 1))),
+    "ashley-mod2": (lambda params, r, k: ashley_mod_check(params, 2, r, k), ((3, 1), (3, 1))),
+    "ashley-mod3": (lambda params, r, k: ashley_mod_check(params, 3, r, k), ((3, 1), (3, 1))),
+    "column-diff": (column_diff_check, ((2, 1), (1, 1))),
+    "tmeg": (t_meg_check, ((1, 1), (2, 1))),
 }
-_COLUMN_DIFF = (((0, 0, 1), (1, -1, -1)), ((1, 1, 1), (2, 0, -1)))
 
 
-def _local(*equations) -> Callable[[int], tuple]:
-    return lambda r: tuple(tuple((r - dr, dk, sign) for dr, dk, sign in eq) for eq in equations)
+def prove_identity(name: str, params: GrtParams) -> tuple[int, IdentityCheck | None]:
+    """Check ``name`` of ``PROOF_GRIDS`` for every index, by exact evaluation on its grid.
 
-
-def _relation_sweep(
-    name: str,
-    rs: range,
-    ks: range,
-    length: int,
-    diagonal: DiagonalFn,
-    equations: Callable[[int], tuple],
-    expected: Callable[[int], list],
-    check: Callable[[int, int, EntryFn], IdentityCheck],
-) -> IdentitySweep:
-    """Sweep r over ``rs`` (outer) and k over ``ks`` (inner) for a linear relation.
-
-    ``equations(r)`` lists, for one r, equations of terms ``(line, dk, sign)``,
-    each ``sign * T(line, k - dk)``, the first with sign 1; an instance holds
-    when every equation sums to ``expected(r)[k - ks.start]``.  Diagonals of
-    ``length`` entries are kept only while an r needs them.
+    Walks the grid in lexicographic order and returns the number of points
+    evaluated (the failing one included) and the first failing
+    IdentityCheck, or None: then the identity holds for every index of the
+    check's domain.  Raises InapplicableCheckError as the check does.
     """
-    width = len(ks)
-    window: dict[int, Sequence[int]] = {}
+    check, axes = PROOF_GRIDS[name]
     count = 0
-    for r in rs:
-        eqs = equations(r)
-        needed = {line for eq in eqs for line, _, _ in eq}
-        for line in window.keys() - needed:
-            del window[line]
-        for line in needed - window.keys():
-            window[line] = diagonal(line, length)
-        target = expected(r)
-        bad = width
-        for (line, dk, _), *rest in eqs:
-            total = window[line][ks.start - dk : ks.stop - dk]
-            for line, dk, sign in rest:
-                part = window[line][ks.start - dk : ks.stop - dk]
-                total = map(add if sign > 0 else sub, total, part)
-            total = list(total)
-            if total != target:
-                bad = min(bad, _first_mismatch(total, target))
-        if bad < width:
-            failure = check(r, ks[bad], lambda r, k: window[r][k])
-            return IdentitySweep(name, count + bad + 1, failure)
-        count += width
-    return IdentitySweep(name, count, None)
-
-
-def ashley_sweep(
-    params: GrtParams, depth: int, diagonal: DiagonalFn | None = None
-) -> IdentitySweep:
-    """ashley_check for r = 2..depth (outer) and k = 1..depth."""
-    diagonal = _diagonal_source(params, depth, diagonal)
-    ks = range(1, depth + 1)
-    correction = [(2 - k) * params.d - params.d2 for k in ks]
-    return _relation_sweep(
-        "ashley", range(2, depth + 1), ks, depth + 1, diagonal, _local(_ASHLEY),
-        lambda r: correction,
-        lambda r, k, entry: ashley_check(params, r, k, entry),
-    )
-
-
-def ashley_mod_sweep(
-    params: GrtParams, variant: int, depth: int, diagonal: DiagonalFn | None = None
-) -> IdentitySweep:
-    """ashley_mod_check for r = 3..depth (outer) and k = 2..depth (variant 1) or 3..depth."""
-    if variant not in _ASHLEY_MOD:
-        raise ValueError(f"variant must be 1, 2 or 3, got {variant}")
-    diagonal = _diagonal_source(params, depth, diagonal)
-    ks = range(2 if variant == 1 else 3, depth + 1)
-    zeros = [0] * len(ks)
-    return _relation_sweep(
-        f"ashley-mod{variant}", range(3, depth + 1), ks, depth + 1, diagonal,
-        _local(_ASHLEY_MOD[variant]),
-        lambda r: zeros,
-        lambda r, k, entry: ashley_mod_check(params, variant, r, k, entry),
-    )
-
-
-def column_diff_sweep(
-    params: GrtParams, depth: int, diagonal: DiagonalFn | None = None
-) -> IdentitySweep:
-    """column_diff_check for r = 2..depth (outer) and k = 1..depth."""
-    diagonal = _diagonal_source(params, depth, diagonal)
-    ks = range(1, depth + 1)
-    base, d = params.d2 - params.d1, params.d
-    return _relation_sweep(
-        "column-diff", range(2, depth + 1), ks, depth + 2, diagonal, _local(*_COLUMN_DIFF),
-        lambda r: [base + (k - r + 1) * d for k in ks],
-        lambda r, k, entry: column_diff_check(params, r, k, entry),
-    )
-
-
-def t_meg_sweep(
-    params: GrtParams, depth: int, diagonal: DiagonalFn | None = None
-) -> IdentitySweep:
-    """t_meg_check for r = 1..depth (outer) and k = 2..depth; InapplicableCheckError as there.
-
-    Diagonals 0 and 1 are read up to index 2*depth - 2 and kept throughout.
-    """
-    _require_tmeg_params(params)
-    diagonal = _diagonal_source(params, depth, diagonal)
-    ks = range(2, depth + 1)
-    constant = [2 * (params.d - params.c)] * len(ks)
-    return _relation_sweep(
-        "tmeg", range(1, depth + 1), ks, max(depth + 1, 2 * depth - 1), diagonal,
-        lambda r: (((r, 0, 1), (r - 1, 1, -1), (0, 2 - r, -1), (1, 3 - r, -1)),),
-        lambda r: constant,
-        lambda r, k, entry: t_meg_check(params, r, k, entry),
-    )
-
-
-# Every instance sweep by check name, each called as sweep(params, depth, diagonal=None).
-IDENTITY_SWEEPS: dict[str, Callable[..., IdentitySweep]] = {
-    "odd-diamond": odd_diamond_sweep,
-    "even-diamond": even_diamond_sweep,
-    "ashley": ashley_sweep,
-    **{
-        f"ashley-mod{v}": lambda params, depth, diagonal=None, v=v: ashley_mod_sweep(
-            params, v, depth, diagonal
-        )
-        for v in (1, 2, 3)
-    },
-    "column-diff": column_diff_sweep,
-    "tmeg": t_meg_sweep,
-}
+    for point in product(*(range(first, first + degree + 1) for first, degree in axes)):
+        count += 1
+        result = check(params, *point)
+        if not result.holds:
+            return count, result
+    return count, None

@@ -171,8 +171,11 @@ def oracle_render_csv(rows):
 
 
 def oracle_diagonal_reports(grid):
-    reports = [oracle_sequence("major", r, grid.major_diagonal(r)) for r in range(grid.n_rows)]
-    reports += [oracle_sequence("minor", k, grid.minor_diagonal(k)) for k in range(grid.n_rows)]
+    rows, n_rows = grid.rows, grid.n_rows
+    reports = [oracle_sequence("major", r, grid.major_diagonal(r)) for r in range(n_rows)]
+    reports += [
+        oracle_sequence("minor", k, [rows[r + k][r] for r in range(n_rows - k)]) for k in range(n_rows)
+    ]
     return reports
 
 
@@ -247,10 +250,11 @@ def oracle_classify(grid):
     )
 
 
-# --- reference identity sweeps and props report ---------------------------
-# Every instance evaluated on its own by the public per-instance checks, in
-# the order the library's sweeps walk them; the sweeps and the `props`
-# report must agree with these exactly.
+# --- reference identity sweeps, proofs and props report --------------------
+# Every instance evaluated on its own by the public per-instance checks: up
+# to a depth (a plain sweep, which confirms the proofs on more points), or
+# on each proved check's grid, written out here from its degree bounds; the
+# library's proofs and the `props` report must agree with these exactly.
 
 
 def oracle_instances(name, depth):
@@ -291,6 +295,31 @@ def oracle_sweep(name, params, depth, entry=None):
     for check, args in oracle_instances(name, depth):
         count += 1
         result = check(params, *args, entry=entry)
+        if not result.holds:
+            return count, result
+    return count, None
+
+
+# check name -> (per-instance check, its leading arguments, one range per index variable)
+ORACLE_GRIDS = {
+    "odd-diamond": (odd_diamond_check, (), (range(0, 2), range(0, 2), range(1, 5))),
+    "even-diamond": (even_diamond_check, (), (range(1, 3), range(1, 3), range(1, 3))),
+    "ashley": (ashley_check, (), (range(2, 4), range(1, 3))),
+    "ashley-mod1": (ashley_mod_check, (1,), (range(3, 5), range(2, 4))),
+    "ashley-mod2": (ashley_mod_check, (2,), (range(3, 5), range(3, 5))),
+    "ashley-mod3": (ashley_mod_check, (3,), (range(3, 5), range(3, 5))),
+    "column-diff": (column_diff_check, (), (range(2, 4), range(1, 3))),
+    "tmeg": (t_meg_check, (), (range(1, 3), range(2, 4))),
+}
+
+
+def oracle_proof(name, params, entry=None):
+    """(grid points evaluated, first failing IdentityCheck or None), walking the grid lexicographically."""
+    check, leading, ranges = ORACLE_GRIDS[name]
+    count = 0
+    for point in product(*ranges):
+        count += 1
+        result = check(params, *leading, *point, entry=entry)
         if not result.holds:
             return count, result
     return count, None
@@ -350,9 +379,10 @@ def _oracle_record(name, params, depth, explicit, entry):
         status = "inapplicable" if explicit else "skipped"
         summary = f"{status}: needs d1 = d2 = 0, got d1={params.d1}, d2={params.d2}"
         return {"check": name, "status": status, "summary": summary}
-    count, failure = oracle_sweep(name, params, depth, entry)
+    points, failure = oracle_proof(name, params, entry)
     if failure is None:
-        return {"check": name, "status": "holds", "summary": f"holds ({count} instances)", "instances": count}
+        summary = f"holds for all indices (proved by {points} exact evaluations)"
+        return {"check": name, "status": "holds", "summary": summary, "proved": True, "points": points}
     location, lhs, rhs = failure.first_failure
     jsonable = lambda v: v if isinstance(v, int) else str(v)
     return {
@@ -364,7 +394,7 @@ def _oracle_record(name, params, depth, explicit, entry):
 
 
 def oracle_props(params, depth, names, explicit, fmt, entry=None):
-    """(stdout, exit code) of `rascal props`, built from the per-instance checks."""
+    """(stdout, exit code) of `rascal props`, built from the per-instance checks; ``entry`` feeds the proved ones."""
     records = [_oracle_record(name, params, depth, explicit, entry) for name in names]
     p = {"c": params.c, "d": params.d, "d1": params.d1, "d2": params.d2}
     if fmt == "json":

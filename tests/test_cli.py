@@ -167,6 +167,39 @@ class TestJsonIntegers:
         assert doc["params"]["c"] == 2**62
 
 
+class TestReportDigitLimit:
+    """Report values derived from input within the int-to-str digit limit are written in full."""
+
+    @staticmethod
+    def full_text(value):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_classify_rule_constant_past_the_limit(self, capsys, tmp_path):
+        n = int("9" * sys.get_int_max_str_digits())
+        path = write(tmp_path, "t.txt", f"{n}\n{-n} {n}\n{n} {-n} {n}\n1 2 3 4\n")
+        for fmt in ("text", "json"):
+            limit = sys.get_int_max_str_digits()
+            code, out, err = run(capsys, "classify", "--input", path, "--format", fmt)
+            assert (code, err) == (1, "")
+            assert sys.get_int_max_str_digits() == limit
+            # the diamond at (r=1, k=2) implies south*north - east*west = 2*(-n) - (-n)*n
+            assert self.full_text(n * n - 2 * n) in out
+
+    def test_props_row_sums_past_the_limit(self, capsys):
+        n = int("9" * sys.get_int_max_str_digits())
+        params = GrtParams(n, 1, 1, 1)
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "props", *_flags(params), "--checks", "rowsums", "--depth", "100")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        assert out.endswith(" " + self.full_text(sum(closed_form_entry(params, r, 100 - r) for r in range(101))) + ")\n")
+
+
 class TestGenerateStreaming:
     @pytest.mark.parametrize(
         "params",
@@ -592,7 +625,10 @@ PROPS_FAMILIES = {
 
 
 class TestPropsOutputIdentity:
-    """`props` output equals the report built from the per-instance checks, byte for byte."""
+    """`props` output equals the report built from the per-instance checks, byte for byte.
+
+    The proved checks read from the reference grids of ``helpers.ORACLE_GRIDS``.
+    """
 
     @pytest.mark.parametrize("family", list(PROPS_FAMILIES))
     def test_all_checks(self, capsys, family):
@@ -614,18 +650,16 @@ class TestPropsOutputIdentity:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_failed_checks(self, capsys, monkeypatch, fmt):
-        # one bumped entry in the swept diagonals: the failures must read as
-        # the per-instance checks report them, Fraction means included
+        # entries off the bilinear closed form by r²k²: every proof fails, and its
+        # failure must read as the per-instance check reports it, Fraction means included
         import rascal.identities as identities
 
-        params, cell = GrtParams(5, 3, 2, 7), (3, 4)
+        params = GrtParams(5, 3, 2, 7)
 
         def entry(r, k):
-            return closed_form_entry(params, r, k) + ((r, k) == cell)
+            return closed_form_entry(params, r, k) + r * r * k * k
 
-        monkeypatch.setattr(
-            identities, "major_diagonal", lambda p, r, count: [entry(r, k) for k in range(count)]
-        )
+        monkeypatch.setattr(identities, "closed_form_entry", lambda p, r, k: entry(r, k))
         names = [name for name in CHECK_NAMES if name != "tmeg"]
         argv = ["props", *_flags(params), "--checks", ",".join(names), "--depth", "6", "--format", fmt]
         code, out, _ = run(capsys, *argv)
@@ -638,15 +672,19 @@ class TestFailureReporting:
     # a failed record cannot arise from valid parameters (the identities are
     # theorems), but the exit-code contract still has to hold
 
-    def test_sweep_identity_failure_record(self):
-        from rascal import IdentityCheck, IdentitySweep
-        from rascal.cli import _sweep_identity
+    def test_proof_failure_record(self, monkeypatch):
+        import rascal.cli as cli
+        import rascal.identities as identities
 
-        record = _sweep_identity(
-            IdentitySweep("ashley", 1, IdentityCheck("ashley", False, ((2, 1), 5, 6)))
-        )
-        assert record["status"] == "failed"
-        assert record["first_failure"] == {"location": [2, 1], "lhs": 5, "rhs": 6}
+        monkeypatch.setattr(identities, "closed_form_entry", lambda p, r, k: closed_form_entry(p, r, k) + (r == k == 2))
+        # the first point of ashley's grid, (2, 1), reads T(2, 1), T(1, 1), T(2, 0) and T(0, 0): it holds
+        record = cli._CHECK_RUNNERS["ashley"](GrtParams(1, 1, 0, 0), 8)
+        assert record == {
+            "check": "ashley",
+            "status": "failed",
+            "summary": "failed at (2, 2): 6 != 5",
+            "first_failure": {"location": [2, 2], "lhs": 6, "rhs": 5},
+        }
 
     def test_failed_check_exits_one(self, capsys, monkeypatch):
         import rascal.cli as cli

@@ -1,6 +1,5 @@
 """Row sums, diamond means, local relation rules, embeddings, multiples."""
 
-import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -8,27 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_embed, oracle_row_sums, oracle_sweep, walk_rim
+import rascal.identities as identities
+from helpers import oracle_embed, oracle_proof, oracle_row_sums, oracle_sweep, walk_rim
 from rascal import (
-    IDENTITY_SWEEPS,
     GrtParams,
     InapplicableCheckError,
     ashley_check,
     ashley_mod_check,
-    ashley_mod_sweep,
     closed_form_entry,
     column_diff_check,
     embed_in_rascal,
     even_diamond_check,
     generate_closed_form,
-    major_diagonal,
     multiple_of_rascal,
     odd_diamond_check,
+    prove_identity,
     row_sum_formula,
-    row_sum_sweep,
     t_meg_check,
-    t_meg_sweep,
 )
+from rascal.cli import _run_rowsums
+from rascal.identities import PROOF_GRIDS
+from rascal.triangle_io import int_for_json
 
 RASCAL = GrtParams(1, 1, 0, 0)
 W = GrtParams(1, 5, 2, 3)
@@ -52,11 +51,6 @@ def bump(params, cell):
         return value + 1 if (r, k) == cell else value
 
     return entry
-
-
-def diagonal_of(entry):
-    """Diagonal source T(r, 0..count-1) read from an (r, k) entry source."""
-    return lambda r, count: [entry(r, k) for k in range(count)]
 
 
 class TestRowSums:
@@ -361,89 +355,143 @@ class TestMultiple:
                 assert closed_form_entry(params, r, k) == 5 * (1 + r * k)
 
 
-# zero-heavy, with negative values and the d1 = d2 = 0 family
-_component = st.integers(-10, 10) | st.just(0)
-sweep_params_st = st.builds(GrtParams, *[_component] * 4) | st.builds(
-    lambda c, d: GrtParams(c, d, 0, 0), _component, _component
+# zero-heavy, with negative values, values of 10^6 and more, and the d = 0 and d1 = d2 = 0 families
+_component = st.integers(-10, 10) | st.just(0) | st.integers(10**6, 10**40) | st.integers(-(10**40), -(10**6))
+proof_params_st = (
+    st.builds(GrtParams, *[_component] * 4)
+    | st.builds(lambda c, d1, d2: GrtParams(c, 0, d1, d2), _component, _component, _component)
+    | st.builds(lambda c, d: GrtParams(c, d, 0, 0), _component, _component)
 )
 
 
-def _sweep_params(name, params):
+def _proof_params(name, params):
     return GrtParams(params.c, params.d, 0, 0) if name == "tmeg" else params
 
 
+def _grid(name):
+    """The points of ``name``'s proof grid, in the prover's order: degree bound + 1 values per variable."""
+    return list(product(*(range(first, first + degree + 1) for first, degree in PROOF_GRIDS[name][1])))
+
+
+def _planted(monkeypatch, cell):
+    """Make the checks read the closed form plus 1 at ``cell``."""
+    monkeypatch.setattr(identities, "closed_form_entry", lambda p, r, k: closed_form_entry(p, r, k) + ((r, k) == cell))
+
+
 class TestSweepsAgreeWithReference:
-    """Each sweep evaluates the instances of the per-instance reference, in its order."""
+    """The proofs agree with the reference walks of ``helpers``: over each proof grid and up to a depth."""
 
-    @pytest.mark.parametrize("name", list(IDENTITY_SWEEPS))
-    @settings(deadline=None, max_examples=30)
-    @given(params=sweep_params_st, depth=st.integers(1, 20), data=st.data())
-    def test_count_and_first_failure(self, name, params, depth, data):
-        params = _sweep_params(name, params)
-        cell = data.draw(
-            st.none() | st.tuples(st.integers(0, depth + 6), st.integers(0, 2 * depth)), label="bump"
-        )
-        if cell is None:
-            sweep = IDENTITY_SWEEPS[name](params, depth)
-            expected = oracle_sweep(name, params, depth)
-        else:
-            entry = bump(params, cell)
-            sweep = IDENTITY_SWEEPS[name](params, depth, diagonal=diagonal_of(entry))
-            expected = oracle_sweep(name, params, depth, entry)
-        assert (sweep.name, sweep.instances, sweep.failure) == (name, *expected)
+    @pytest.mark.parametrize("name", list(PROOF_GRIDS))
+    @settings(deadline=None, max_examples=40)
+    @given(params=proof_params_st, data=st.data())
+    def test_count_and_first_failure(self, name, params, data):
+        params = _proof_params(name, params)
+        proof = prove_identity(name, params)
+        assert proof == oracle_proof(name, params) == (len(_grid(name)), None)
+        assert oracle_sweep(name, params, 10)[1] is None
+        cell = data.draw(st.tuples(st.integers(0, 9), st.integers(0, 9)), label="bump")
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _planted(monkeypatch, cell)
+            bumped = prove_identity(name, params)
+        entry = lambda r, k: closed_form_entry(params, r, k) + ((r, k) == cell)
+        assert bumped == oracle_proof(name, params, entry)
 
-    @pytest.mark.parametrize("name", list(IDENTITY_SWEEPS))
+    @pytest.mark.parametrize("name", list(PROOF_GRIDS))
     def test_every_single_bump(self, name):
-        # every cell a sweep can read at depth 5, one at a time
-        params = _sweep_params(name, GrtParams(2, 3, -1, 4))
-        depth = 5
-        failing = 0
-        for cell in product(range(depth + 7), range(2 * depth + 1)):
-            entry = bump(params, cell)
-            sweep = IDENTITY_SWEEPS[name](params, depth, diagonal=diagonal_of(entry))
-            assert (sweep.instances, sweep.failure) == oracle_sweep(name, params, depth, entry), cell
-            failing += sweep.failure is not None
-        assert failing > 0
+        # a bump that only one grid point's evaluation sees fails the proof at that point
+        params = _proof_params(name, GrtParams(2, 3, -1, 4))
+        check, axes = PROOF_GRIDS[name]
+        for index, point in enumerate(_grid(name)):
+            read = []
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setattr(
+                    identities, "closed_form_entry", lambda p, r, k: read.append((r, k)) or closed_form_entry(p, r, k)
+                )
+                assert check(params, *point).holds
+            for cell in read:
+                with pytest.MonkeyPatch.context() as monkeypatch:
+                    _planted(monkeypatch, cell)
+                    expected = check(params, *point)
+                if not expected.holds:
+                    break
+            else:  # n = 1 compares the inner 2-diamond with itself, whatever its entries
+                assert (name, point[2]) == ("even-diamond", 1)
+                continue
+            assert expected.first_failure[0] == point
+
+            def planted_at_point(params, *at, point=point, cell=cell):
+                with pytest.MonkeyPatch.context() as monkeypatch:
+                    if at == point:
+                        _planted(monkeypatch, cell)
+                    return check(params, *at)
+
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setitem(PROOF_GRIDS, name, (planted_at_point, axes))
+                assert prove_identity(name, params) == (index + 1, expected), point
 
     @settings(deadline=None)
-    @given(params=sweep_params_st, depth=st.integers(0, 20))
+    @given(params=proof_params_st, depth=st.integers(0, 20))
     def test_row_sums(self, params, depth):
-        sweep = row_sum_sweep(params, depth)
+        record = _run_rowsums(params, depth)
         count, failure, sums = oracle_row_sums(params, depth)
-        assert (sweep.instances, sweep.failure, list(sweep.values)) == (count, failure, sums)
-
-    @pytest.mark.parametrize("name", list(IDENTITY_SWEEPS))
-    def test_keeps_a_bounded_window_of_diagonals(self, name):
-        # memory grows with depth: at most 7 diagonals (the largest odd diamond) are alive at once
-        params = _sweep_params(name, W)
-        live, peak = set(), 0
-
-        class Line(list):
-            pass
-
-        def diagonal(r, count):
-            nonlocal peak
-            line = Line(major_diagonal(params, r, count))
-            live.add(id(line))
-            weakref.finalize(line, live.discard, id(line))
-            peak = max(peak, len(live))
-            return line
-
-        assert IDENTITY_SWEEPS[name](params, 40, diagonal=diagonal).failure is None
-        assert peak <= 7
-
-    def test_depth_zero_and_empty_domains(self):
-        for name, sweep in IDENTITY_SWEEPS.items():
-            params = _sweep_params(name, W)
-            for depth in (0, 1, 2):
-                assert sweep(params, depth).instances == oracle_sweep(name, params, depth)[0]
+        assert failure is None
+        assert (record["status"], record["instances"], record["sums"]) == ("holds", count, list(map(int_for_json, sums)))
 
     def test_argument_errors(self):
         with pytest.raises(InapplicableCheckError, match="needs d1 = d2 = 0"):
-            t_meg_sweep(W, 4)
-        with pytest.raises(ValueError):
-            ashley_mod_sweep(W, 4, 4)
-        with pytest.raises(ValueError):
-            IDENTITY_SWEEPS["odd-diamond"](W, -1)
-        with pytest.raises(ValueError):
-            row_sum_sweep(W, -1)
+            prove_identity("tmeg", W)
+        with pytest.raises(KeyError):
+            prove_identity("rowsums", W)
+
+
+class TestProofGrids:
+    """Each grid is large enough: both sides of every identity have at most its degree bounds."""
+
+    @staticmethod
+    def sides(sympy, name):
+        """(index symbols, [(lhs, rhs), ...]) of ``name`` over the closed form, means' denominators cleared."""
+        c, d, d1, d2 = sympy.symbols("c d d1 d2")
+        if name == "tmeg":
+            d1 = d2 = 0
+        i = sympy.Dummy("i")
+
+        def t(r, k):
+            return c + k * d1 + r * d2 + r * k * d
+
+        def rim(top_r, top_k, side):
+            s = side - 1  # rim cells have an offset 0 or s in r or in k
+            corners_and_sides = sympy.summation(t(top_r + i, top_k) + t(top_r + i, top_k + s), (i, 0, s))
+            return corners_and_sides + sympy.summation(t(top_r, top_k + i) + t(top_r + s, top_k + i), (i, 1, s - 1))
+
+        if name in ("odd-diamond", "even-diamond"):
+            if name == "odd-diamond":
+                a, b, half = variables = sympy.symbols("top_r top_k half", integer=True, positive=True)
+                return variables, [(rim(a, b, 2 * half + 1), 8 * half * t(a + half, b + half))]
+            a, b, n = variables = sympy.symbols("top_r top_k n", integer=True, positive=True)
+            inner = t(a, b) + t(a + 1, b) + t(a, b + 1) + t(a + 1, b + 1)
+            return variables, [(4 * rim(a - (n - 1), b - (n - 1), 2 * n), (8 * n - 4) * inner)]
+        r, k = variables = sympy.symbols("r k", integer=True, positive=True)
+        pairs = {
+            "ashley": [(t(r, k), t(r - 1, k) + t(r, k - 1) - t(r - 2, k - 1) + (2 - k) * d - d2)],
+            "ashley-mod1": [(t(r, k), t(r - 1, k) + t(r, k - 1) - t(r - 2, k - 1) - t(r - 2, k - 2) + t(r - 3, k - 2))],
+            "ashley-mod2": [(t(r, k), t(r, k - 1) + t(r - 1, k - 1) - t(r - 2, k - 2) - t(r - 2, k - 3) + t(r - 3, k - 3))],
+            "ashley-mod3": [(t(r, k), t(r - 1, k) + t(r - 1, k - 1) - t(r - 2, k - 2) - t(r - 3, k - 2) + t(r - 3, k - 3))],
+            "column-diff": [
+                (t(r, k) - t(r - 1, k + 1), d2 - d1 + (k - r + 1) * d),
+                (t(r - 1, k - 1) - t(r - 2, k), d2 - d1 + (k - r + 1) * d),
+            ],
+            "tmeg": [(t(r, k), t(r - 1, k - 1) + t(0, r + k - 2) + t(1, r + k - 3) + 2 * (d - c))],
+        }
+        return variables, pairs[name]
+
+    @pytest.mark.parametrize("name", list(PROOF_GRIDS))
+    def test_degree_bounds(self, name):
+        sympy = pytest.importorskip("sympy")
+        variables, pairs = self.sides(sympy, name)
+        bounds = [degree for _, degree in PROOF_GRIDS[name][1]]
+        assert len(variables) == len(bounds)
+        for lhs, rhs in pairs:
+            assert sympy.expand(lhs - rhs) == 0
+            for side in (lhs, rhs):
+                poly = sympy.Poly(sympy.expand(side), *variables)
+                assert all(poly.degree(v) <= bound for v, bound in zip(variables, bounds)), (name, side)
