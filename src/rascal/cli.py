@@ -19,12 +19,12 @@ import sys
 from .analyze import VERDICT_GRT, Classification, DiagonalReport, RuleReport, TooSmallError, classify_rows
 from .core import GrtParams, closed_form_row
 from .generate import (
-    MultiplicationRuleError,
     addition_rows,
     boundary_from_params,
     closed_form_rows,
     mult_constant,
     multiplication_rows,
+    predict_multiplication_failure,
 )
 from .identities import (
     PROOF_GRIDS,
@@ -166,12 +166,12 @@ def _cmd_generate(args) -> int:
     elif args.rule == "add":
         rows = addition_rows(boundary_from_params(params, args.rows), params.d)
     else:
-        # the rule can fail part way, and a failure must print no rows: finish it first
-        try:
-            rows = list(multiplication_rows(boundary_from_params(params, args.rows), mult_constant(params)))
-        except MultiplicationRuleError as err:
-            print(f"rascal: {err}", file=sys.stderr)
+        # a failure must print no rows, so it is found from the closed form before any is built
+        failure = predict_multiplication_failure(params, args.rows)
+        if failure is not None:
+            print(f"rascal: {failure}", file=sys.stderr)
             return EXIT_ARITHMETIC
+        rows = multiplication_rows(boundary_from_params(params, args.rows), mult_constant(params))
     sys.stdout.writelines(_CHUNKS[args.format](rows))
     return EXIT_OK
 

@@ -25,9 +25,9 @@ from itertools import accumulate, repeat
 class Record:
     """Immutable record whose fields are the subclass's annotations, in order.
 
-    Construction takes the fields positionally or by keyword; a class
-    attribute of a field's name is its default.  Then ``__post_init__`` runs,
-    to validate or normalize (normalizing with ``object.__setattr__``).
+    Construction takes every field, positionally or by keyword.  Then
+    ``__post_init__`` runs, to validate or normalize (normalizing with
+    ``object.__setattr__``).
     Records are equal when their classes and field values are, hash like the
     tuple of their field values, and refuse assignment and deletion.
     """
@@ -47,7 +47,7 @@ class Record:
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """Field values in order from positional and keyword arguments and the defaults."""
+        """Field values in order from positional and keyword arguments."""
         fields = cls._fields
         if len(args) > len(fields):
             raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments but {len(args)} were given")
@@ -58,10 +58,10 @@ class Record:
             if name in values:
                 raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
             values[name] = value
-        missing = [name for name in fields if name not in values and name not in cls.__dict__]
+        missing = [name for name in fields if name not in values]
         if missing:
             raise TypeError(f"{cls.__name__}() missing {', '.join(map(repr, missing))}")
-        return [values[name] if name in values else cls.__dict__[name] for name in fields]
+        return [values[name] for name in fields]
 
     def __post_init__(self) -> None:
         pass
@@ -138,12 +138,6 @@ class TriangleGrid(Record):
                 f"(r={r}, k={k}) is outside a triangle with {self.n_rows} rows"
             )
         return self.rows[r + k][r]
-
-    def major_diagonal(self, r: int) -> list[int]:
-        """All stored entries T(r, k) of the r-th major diagonal, k ascending."""
-        if not 0 <= r < self.n_rows:
-            raise IndexError(f"no major diagonal {r} in a triangle with {self.n_rows} rows")
-        return [self.rows[r + k][r] for k in range(self.n_rows - r)]
 
 
 class Diamond(Record):

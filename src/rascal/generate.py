@@ -13,6 +13,12 @@ built from, so a caller that consumes rows as they come needs O(rows)
 memory.  A recurrence row is computed with whole-row ``map``s of the
 ``operator`` functions, with no Python call per cell; ``generate_*`` collect
 the rows into a ``TriangleGrid``.
+
+The multiplication rule can fail part way, at a zero or inexact north
+entry.  Grown from ``boundary_from_params`` it can only fail at a zero of
+the closed form, and ``predict_multiplication_failure`` finds the first such
+zero in O(rows) time before any row is built, so the CLI streams ``mul``
+like the other rules and still prints nothing on failure.
 """
 
 from __future__ import annotations
@@ -133,6 +139,39 @@ def multiplication_rows(boundary: Boundary, mult: int) -> Iterator[tuple[int, ..
         return _divide_cells(n, numerators, above)  # names the first failing cell
 
     return _grow_rows(boundary, interior)
+
+
+def predict_multiplication_failure(params: GrtParams, n_rows: int) -> ZeroNorthError | None:
+    """The error ``multiplication_rows`` raises on ``params``' own boundary and constant, or None.
+
+    The closed form satisfies south*north = east*west + D with
+    D = c*d - d1*d2, so while every north entry is nonzero the recurrence
+    reproduces it, each division exact.  It fails at the first zero, in
+    row-major order, of closed-form rows 0..n_rows-3 (the rows that are
+    north of some cell): a zero T(r, k) stops the cell (r + 1, k + 1).  On
+    major diagonal r, T(r, k) = (c + r*d2) + k*(d1 + r*d) is linear in k,
+    so one division finds the diagonal's first zero: O(rows) time, O(1)
+    memory, no row built.
+    """
+    if n_rows < 1:
+        raise ValueError(f"n_rows must be at least 1, got {n_rows}")
+    zero = None
+    last = n_rows - 3  # the last row to search; shrinks to just above the first zero found
+    for r in range(n_rows - 2):
+        if r > last:  # T(r, k) lies in row r + k >= r
+            break
+        first, step = params.c + r * params.d2, params.d1 + r * params.d
+        if step:
+            k, remainder = divmod(-first, step)
+            if remainder or k < 0:
+                continue
+        elif first:
+            continue
+        else:
+            k = 0
+        if r + k <= last:  # strictly above any earlier find, so a tie keeps the smaller r
+            zero, last = (r, k), r + k - 1
+    return None if zero is None else ZeroNorthError(zero[0] + 1, zero[1] + 1)
 
 
 def generate_closed_form(params: GrtParams, n_rows: int) -> TriangleGrid:

@@ -172,7 +172,9 @@ def oracle_render_csv(rows):
 
 def oracle_diagonal_reports(grid):
     rows, n_rows = grid.rows, grid.n_rows
-    reports = [oracle_sequence("major", r, grid.major_diagonal(r)) for r in range(n_rows)]
+    reports = [
+        oracle_sequence("major", r, [rows[r + k][r] for k in range(n_rows - r)]) for r in range(n_rows)
+    ]
     reports += [
         oracle_sequence("minor", k, [rows[r + k][r] for r in range(n_rows - k)]) for k in range(n_rows)
     ]

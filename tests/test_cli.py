@@ -225,7 +225,7 @@ class TestGenerateStreaming:
         )
         assert (code, out, err) == (0, render(rows), "")
 
-    @pytest.mark.parametrize("rule", ["closed", "add"])
+    @pytest.mark.parametrize("rule", ["closed", "add", "mul"])
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_memory_grows_with_rows_not_cells(self, monkeypatch, rule, fmt):
         class Discard(io.TextIOBase):

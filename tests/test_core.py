@@ -19,7 +19,7 @@ from rascal import (
     major_diagonal,
     minor_diagonal,
 )
-from rascal.core import Record, closed_form_row
+from rascal.core import closed_form_row
 
 RASCAL = GrtParams(1, 1, 0, 0)
 W = GrtParams(1, 5, 2, 3)
@@ -150,12 +150,6 @@ class TestTriangleGrid:
     def test_rows_normalized_to_tuples(self):
         grid = TriangleGrid([[1], [2, 3]])
         assert grid.rows == ((1,), (2, 3))
-
-    def test_stored_diagonals(self):
-        grid = generate_closed_form(W, 4)
-        assert grid.major_diagonal(1) == [4, 11, 18]
-        with pytest.raises(IndexError):
-            grid.major_diagonal(4)
 
     @given(params=params_st, n_rows=st.integers(1, 10), data=st.data())
     def test_entry_reads_row_r_plus_k(self, params, n_rows, data):
@@ -309,16 +303,3 @@ def test_value_type_contract(cls, fields, change, expected_repr, invalid):
         with pytest.raises(error) as caught:
             cls(*args)
         assert str(caught.value) == message
-
-
-def test_value_type_default():
-    class Tally(Record):
-        name: str
-        count: int
-        failure: tuple | None
-        values: tuple = ()
-
-    assert Tally("ashley", 4, None) == Tally("ashley", 4, None, ())
-    assert Tally(name="ashley", count=4, failure=None).values == ()
-    with pytest.raises(TypeError, match="'failure'"):
-        Tally("ashley", 4)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import boundaries, oracle_closed_form, oracle_generate
+from helpers import boundaries, oracle_closed_form, oracle_generate, sweep_params
 from rascal import (
     Boundary,
     GrtParams,
@@ -20,7 +20,9 @@ from rascal import (
     generate_closed_form,
     mult_constant,
     multiplication_rows,
+    predict_multiplication_failure,
 )
+from rascal.cli import main
 
 RASCAL = GrtParams(1, 1, 0, 0)
 W = GrtParams(1, 5, 2, 3)
@@ -215,3 +217,91 @@ class TestRowIteratorsAgreeWithReference:
         assert _outcome(lambda: oracle_generate(boundary, "mul", 1)) == expected
         assert _outcome(lambda: multiplication_rows(boundary, 1)) == expected
         assert _outcome(lambda: generate_by_multiplication(boundary, 1).rows) == expected
+
+
+def _recurrence_outcome(params, n_rows):
+    """``multiplication_rows`` on the parameters' own boundary and constant: its rows, or its error."""
+    try:
+        return list(multiplication_rows(boundary_from_params(params, n_rows), mult_constant(params))), None
+    except MultiplicationRuleError as err:
+        return None, err
+
+
+def _failure(err):
+    return None if err is None else (type(err), err.r, err.k, str(err))
+
+
+class TestPredictMultiplicationFailure:
+    """The closed-form zero search against the recurrence it stands in for."""
+
+    def _assert_agrees(self, params, n_rows):
+        rows, err = _recurrence_outcome(params, n_rows)
+        predicted = predict_multiplication_failure(params, n_rows)
+        assert _failure(predicted) == _failure(err)
+        if err is None:  # no zero north: the recurrence reproduces the closed form
+            assert rows == oracle_closed_form(params, n_rows)
+        return predicted
+
+    def test_agrees_on_the_small_grid(self):
+        failures = 0
+        for params in sweep_params():
+            for n_rows in (1, 2, 3, 5, 9, 14):
+                failures += self._assert_agrees(params, n_rows) is not None
+        assert failures == 4668  # every one a ZeroNorthError, none inexact
+
+    @given(params=st.builds(GrtParams, *[st.integers(-(10**6), 10**6)] * 4), n_rows=st.integers(1, 60))
+    def test_agrees_on_large_parameters(self, params, n_rows):
+        self._assert_agrees(params, n_rows)
+
+    @given(
+        steps=st.tuples(*[st.integers(-(10**6), 10**6)] * 3),
+        r=st.integers(0, 30),
+        k=st.integers(0, 30),
+        n_rows=st.integers(1, 60),
+    )
+    def test_agrees_with_a_planted_zero(self, steps, r, k, n_rows):
+        d, d1, d2 = steps
+        params = GrtParams(-(k * d1 + r * d2 + r * k * d), d, d1, d2)  # T(r, k) = 0
+        assert closed_form_entry(params, r, k) == 0
+        predicted = self._assert_agrees(params, n_rows)
+        if r + k <= n_rows - 3:  # the zero is north of a cell: the rule fails there or earlier
+            assert predicted.r + predicted.k - 2 <= r + k
+
+    def test_zero_in_the_last_two_rows_is_no_failure(self):
+        params = GrtParams(2, 0, -1, 1)  # T(r, k) = 2 - k + r: first zero T(0, 2), in row 2
+        assert closed_form_entry(params, 0, 2) == 0
+        for n_rows in (3, 4):  # row 2 is never north of a cell, so the zero is written
+            assert self._assert_agrees(params, n_rows) is None
+        assert _failure(self._assert_agrees(params, 5)) == _failure(ZeroNorthError(1, 3))
+
+    def test_diagonal_of_zeros(self):
+        params = GrtParams(2, -1, 2, -1)  # T(r, k) = (2 - r)(1 + k): major diagonal 2 is all zeros
+        assert [closed_form_entry(params, 2, k) for k in range(5)] == [0] * 5
+        assert self._assert_agrees(params, 4) is None
+        for n_rows in (5, 9):
+            assert _failure(self._assert_agrees(params, n_rows)) == _failure(ZeroNorthError(3, 1))
+
+    def test_zero_apex(self):
+        params = GrtParams(0, 1, 1, 1)
+        for n_rows in (1, 2):
+            assert self._assert_agrees(params, n_rows) is None
+        assert _failure(self._assert_agrees(params, 3)) == _failure(ZeroNorthError(1, 1))
+
+    def test_tie_on_a_row_takes_the_leftmost_cell(self):
+        params = GrtParams(-2, 0, 1, 1)  # T(r, k) = r + k - 2: all of row 2 is zero
+        assert _failure(self._assert_agrees(params, 5)) == _failure(ZeroNorthError(1, 3))
+
+    def test_rejects_zero_rows(self):
+        with pytest.raises(ValueError):
+            predict_multiplication_failure(RASCAL, 0)
+
+    def test_cli_prints_nothing_on_a_predicted_failure(self, capsys):
+        for params in sweep_params():
+            for n_rows in (3, 5, 9, 14):
+                _, err = _recurrence_outcome(params, n_rows)
+                if err is None:
+                    continue
+                flags = [f"--{name}={getattr(params, name)}" for name in ("c", "d", "d1", "d2")]
+                code = main(["generate", *flags, "--rows", str(n_rows), "--rule", "mul"])
+                captured = capsys.readouterr()
+                assert (code, captured.out, captured.err) == (2, "", f"rascal: {err}\n")
