@@ -5,10 +5,12 @@ from the left), so counterexamples and witnesses are deterministic.
 
 A triangle is generalized Rascal exactly when it equals the closed form of
 the parameters fitted from its rows 0-2, and then every diagonal is
-arithmetic and every diamond implies the fitted rule constants.  So each
-analysis first compares whole rows with the closed form, and checks cell by
-cell only from the first row that differs.  That check is one pass over the
-remaining rows, made of whole-row differences and products.
+arithmetic and every diamond implies the fitted rule constants.  So one
+pass over the rows answers every analysis at once: it compares whole rows
+with the closed form, and checks cell by cell only from the first row that
+differs, by whole-row differences and products.  ``classify``,
+``diagonal_reports`` and the rule detectors read that pass; ``fit_grt``
+stops at the first row that differs.
 """
 
 from __future__ import annotations
@@ -63,10 +65,6 @@ class DiagonalReport(Record):
     first_violation: tuple[int, int, int] | None  # (position, expected, actual)
     under_determined: bool
 
-    @property
-    def is_arithmetic(self) -> bool:
-        return self.common_difference is not None
-
 
 class RuleWitness(Record):
     """One diamond, named by its south cell, and the rule constant it implies."""
@@ -104,7 +102,7 @@ class Classification(Record):
 
 def diagonal_reports(grid: TriangleGrid) -> list[DiagonalReport]:
     """One report per major diagonal and per minor diagonal, in index order."""
-    return list(_fold(grid.rows, addition=False, multiplication=False).diagonals)
+    return list(_fold(grid.rows).diagonals)
 
 
 def fit_grt(grid: TriangleGrid) -> GrtParams:
@@ -119,16 +117,18 @@ def fit_grt(grid: TriangleGrid) -> GrtParams:
         raise UnderDeterminedError(
             f"need at least 3 rows to determine the parameters, got {grid.n_rows}"
         )
-    folded = _fold(grid.rows, addition=False, multiplication=False, diagonals=False)
-    if folded.mismatch is not None:
-        raise NotGrtError(*folded.mismatch)
-    return folded.params
+    rows = grid.rows
+    params = _fitted(*rows[:3])
+    for n in range(2, grid.n_rows):
+        mismatch = _mismatch(params, n, rows[n])
+        if mismatch is not None:
+            raise NotGrtError(*mismatch)
+    return params
 
 
 def detect_addition_rule(grid: TriangleGrid) -> RuleReport:
     """Constant d with south = east + west + d - north over every interior diamond."""
-    folded = _fold(grid.rows, multiplication=False, diagonals=False)
-    return _rule_report("addition", _fitted_params(folded).d, folded.addition)
+    return classify(grid).addition
 
 
 def detect_multiplication_rule(grid: TriangleGrid) -> RuleReport:
@@ -137,9 +137,7 @@ def detect_multiplication_rule(grid: TriangleGrid) -> RuleReport:
     The multiplicative form needs no division, so zero entries cannot crash
     the scan; on triangles without zeros it coincides with the quotient rule.
     """
-    folded = _fold(grid.rows, addition=False, diagonals=False)
-    constant = mult_constant(_fitted_params(folded))
-    return _rule_report("multiplication", constant, folded.multiplication)
+    return classify(grid).multiplication
 
 
 def classify(grid: TriangleGrid) -> Classification:
@@ -161,7 +159,9 @@ def classify_rows(rows: Iterable[Sequence[int]]) -> Classification:
     it, with the same ValueError or TypeError.
     """
     folded = _fold(rows)
-    params = _fitted_params(folded)
+    params = folded.params
+    if params is None:
+        raise TooSmallError(f"rule detection needs at least 3 rows, got {folded.n_rows}")
     addition = _rule_report("addition", params.d, folded.addition)
     multiplication = _rule_report("multiplication", mult_constant(params), folded.multiplication)
     if folded.mismatch is None:
@@ -178,28 +178,16 @@ def classify_rows(rows: Iterable[Sequence[int]]) -> Classification:
 class _Folded(Record):
     """What one pass over the rows found; ``params`` is None below 3 rows."""
 
-    n_rows: int  # rows read, which is all of them unless only the fit was asked for
+    n_rows: int
     params: GrtParams | None
     mismatch: tuple[int, int, int, int] | None  # NotGrtError's (r, k, expected, actual)
-    diagonals: tuple[DiagonalReport, ...]  # empty unless asked for
+    diagonals: tuple[DiagonalReport, ...]
     addition: RuleWitness | None  # the first diamond that breaks the rule
     multiplication: RuleWitness | None
 
 
-def _fitted_params(folded: _Folded) -> GrtParams:
-    """The fitted parameters of a triangle that has a diamond; TooSmallError otherwise."""
-    if folded.params is None:
-        raise TooSmallError(f"rule detection needs at least 3 rows, got {folded.n_rows}")
-    return folded.params
-
-
-def _fold(
-    rows: Iterable[Sequence[int]],
-    addition: bool = True,
-    multiplication: bool = True,
-    diagonals: bool = True,
-) -> _Folded:
-    """Read the rows once, in order, keeping only what the reports asked for need.
+def _fold(rows: Iterable[Sequence[int]]) -> _Folded:
+    """Read the rows once, in order, keeping only what the reports need.
 
     Rows 0-2 fix the parameters; each row is compared with their closed form
     until the first that differs (the mismatch).  From that row on, each is
@@ -209,10 +197,9 @@ def _fold(
     cell by cell only in a row whose vector differs from the previous one, and
     then only at the diagonals that have not failed yet.  Up to the mismatch
     every diagonal is arithmetic and every diamond implies ``d`` and
-    ``c*d - d1*d2``, the constants of the first diamond, (1, 1), so the
-    requested rules are checked from there on too: each is answered by the
-    first diamond that implies another constant.  With no rule and no
-    diagonals asked for, reading stops at the mismatch.
+    ``c*d - d1*d2``, the constants of the first diamond, (1, 1), so both
+    rules are checked from there on too: each is answered by the first
+    diamond that implies another constant.
 
     Held at any time: the last two rows and their step vectors, the
     diagonals still arithmetic, and the first two entries of every diagonal
@@ -238,12 +225,8 @@ def _fold(
             params = _fitted(prev2, prev, row)
             d_mult = mult_constant(params)
         if mismatch is None and n >= 2:
-            expected = closed_form_row(params, n)
-            if row != expected:
-                r = next(r for r, value in enumerate(row) if value != expected[r])
-                mismatch = (r, n - r, expected[r], row[r])
-                if not (addition or multiplication or diagonals):
-                    break
+            mismatch = _mismatch(params, n, row)
+            if mismatch is not None:
                 # diagonals whose third entry lies above row n, all arithmetic so far
                 active_majors = list(range(n - 2))
                 active_minors = list(range(n - 2))
@@ -251,30 +234,27 @@ def _fold(
                 across_prev = list(map(sub, prev[1:], prev2))
         if mismatch is not None:
             across = list(map(sub, row[1:], prev))
-            if diagonals:
-                down = list(map(sub, row, prev))
-                active_majors.append(n - 2)
-                active_minors.append(n - 2)
-                if down[:-1] != down_prev:
-                    active_majors = _check_steps(
-                        active_majors, n, row, prev, down, down_prev, majors, mirrored=False
-                    )
-                if across[1:] != across_prev:
-                    active_minors = _check_steps(
-                        active_minors, n, row, prev, across, across_prev, minors, mirrored=True
-                    )
-                down_prev = down
-            if addition and add_conflict is None:
+            down = list(map(sub, row, prev))
+            active_majors.append(n - 2)
+            active_minors.append(n - 2)
+            if down[:-1] != down_prev:
+                active_majors = _check_steps(
+                    active_majors, n, row, prev, down, down_prev, majors, mirrored=False
+                )
+            if across[1:] != across_prev:
+                active_minors = _check_steps(
+                    active_minors, n, row, prev, across, across_prev, minors, mirrored=True
+                )
+            down_prev = down
+            if add_conflict is None:
                 add_conflict = _conflict(list(map(sub, across, across_prev)), params.d, n)
-            if multiplication and mult_conflict is None:
+            if mult_conflict is None:
                 implied = map(sub, map(mul, row[1:], prev2), map(mul, prev[1:], prev))
                 mult_conflict = _conflict(list(implied), d_mult, n)
             across_prev = across
         prev2, prev = prev, row
-    reports = []
-    if diagonals:
-        reports += _diagonal_reports("major", major_first, major_second, majors)
-        reports += _diagonal_reports("minor", minor_first, minor_second, minors)
+    reports = _diagonal_reports("major", major_first, major_second, majors)
+    reports += _diagonal_reports("minor", minor_first, minor_second, minors)
     return _Folded(n + 1, params, mismatch, tuple(reports), add_conflict, mult_conflict)
 
 
@@ -282,6 +262,15 @@ def _fitted(row0, row1, row2) -> GrtParams:
     """The parameters rows 0-2 determine (see fit_grt)."""
     c = row0[0]
     return GrtParams(c, row2[1] - row1[0] - row1[1] + c, row1[0] - c, row1[1] - c)
+
+
+def _mismatch(params: GrtParams, n: int, row: Sequence[int]) -> tuple[int, int, int, int] | None:
+    """The first entry of row n that differs from the closed form, as (r, k, expected, actual); None if none does."""
+    expected = closed_form_row(params, n)
+    if row == expected:
+        return None
+    r = next(r for r, value in enumerate(row) if value != expected[r])
+    return (r, n - r, expected[r], row[r])
 
 
 def _check_steps(active, n, row, prev, steps, steps_prev, violations, mirrored) -> list[int]:

@@ -45,23 +45,13 @@ EXIT_DATA = 65
 EXIT_SOFTWARE = 70
 EXIT_BROKEN_PIPE = 141
 
-CHECK_NAMES = [
-    "rowsums",
-    "odd-diamond",
-    "even-diamond",
-    "ashley",
-    "ashley-mod1",
-    "ashley-mod2",
-    "ashley-mod3",
-    "column-diff",
-    "tmeg",
-    "embed",
-    "multiple",
-]
-
 
 class UsageError(Exception):
     pass
+
+
+class InputError(Exception):
+    """The input cannot be read or classified; reported as malformed input (exit 65)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,6 +69,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"rascal: error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except InputError as err:
+        print(f"rascal: {err}", file=sys.stderr)
+        return EXIT_DATA
     except BrokenPipeError:
         # Output still buffered would fail again at exit; send it nowhere instead.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -233,24 +226,21 @@ def _decoded(stream):
         offset += len(block)
 
 
-def _classified(source: str):
-    """(classification of the triangle in ``source``, None), or (None, why it cannot be classified)."""
+def _classified(source: str) -> Classification:
+    """The classification of the triangle in ``source``; InputError naming why there is none."""
     try:
-        return classify_rows(triangle_rows(_read_input(source))), None
+        return classify_rows(triangle_rows(_read_input(source)))
     except OSError as err:
-        return None, f"cannot read {source}: {err.strerror or err}"
+        raise InputError(f"cannot read {source}: {err.strerror or err}")
     except UnicodeDecodeError as err:
-        return None, f"cannot read {source}: not valid UTF-8 ({err.reason} at byte {err.start})"
+        raise InputError(f"cannot read {source}: not valid UTF-8 ({err.reason} at byte {err.start})")
     except (TriangleParseError, TooSmallError) as err:
-        return None, str(err)
+        raise InputError(str(err))
 
 
 def _cmd_classify(args) -> int:
     # the whole input is read and checked before anything is written
-    result, problem = _classified(args.input)
-    if result is None:
-        print(f"rascal: {problem}", file=sys.stderr)
-        return EXIT_DATA
+    result = _classified(args.input)
     # joined before writing: a report that fails part way must print nothing;
     # a rule constant is a difference of products of two entries, so at most 2L + 1 digits
     sys.stdout.write(_with_digit_limit(1, lambda: "".join(_classification_report(result, args.format))))
@@ -270,10 +260,7 @@ def _cmd_props(args) -> int:
             raise UsageError(f"missing {missing} (or use --input)")
         params = GrtParams(args.c, args.d, args.d1, args.d2)
     else:
-        result, problem = _classified(args.input)
-        if result is None:
-            print(f"rascal: {problem}", file=sys.stderr)
-            return EXIT_DATA
+        result = _classified(args.input)
         if result.verdict != VERDICT_GRT:
             print(
                 "rascal: identity checks are inapplicable: input classifies as "
@@ -423,6 +410,7 @@ _CHECK_RUNNERS = {
     "embed": _run_embed,
     "multiple": _run_multiple,
 }
+CHECK_NAMES = list(_CHECK_RUNNERS)  # in report order
 
 
 # --- report rendering ----------------------------------------------------

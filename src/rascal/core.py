@@ -131,14 +131,6 @@ class TriangleGrid(Record):
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def entry_at(self, r: int, k: int) -> int:
-        """Entry T(r, k), stored at row ``r + k``, position ``r`` from the left."""
-        if r < 0 or k < 0 or r + k > self.n_rows - 1:
-            raise IndexError(
-                f"(r={r}, k={k}) is outside a triangle with {self.n_rows} rows"
-            )
-        return self.rows[r + k][r]
-
 
 class Diamond(Record):
     """Square block of cells {(top_r + i, top_k + j) : 0 <= i, j < side}."""

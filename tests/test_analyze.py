@@ -53,7 +53,7 @@ def report_for(reports, kind, index):
 class TestDiagonalReports:
     def test_rascal_all_arithmetic(self):
         reports = diagonal_reports(generate_closed_form(RASCAL, 6))
-        assert all(rep.is_arithmetic for rep in reports)
+        assert all(rep.common_difference is not None for rep in reports)
         major2 = report_for(reports, "major", 2)
         assert (major2.first_term, major2.common_difference) == (1, 2)
 
@@ -72,7 +72,7 @@ class TestDiagonalReports:
     def test_violation_pinpointed(self):
         reports = diagonal_reports(u_style_grid(6))  # minor k=0 runs 1, 2, 4, 8, ...
         minor0 = report_for(reports, "minor", 0)
-        assert not minor0.is_arithmetic
+        assert minor0.common_difference is None
         assert minor0.first_violation == (2, 3, 4)
 
     def test_count_and_under_determined_flags(self):
@@ -119,8 +119,8 @@ class TestFitGrt:
             fit_grt(bumped)
         assert (exc_info.value.r, exc_info.value.k) == (2, 2)
         reports = diagonal_reports(bumped)
-        assert not report_for(reports, "major", 2).is_arithmetic
-        assert not report_for(reports, "minor", 2).is_arithmetic
+        assert report_for(reports, "major", 2).common_difference is None
+        assert report_for(reports, "minor", 2).common_difference is None
 
     @given(params=params_st, n_rows=st.integers(3, 9))
     def test_round_trip(self, params, n_rows):
@@ -248,7 +248,7 @@ class TestArithmeticDiagonalStructure:
         major = tuple(c + k * d1 for k in range(n_rows))
         minor = tuple(c + r * d2 for r in range(n_rows))
         grid = generate_by_addition(Boundary(c, major, minor), d)
-        assert all(rep.is_arithmetic for rep in diagonal_reports(grid))
+        assert all(rep.common_difference is not None for rep in diagonal_reports(grid))
         assert fit_grt(grid) == GrtParams(c, d, d1, d2)
 
 

@@ -47,6 +47,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_on_input(capsys, path):
+    """(exit code, stdout, stderr) of ``classify --input path``; ``props --input path`` must give the same."""
+    result = run(capsys, "classify", "--input", path)
+    assert run(capsys, "props", "--input", path) == result
+    return result
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -316,26 +323,21 @@ class TestClassify:
 
     def test_ragged_file_exit_65(self, capsys, tmp_path):
         path = write(tmp_path, "bad.txt", "1\n1 1 1\n")
-        code, _, err = run(capsys, "classify", "--input", path)
-        assert code == 65
-        assert "line 2" in err
+        assert run_on_input(capsys, path) == (65, "", "rascal: line 2: row 1 has 3 entries, expected 2\n")
 
     def test_two_row_file_exit_65(self, capsys, tmp_path):
         path = write(tmp_path, "small.txt", "1\n1 1\n")
-        code, _, err = run(capsys, "classify", "--input", path)
-        assert code == 65
-        assert "3 rows" in err
+        assert run_on_input(capsys, path) == (65, "", "rascal: rule detection needs at least 3 rows, got 2\n")
 
     def test_missing_file_exit_65(self, capsys, tmp_path):
-        code, _, err = run(capsys, "classify", "--input", str(tmp_path / "absent.txt"))
-        assert code == 65
+        path = str(tmp_path / "absent.txt")
+        assert run_on_input(capsys, path) == (65, "", f"rascal: cannot read {path}: No such file or directory\n")
 
     def test_invalid_utf8_exit_65(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"\xff\xfe1\n")
-        code, _, err = run(capsys, "classify", "--input", str(path))
-        assert code == 65
-        assert "UTF-8" in err and len(err.splitlines()) == 1
+        expected = f"rascal: cannot read {path}: not valid UTF-8 (invalid start byte at byte 0)\n"
+        assert run_on_input(capsys, str(path)) == (65, "", expected)
 
     def test_invalid_utf8_on_stdin_matches_file_message(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "bad.txt"

@@ -104,21 +104,6 @@ class TestParamDiagonals:
 
 
 class TestTriangleGrid:
-    def test_entry_at_rascal(self):
-        grid = generate_closed_form(RASCAL, 5)
-        assert grid.entry_at(2, 2) == 5
-        assert grid.entry_at(0, 0) == 1
-
-    def test_entry_at_out_of_range_names_indices(self):
-        grid = generate_closed_form(RASCAL, 5)
-        with pytest.raises(IndexError, match=r"r=4.*k=4.*5 rows"):
-            grid.entry_at(4, 4)
-
-    def test_entry_at_rejects_negative(self):
-        grid = generate_closed_form(RASCAL, 5)
-        with pytest.raises(IndexError):
-            grid.entry_at(-1, 2)
-
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match="row 1"):
             TriangleGrid(((1,), (2, 3, 4)))
@@ -156,8 +141,7 @@ class TestTriangleGrid:
         grid = generate_closed_form(params, n_rows)
         n = data.draw(st.integers(0, n_rows - 1))
         r = data.draw(st.integers(0, n))
-        assert grid.entry_at(r, n - r) == grid.rows[n][r]
-        assert grid.entry_at(r, n - r) == closed_form_entry(params, r, n - r)
+        assert grid.rows[n][r] == closed_form_entry(params, r, n - r)
 
 
 class TestDiamond:
