@@ -145,7 +145,8 @@ def classify(grid: TriangleGrid) -> Classification:
 
     Verdict "grt" exactly when the fit succeeds; "addition-only" or
     "multiplication-only" when exactly one detector finds a constant;
-    "neither" otherwise.
+    "neither" otherwise: neither rule, or both on a triangle that is not a
+    closed form.
     """
     return classify_rows(grid.rows)
 

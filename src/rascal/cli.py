@@ -46,17 +46,21 @@ EXIT_SOFTWARE = 70
 EXIT_BROKEN_PIPE = 141
 
 
-class UsageError(Exception):
-    pass
+class Refusal(Exception):
+    """A command declines to run or to finish; ``main`` prints ``rascal: <message>`` and exits ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
-class InputError(Exception):
-    """The input cannot be read or classified; reported as malformed input (exit 65)."""
+def _usage(message: str) -> Refusal:
+    return Refusal(EXIT_USAGE, f"error: {message}")
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # report usage problems via exit code 64, not argparse's 2
-        raise UsageError(message)
+        raise _usage(message)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -66,12 +70,9 @@ def main(argv: list[str] | None = None) -> int:
         code = args.handler(args)
         sys.stdout.flush()  # a closed reader shows here, not in the interpreter's final flush
         return code
-    except UsageError as err:
-        print(f"rascal: error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except InputError as err:
+    except Refusal as err:
         print(f"rascal: {err}", file=sys.stderr)
-        return EXIT_DATA
+        return err.code
     except BrokenPipeError:
         # Output still buffered would fail again at exit; send it nowhere instead.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -124,7 +125,7 @@ def _build_parser() -> _Parser:
         "--depth",
         type=int,
         default=8,
-        help="last row of the rowsums listing, and the embed window less one (default: 8)",
+        help="last row of the rowsums listing (default: 8)",
     )
     props.add_argument(
         "--format",
@@ -151,7 +152,7 @@ def _add_param_flags(parser: argparse.ArgumentParser, required: bool) -> None:
 
 def _cmd_generate(args) -> int:
     if args.rows < 1:
-        raise UsageError("--rows must be at least 1")
+        raise _usage("--rows must be at least 1")
     params = GrtParams(args.c, args.d, args.d1, args.d2)
     _check_printable(params, args.rows)
     if args.rule == "closed":
@@ -162,15 +163,14 @@ def _cmd_generate(args) -> int:
         # a failure must print no rows, so it is found from the closed form before any is built
         failure = predict_multiplication_failure(params, args.rows)
         if failure is not None:
-            print(f"rascal: {failure}", file=sys.stderr)
-            return EXIT_ARITHMETIC
+            raise Refusal(EXIT_ARITHMETIC, str(failure))
         rows = multiplication_rows(boundary_from_params(params, args.rows), mult_constant(params))
     sys.stdout.writelines(_CHUNKS[args.format](rows))
     return EXIT_OK
 
 
 def _check_printable(params: GrtParams, n_rows: int) -> None:
-    """UsageError unless every entry can be written under the interpreter's int-to-str digit limit.
+    """A usage refusal unless every entry can be written under the interpreter's int-to-str digit limit.
 
     Every rule makes the closed form's entries, so none exceeds
     |c| + n*(|d1| + |d2|) + n²*|d| with n = n_rows - 1; checked before any output.
@@ -180,7 +180,7 @@ def _check_printable(params: GrtParams, n_rows: int) -> None:
     bound = abs(params.c) + n * (abs(params.d1) + abs(params.d2)) + n * n * abs(params.d)
     # 10**limit has at least 3.32*limit bits: build it only for a bound about that long
     if limit and bound.bit_length() > 3.32 * limit and bound >= 10**limit:
-        raise UsageError(
+        raise _usage(
             f"entries of {n_rows} rows may exceed {limit} digits, the interpreter's limit "
             "for writing an integer (sys.set_int_max_str_digits)"
         )
@@ -227,15 +227,15 @@ def _decoded(stream):
 
 
 def _classified(source: str) -> Classification:
-    """The classification of the triangle in ``source``; InputError naming why there is none."""
+    """The classification of the triangle in ``source``; a malformed-input refusal naming why there is none."""
     try:
         return classify_rows(triangle_rows(_read_input(source)))
     except OSError as err:
-        raise InputError(f"cannot read {source}: {err.strerror or err}")
+        raise Refusal(EXIT_DATA, f"cannot read {source}: {err.strerror or err}")
     except UnicodeDecodeError as err:
-        raise InputError(f"cannot read {source}: not valid UTF-8 ({err.reason} at byte {err.start})")
+        raise Refusal(EXIT_DATA, f"cannot read {source}: not valid UTF-8 ({err.reason} at byte {err.start})")
     except (TriangleParseError, TooSmallError) as err:
-        raise InputError(str(err))
+        raise Refusal(EXIT_DATA, str(err))
 
 
 def _cmd_classify(args) -> int:
@@ -249,25 +249,23 @@ def _cmd_classify(args) -> int:
 
 def _cmd_props(args) -> int:
     if args.depth < 1:
-        raise UsageError("--depth must be at least 1")
+        raise _usage("--depth must be at least 1")
     flag_names = ("c", "d", "d1", "d2")
     given = [name for name in flag_names if getattr(args, name) is not None]
     if args.input is not None and given:
-        raise UsageError("give either --input or the parameter flags, not both")
+        raise _usage("give either --input or the parameter flags, not both")
     if args.input is None:
         if len(given) < 4:
             missing = ", ".join(f"--{n}" for n in flag_names if getattr(args, n) is None)
-            raise UsageError(f"missing {missing} (or use --input)")
+            raise _usage(f"missing {missing} (or use --input)")
         params = GrtParams(args.c, args.d, args.d1, args.d2)
     else:
         result = _classified(args.input)
         if result.verdict != VERDICT_GRT:
-            print(
-                "rascal: identity checks are inapplicable: input classifies as "
-                f"{result.verdict}, not grt",
-                file=sys.stderr,
+            raise Refusal(
+                EXIT_INAPPLICABLE,
+                f"identity checks are inapplicable: input classifies as {result.verdict}, not grt",
             )
-            return EXIT_INAPPLICABLE
         params = result.params
 
     # parameters have at most L + 1 digits (fitted ones are sums of four entries), a row sum
@@ -320,9 +318,9 @@ def _parse_check_names(requested: str) -> list[str]:
     for piece in requested.split(","):
         name = piece.strip()
         if not name:
-            raise UsageError("empty entry in --checks")
+            raise _usage("empty entry in --checks")
         if name not in CHECK_NAMES:
-            raise UsageError(f"unknown check {name!r}; valid: {', '.join(CHECK_NAMES)}")
+            raise _usage(f"unknown check {name!r}; valid: {', '.join(CHECK_NAMES)}")
         names.append(name)
     return names
 
@@ -379,7 +377,7 @@ def _run_rowsums(params, depth):
 
 
 def _run_embed(params, depth):
-    offset = embed_in_rascal(params, window=depth + 1)
+    offset = embed_in_rascal(params)
     if offset is None:
         return {"check": "embed", "status": "none", "summary": "no embedding", "offset": None}
     return {

@@ -19,7 +19,7 @@ and its dependencies plus a compiled ``__init__`` per class.
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
+from itertools import accumulate, count, repeat
 
 
 class Record:
@@ -122,10 +122,10 @@ class TriangleGrid(Record):
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.rows)
+        rows = tuple(map(checked_row, count(), self.rows))
         if not rows:
             raise ValueError("a triangle needs at least one row")
-        object.__setattr__(self, "rows", tuple(map(checked_row, range(len(rows)), rows)))
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n_rows(self) -> int:

@@ -27,7 +27,7 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import repeat
 from operator import add, floordiv, mod, mul, sub
 
-from .core import GrtParams, Record, TriangleGrid, closed_form_row
+from .core import GrtParams, Record, TriangleGrid, closed_form_row, major_diagonal, minor_diagonal
 
 
 class MultiplicationRuleError(ArithmeticError):
@@ -98,9 +98,7 @@ def boundary_from_params(params: GrtParams, n_rows: int) -> Boundary:
     """Edges of the parameterized triangle: major_edge[k] = c + k*d1, minor_edge[r] = c + r*d2."""
     if n_rows < 1:
         raise ValueError(f"n_rows must be at least 1, got {n_rows}")
-    major = tuple(params.c + k * params.d1 for k in range(n_rows))
-    minor = tuple(params.c + r * params.d2 for r in range(n_rows))
-    return Boundary(params.c, major, minor)
+    return Boundary(params.c, major_diagonal(params, 0, n_rows), minor_diagonal(params, 0, n_rows))
 
 
 def closed_form_rows(params: GrtParams, n_rows: int) -> Iterator[tuple[int, ...]]:

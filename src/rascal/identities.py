@@ -19,9 +19,9 @@ domain, and the prover evaluates the per-instance check at every point.
 from __future__ import annotations
 
 from collections.abc import Callable
-from itertools import accumulate, product, repeat
+from itertools import product
 
-from .core import Diamond, GrtParams, Record, closed_form_entry, major_diagonal
+from .core import Diamond, GrtParams, Record, closed_form_entry
 
 EntryFn = Callable[[int, int], int]
 
@@ -185,27 +185,19 @@ def t_meg_check(
     return _result("tmeg", (r, k), t(r, k), rhs)
 
 
-def embed_in_rascal(params: GrtParams, window: int = 10) -> tuple[int, int] | None:
+def embed_in_rascal(params: GrtParams) -> tuple[int, int] | None:
     """Offset (r0, k0) at which this triangle sits inside R(r, k) = 1 + r*k, or None.
 
-    An embedding exists exactly when d = 1, c - d1*d2 = 1, and the offsets
-    (d1, d2) are valid indices; the window equality T(r, k) = 1 + (d1+r)(d2+k)
-    is verified over ``window`` x ``window`` cells before the offset is
-    returned, one major diagonal r at a time against the arithmetic sequence
-    with first term 1 + (d1+r)*d2 and step d1 + r.  Algebraic matches at
-    negative offsets are not embeddings.
+    Shifted to offset (d1, d2), the Rascal triangle reads
+    1 + (d1 + r)(d2 + k) = (1 + d1*d2) + k*d1 + r*d2 + r*k, the closed form
+    with d = 1 and c = 1 + d1*d2.  Two bilinear forms agree at every cell
+    exactly when their coefficients agree, so an embedding exists exactly
+    when d = 1, c - d1*d2 = 1, and the offsets (d1, d2) are valid indices.
+    Algebraic matches at negative offsets are not embeddings.
     """
-    if params.d != 1 or params.c - params.d1 * params.d2 != 1:
-        return None
-    if params.d1 < 0 or params.d2 < 0:
-        return None
-    r0, k0 = params.d1, params.d2
-    for r in range(window):
-        step = r0 + r
-        rascal = list(accumulate(repeat(step, window - 1), initial=1 + step * k0))
-        if major_diagonal(params, r, window) != rascal:
-            return None
-    return (r0, k0)
+    if params.d == 1 and params.c - params.d1 * params.d2 == 1 and params.d1 >= 0 and params.d2 >= 0:
+        return (params.d1, params.d2)
+    return None
 
 
 def multiple_of_rascal(params: GrtParams) -> int | None:

@@ -23,7 +23,6 @@ from rascal import (
     ashley_mod_check,
     closed_form_entry,
     column_diff_check,
-    embed_in_rascal,
     even_diamond_check,
     TriangleGrid,
     generate_by_addition,
@@ -340,7 +339,7 @@ def oracle_row_sums(params, depth):
 
 
 def oracle_embed(params, window):
-    """embed_in_rascal's offset or None, its window checked cell by cell with the closed form."""
+    """Offset (d1, d2) of ``params`` inside 1 + r*k, or None; the window x window block checked cell by cell."""
     if params.d != 1 or params.c - params.d1 * params.d2 != 1:
         return None
     if params.d1 < 0 or params.d2 < 0:
@@ -367,7 +366,7 @@ def _oracle_record(name, params, depth, explicit, entry):
         summary = "holds for n <= {} (sums {})".format(depth, " ".join(map(str, sums)))
         return {"check": name, "status": "holds", "summary": summary, "instances": count, "sums": sums}
     if name == "embed":
-        offset = embed_in_rascal(params, window=depth + 1)
+        offset = oracle_embed(params, depth + 1)
         if offset is None:
             return {"check": name, "status": "none", "summary": "no embedding", "offset": None}
         summary = f"embeds at offset (r0={offset[0]}, k0={offset[1]})"

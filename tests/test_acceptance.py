@@ -219,7 +219,7 @@ def test_criterion_09_negative_classification():
 
 def test_criterion_10_embedding_and_multiple():
     params = GrtParams(7, 1, 2, 3)
-    assert embed_in_rascal(params, window=10) == (2, 3)
+    assert embed_in_rascal(params) == (2, 3)
     for r in range(10):
         for k in range(10):
             assert closed_form_entry(params, r, k) == 1 + (2 + r) * (3 + k)

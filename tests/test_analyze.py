@@ -210,6 +210,9 @@ class TestClassify:
     def test_neither(self):
         grid = TriangleGrid(((1,), (1, 1), (1, 5, 1), (1, 1, 1, 1)))
         assert classify(grid).verdict == VERDICT_NEITHER
+        # both rules hold, with constants 2 and -2, but no closed form fits the rows
+        both = classify(TriangleGrid(((1,), (-1, -1), (3, -1, 0), (1, 5, 2, -1))))
+        assert (both.verdict, both.addition.constant, both.multiplication.constant) == (VERDICT_NEITHER, 2, -2)
 
     def test_grt_constants_are_tied(self):
         for params in (W, GrtParams(2, 2, 3, 1), GrtParams(-2, 3, 0, 5)):

@@ -331,7 +331,7 @@ class TestEmbedding:
     )
     def test_agrees_with_cell_by_cell_window(self, d, d1, d2, apex_shift, window):
         params = GrtParams(1 + d1 * d2 + apex_shift, d, d1, d2)
-        assert embed_in_rascal(params, window) == oracle_embed(params, window)
+        assert embed_in_rascal(params) == oracle_embed(params, window)
 
 
 class TestMultiple:
