@@ -8,9 +8,9 @@ the parameters fitted from its rows 0-2, and then every diagonal is
 arithmetic and every diamond implies the fitted rule constants.  So one
 pass over the rows answers every analysis at once: it compares whole rows
 with the closed form, and checks cell by cell only from the first row that
-differs, by whole-row differences and products.  ``classify``,
-``diagonal_reports`` and the rule detectors read that pass; ``fit_grt``
-stops at the first row that differs.
+differs, by whole-row differences and products.  ``Classification`` is
+the one record of that pass; ``fit_grt``, ``diagonal_reports`` and the rule
+detectors are one-line reads of ``classify`` and run the whole pass.
 """
 
 from __future__ import annotations
@@ -28,11 +28,7 @@ VERDICT_NEITHER = "neither"
 
 
 class TooSmallError(ValueError):
-    """Grid has no interior diamond (fewer than 3 rows)."""
-
-
-class UnderDeterminedError(ValueError):
-    """Grid has too few rows to pin down all four parameters."""
+    """Grid has fewer than 3 rows: no interior diamond, and too few rows to fit the parameters."""
 
 
 class NotGrtError(ValueError):
@@ -89,53 +85,56 @@ class RuleReport(Record):
 class Classification(Record):
     """Verdict plus the evidence it rests on.
 
-    ``params`` is set exactly when the verdict is "grt"; the rule constants,
-    when detected, live in the two rule reports.
+    ``params`` is set exactly when the verdict is "grt", and ``mismatch``
+    exactly when it is not: the first entry, row-major, that differs from the
+    closed form of the parameters fitted from rows 0-2, as NotGrtError's
+    ``(r, k, expected, actual)``.  The rule constants, when detected, live
+    in the two rule reports.
     """
 
     verdict: str
     params: GrtParams | None
+    mismatch: tuple[int, int, int, int] | None
     diagonals: tuple[DiagonalReport, ...]
     addition: RuleReport
     multiplication: RuleReport
 
 
 def diagonal_reports(grid: TriangleGrid) -> list[DiagonalReport]:
-    """One report per major diagonal and per minor diagonal, in index order."""
+    """One report per major diagonal and per minor diagonal, in index order.
+
+    ``classify(grid).diagonals``, except that it also answers below 3 rows.
+    """
     return list(_fold(grid.rows).diagonals)
 
 
 def fit_grt(grid: TriangleGrid) -> GrtParams:
-    """Fit (c, d, d1, d2) from rows 0-2 and verify every entry against the closed form.
+    """``classify(grid).params``, or NotGrtError at ``classify(grid).mismatch`` when there is one.
 
-    c = T(0,0), d1 = T(0,1) - T(0,0), d2 = T(1,0) - T(0,0) and
-    d = T(1,1) - T(0,1) - T(1,0) + T(0,0); the smallest prefix that
-    determines all four.  Raises UnderDeterminedError below 3 rows and
-    NotGrtError at the first entry (row-major) that breaks the fit.
+    The parameters are those rows 0-2 determine: c = T(0,0),
+    d1 = T(0,1) - T(0,0), d2 = T(1,0) - T(0,0) and
+    d = T(1,1) - T(0,1) - T(1,0) + T(0,0).  Raises TooSmallError below 3 rows.
     """
-    if grid.n_rows < 3:
-        raise UnderDeterminedError(
-            f"need at least 3 rows to determine the parameters, got {grid.n_rows}"
-        )
-    rows = grid.rows
-    params = _fitted(*rows[:3])
-    for n in range(2, grid.n_rows):
-        mismatch = _mismatch(params, n, rows[n])
-        if mismatch is not None:
-            raise NotGrtError(*mismatch)
-    return params
+    result = classify(grid)
+    if result.mismatch is not None:
+        raise NotGrtError(*result.mismatch)
+    return result.params
 
 
 def detect_addition_rule(grid: TriangleGrid) -> RuleReport:
-    """Constant d with south = east + west + d - north over every interior diamond."""
+    """Constant d with south = east + west + d - north over every interior diamond.
+
+    ``classify(grid).addition``.
+    """
     return classify(grid).addition
 
 
 def detect_multiplication_rule(grid: TriangleGrid) -> RuleReport:
     """Constant D with south*north = east*west + D over every interior diamond.
 
-    The multiplicative form needs no division, so zero entries cannot crash
-    the scan; on triangles without zeros it coincides with the quotient rule.
+    ``classify(grid).multiplication``.  The multiplicative form needs no
+    division, so zero entries cannot crash the scan; on triangles without
+    zeros it coincides with the quotient rule.
     """
     return classify(grid).multiplication
 
@@ -143,7 +142,7 @@ def detect_multiplication_rule(grid: TriangleGrid) -> RuleReport:
 def classify(grid: TriangleGrid) -> Classification:
     """Run diagonal analysis, fitting, and both rule detectors; combine verdicts.
 
-    Verdict "grt" exactly when the fit succeeds; "addition-only" or
+    Verdict "grt" exactly when no entry breaks the fit; "addition-only" or
     "multiplication-only" when exactly one detector finds a constant;
     "neither" otherwise: neither rule, or both on a triangle that is not a
     closed form.
@@ -166,22 +165,22 @@ def classify_rows(rows: Iterable[Sequence[int]]) -> Classification:
     addition = _rule_report("addition", params.d, folded.addition)
     multiplication = _rule_report("multiplication", mult_constant(params), folded.multiplication)
     if folded.mismatch is None:
-        return Classification(VERDICT_GRT, params, folded.diagonals, addition, multiplication)
+        return Classification(VERDICT_GRT, params, None, folded.diagonals, addition, multiplication)
     if addition.constant is not None and multiplication.constant is None:
         verdict = VERDICT_ADDITION_ONLY
     elif multiplication.constant is not None and addition.constant is None:
         verdict = VERDICT_MULTIPLICATION_ONLY
     else:
         verdict = VERDICT_NEITHER
-    return Classification(verdict, None, folded.diagonals, addition, multiplication)
+    return Classification(verdict, None, folded.mismatch, folded.diagonals, addition, multiplication)
 
 
 class _Folded(Record):
-    """What one pass over the rows found; ``params`` is None below 3 rows."""
+    """What one pass over the rows found: below 3 rows only the diagonals, so not a Classification."""
 
     n_rows: int
     params: GrtParams | None
-    mismatch: tuple[int, int, int, int] | None  # NotGrtError's (r, k, expected, actual)
+    mismatch: tuple[int, int, int, int] | None
     diagonals: tuple[DiagonalReport, ...]
     addition: RuleWitness | None  # the first diamond that breaks the rule
     multiplication: RuleWitness | None
@@ -226,8 +225,10 @@ def _fold(rows: Iterable[Sequence[int]]) -> _Folded:
             params = _fitted(prev2, prev, row)
             d_mult = mult_constant(params)
         if mismatch is None and n >= 2:
-            mismatch = _mismatch(params, n, row)
-            if mismatch is not None:
+            expected = closed_form_row(params, n)
+            if row != expected:
+                r = next(r for r, value in enumerate(row) if value != expected[r])
+                mismatch = (r, n - r, expected[r], row[r])
                 # diagonals whose third entry lies above row n, all arithmetic so far
                 active_majors = list(range(n - 2))
                 active_minors = list(range(n - 2))
@@ -263,15 +264,6 @@ def _fitted(row0, row1, row2) -> GrtParams:
     """The parameters rows 0-2 determine (see fit_grt)."""
     c = row0[0]
     return GrtParams(c, row2[1] - row1[0] - row1[1] + c, row1[0] - c, row1[1] - c)
-
-
-def _mismatch(params: GrtParams, n: int, row: Sequence[int]) -> tuple[int, int, int, int] | None:
-    """The first entry of row n that differs from the closed form, as (r, k, expected, actual); None if none does."""
-    expected = closed_form_row(params, n)
-    if row == expected:
-        return None
-    r = next(r for r, value in enumerate(row) if value != expected[r])
-    return (r, n - r, expected[r], row[r])
 
 
 def _check_steps(active, n, row, prev, steps, steps_prev, violations, mirrored) -> list[int]:

@@ -16,7 +16,7 @@ import codecs
 import os
 import sys
 
-from .analyze import VERDICT_GRT, Classification, DiagonalReport, RuleReport, TooSmallError, classify_rows
+from .analyze import VERDICT_GRT, Classification, DiagonalReport, NotGrtError, RuleReport, TooSmallError, classify_rows
 from .core import GrtParams, closed_form_row
 from .generate import (
     addition_rows,
@@ -34,7 +34,7 @@ from .identities import (
     prove_identity,
     row_sum_formula,
 )
-from .triangle_io import TriangleParseError, csv_chunks, int_for_json, json_chunks, text_chunks, triangle_rows
+from .triangle_io import _INT_RE, TriangleParseError, csv_chunks, int_for_json, json_chunks, text_chunks, triangle_rows
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("generate", help="generate a triangle from (c, d, d1, d2)")
     _add_param_flags(gen, required=True)
-    gen.add_argument("--rows", type=int, required=True, help="number of rows (>= 1)")
+    gen.add_argument("--rows", type=_integer, required=True, help="number of rows (>= 1)")
     gen.add_argument(
         "--rule",
         choices=["closed", "add", "mul"],
@@ -123,7 +123,7 @@ def _build_parser() -> _Parser:
     )
     props.add_argument(
         "--depth",
-        type=int,
+        type=_integer,
         default=8,
         help="last row of the rowsums listing (default: 8)",
     )
@@ -138,16 +138,26 @@ def _build_parser() -> _Parser:
 
 
 def _add_param_flags(parser: argparse.ArgumentParser, required: bool) -> None:
-    parser.add_argument("--c", type=int, required=required, help="apex entry")
+    parser.add_argument("--c", type=_integer, required=required, help="apex entry")
     parser.add_argument(
-        "--d", type=int, required=required, help="change of diagonal differences (addition constant)"
+        "--d", type=_integer, required=required, help="change of diagonal differences (addition constant)"
     )
     parser.add_argument(
-        "--d1", type=int, required=required, help="difference of the outside major diagonal (left edge)"
+        "--d1", type=_integer, required=required, help="difference of the outside major diagonal (left edge)"
     )
     parser.add_argument(
-        "--d2", type=int, required=required, help="difference of the outside minor diagonal (right edge)"
+        "--d2", type=_integer, required=required, help="difference of the outside minor diagonal (right edge)"
     )
+
+
+def _integer(text: str) -> int:
+    """An integer flag's value, read by the grammar of triangle files: ASCII ``-?[0-9]+``."""
+    if _INT_RE.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _cmd_generate(args) -> int:
@@ -242,7 +252,10 @@ def _cmd_classify(args) -> int:
     # the whole input is read and checked before anything is written
     result = _classified(args.input)
     # joined before writing: a report that fails part way must print nothing;
-    # a rule constant is a difference of products of two entries, so at most 2L + 1 digits
+    # a rule constant is a difference of products of two entries, so at most 2L + 1 digits,
+    # and the mismatch's expected entry c + k*d1 + r*d2 + r*k*d, whose parameters are sums of at
+    # most four entries and r, k < rows, at most L + 3 + 2*digits(rows), below 2L + 1 since
+    # L >= 640 (the interpreter's least limit) and no input has 10**300 rows
     sys.stdout.write(_with_digit_limit(1, lambda: "".join(_classification_report(result, args.format))))
     return EXIT_OK if result.verdict == VERDICT_GRT else EXIT_NEGATIVE
 
@@ -322,7 +335,7 @@ def _parse_check_names(requested: str) -> list[str]:
         if name not in CHECK_NAMES:
             raise _usage(f"unknown check {name!r}; valid: {', '.join(CHECK_NAMES)}")
         names.append(name)
-    return names
+    return list(dict.fromkeys(names))  # a repeated name is reported once, where it is first named
 
 
 # --- check runners -------------------------------------------------------
@@ -431,22 +444,19 @@ def _rule_dict(report: RuleReport):
 
 
 def _diagonal_dict(report: DiagonalReport):
-    data = {
+    return {
         "kind": report.kind,
         "index": report.index,
         "first_term": int_for_json(report.first_term),
         "common_difference": _jsonable(report.common_difference),
-        "first_violation": None,
+        "first_violation": _int_fields(("position", "expected", "actual"), report.first_violation),
         "under_determined": report.under_determined,
     }
-    if report.first_violation is not None:
-        position, expected, actual = report.first_violation
-        data["first_violation"] = {
-            "position": position,
-            "expected": int_for_json(expected),
-            "actual": int_for_json(actual),
-        }
-    return data
+
+
+def _int_fields(keys, values):
+    """The integers ``values`` as a JSON object with ``keys``, each as ``int_for_json`` writes it; None for None."""
+    return None if values is None else dict(zip(keys, map(int_for_json, values)))
 
 
 def _rule_line(report: RuleReport) -> str:
@@ -480,6 +490,7 @@ def _classification_report(result: Classification, fmt: str):
 
         head = {
             "verdict": result.verdict,
+            "mismatch": _int_fields(("r", "k", "expected", "actual"), result.mismatch),
             "params": _params_dict(result.params),
             "addition": _rule_dict(result.addition),
             "multiplication": _rule_dict(result.multiplication),
@@ -493,6 +504,8 @@ def _classification_report(result: Classification, fmt: str):
         yield "]}\n"
         return
     yield f"verdict: {result.verdict}\n"
+    if result.mismatch is not None:
+        yield f"mismatch: {NotGrtError(*result.mismatch)}\n"
     if result.params is not None:
         p = result.params
         yield f"params: c={p.c} d={p.d} d1={p.d1} d2={p.d2}\n"

@@ -2,9 +2,10 @@
 
 Each ``*_check`` evaluates one concrete instance and reports holds / first
 failure; means are compared as exact fractions, never floats.  The checks
-accept an ``entry`` override (an ``(r, k) -> int`` source) so tests can feed
-perturbed values and confirm that they bite; by default entries come from
-the closed form.
+read their entries from the closed form, through this module's
+``closed_form_entry`` as it is when they run, never a copy bound at import:
+replacing it plants a wrong entry in every check, which is how the tests
+confirm that the checks bite.
 
 ``prove_identity`` proves a check for every index at once.  For fixed
 parameters the closed form is bilinear in ``(r, k)``, so each check compares
@@ -19,11 +20,10 @@ domain, and the prover evaluates the per-instance check at every point.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 from itertools import product
 
 from .core import Diamond, GrtParams, Record, closed_form_entry
-
-EntryFn = Callable[[int, int], int]
 
 
 class InapplicableCheckError(ValueError):
@@ -44,51 +44,34 @@ def _result(name: str, location: tuple, lhs, rhs) -> IdentityCheck:
     return IdentityCheck(name, False, (location, lhs, rhs))
 
 
-def _entry_fn(params: GrtParams, entry: EntryFn | None) -> EntryFn:
-    if entry is not None:
-        return entry
-    return lambda r, k: closed_form_entry(params, r, k)
-
-
 def row_sum_formula(params: GrtParams, n: int) -> int:
     """Row sum s_n = (d/6)n^3 + ((d1+d2)/2)n^2 + (c + (d1+d2)/2 - d/6)n + c.
 
-    Evaluated as one exact integer division by 6.  The result is integral for
-    every integer parameter choice; a non-integral value would mean a broken
-    invariant, not bad input, and raises ArithmeticError.
+    Evaluated as one exact integer division by 6 of the numerator
+    d(n-1)n(n+1) + 3(d1+d2)n(n+1) + 6c(n+1), whose every term is a multiple
+    of 6: (n-1)n(n+1) is a product of three consecutive integers, and n(n+1)
+    of two, so it is even.
     """
     if n < 0:
         raise ValueError(f"row index must be nonnegative, got {n}")
     c, d, d1, d2 = params.c, params.d, params.d1, params.d2
-    numerator = d * n**3 + 3 * (d1 + d2) * n**2 + (6 * c + 3 * (d1 + d2) - d) * n + 6 * c
-    value, remainder = divmod(numerator, 6)
-    if remainder:
-        from fractions import Fraction
-
-        raise ArithmeticError(
-            f"row sum for n={n} came out non-integral: {Fraction(numerator, 6)}"
-        )
-    return value
+    return (d * (n - 1) * n * (n + 1) + 3 * (d1 + d2) * n * (n + 1) + 6 * c * (n + 1)) // 6
 
 
-def odd_diamond_check(
-    params: GrtParams, top_r: int, top_k: int, half: int, entry: EntryFn | None = None
-) -> IdentityCheck:
+def odd_diamond_check(params: GrtParams, top_r: int, top_k: int, half: int) -> IdentityCheck:
     """Mean of the 8*half rim entries of a (2*half + 1)-side diamond equals its center entry."""
     from fractions import Fraction
 
     if half < 1:
         raise ValueError(f"half must be at least 1, got {half}")
-    t = _entry_fn(params, entry)
+    t = partial(closed_form_entry, params)
     rim = Diamond(top_r, top_k, 2 * half + 1).boundary_cells()
     mean = Fraction(sum(t(r, k) for r, k in rim), len(rim))
     center = t(top_r + half, top_k + half)
     return _result("odd-diamond", (top_r, top_k, half), mean, Fraction(center))
 
 
-def even_diamond_check(
-    params: GrtParams, top_r: int, top_k: int, n: int, entry: EntryFn | None = None
-) -> IdentityCheck:
+def even_diamond_check(params: GrtParams, top_r: int, top_k: int, n: int) -> IdentityCheck:
     """Rim mean of the 2n-side diamond around an inner 2-diamond equals the inner 4-cell mean.
 
     ``(top_r, top_k)`` names the top of the inner 2-diamond; both indices must
@@ -103,7 +86,7 @@ def even_diamond_check(
         raise ValueError(
             f"outer diamond needs top_r, top_k >= {n - 1}, got ({top_r}, {top_k})"
         )
-    t = _entry_fn(params, entry)
+    t = partial(closed_form_entry, params)
     inner = [(top_r, top_k), (top_r + 1, top_k), (top_r, top_k + 1), (top_r + 1, top_k + 1)]
     inner_mean = Fraction(sum(t(r, k) for r, k in inner), 4)
     outer = Diamond(top_r - (n - 1), top_k - (n - 1), 2 * n).boundary_cells()
@@ -111,20 +94,16 @@ def even_diamond_check(
     return _result("even-diamond", (top_r, top_k, n), outer_mean, inner_mean)
 
 
-def ashley_check(
-    params: GrtParams, r: int, k: int, entry: EntryFn | None = None
-) -> IdentityCheck:
+def ashley_check(params: GrtParams, r: int, k: int) -> IdentityCheck:
     """T(r,k) = T(r-1,k) + T(r,k-1) - T(r-2,k-1) + ((2-k)*d - d2), for r >= 2, k >= 1."""
     if r < 2 or k < 1:
         raise ValueError(f"needs r >= 2 and k >= 1, got (r={r}, k={k})")
-    t = _entry_fn(params, entry)
+    t = partial(closed_form_entry, params)
     rhs = t(r - 1, k) + t(r, k - 1) - t(r - 2, k - 1) + ((2 - k) * params.d - params.d2)
     return _result("ashley", (r, k), t(r, k), rhs)
 
 
-def ashley_mod_check(
-    params: GrtParams, variant: int, r: int, k: int, entry: EntryFn | None = None
-) -> IdentityCheck:
+def ashley_mod_check(params: GrtParams, variant: int, r: int, k: int) -> IdentityCheck:
     """Three 5-term rewrites that drop the (2-k)*d - d2 correction term.
 
     variant 1 (r >= 3, k >= 2):
@@ -134,7 +113,7 @@ def ashley_mod_check(
     variant 3 (r, k >= 3):
         T(r,k) = T(r-1,k) + T(r-1,k-1) - T(r-2,k-2) - T(r-3,k-2) + T(r-3,k-3)
     """
-    t = _entry_fn(params, entry)
+    t = partial(closed_form_entry, params)
     if variant == 1:
         if r < 3 or k < 2:
             raise ValueError(f"variant 1 needs r >= 3 and k >= 2, got (r={r}, k={k})")
@@ -152,13 +131,11 @@ def ashley_mod_check(
     return _result(f"ashley-mod{variant}", (r, k), t(r, k), rhs)
 
 
-def column_diff_check(
-    params: GrtParams, r: int, k: int, entry: EntryFn | None = None
-) -> IdentityCheck:
+def column_diff_check(params: GrtParams, r: int, k: int) -> IdentityCheck:
     """T(r,k) - T(r-1,k+1) and T(r-1,k-1) - T(r-2,k) both equal d2 - d1 + (k-r+1)*d."""
     if r < 2 or k < 1:
         raise ValueError(f"needs r >= 2 and k >= 1, got (r={r}, k={k})")
-    t = _entry_fn(params, entry)
+    t = partial(closed_form_entry, params)
     expected = params.d2 - params.d1 + (k - r + 1) * params.d
     for lhs in (t(r, k) - t(r - 1, k + 1), t(r - 1, k - 1) - t(r - 2, k)):
         if lhs != expected:
@@ -166,9 +143,7 @@ def column_diff_check(
     return IdentityCheck("column-diff", True, None)
 
 
-def t_meg_check(
-    params: GrtParams, r: int, k: int, entry: EntryFn | None = None
-) -> IdentityCheck:
+def t_meg_check(params: GrtParams, r: int, k: int) -> IdentityCheck:
     """T(r,k) = T(r-1,k-1) + T(0,r+k-2) + T(1,r+k-3) + 2*(d - c), for r >= 1, k >= 2.
 
     Only defined on triangles with d1 = d2 = 0 (entries c + r*k*d); calling it
@@ -180,7 +155,7 @@ def t_meg_check(
         )
     if r < 1 or k < 2:
         raise ValueError(f"needs r >= 1 and k >= 2, got (r={r}, k={k})")
-    t = _entry_fn(params, entry)
+    t = partial(closed_form_entry, params)
     rhs = t(r - 1, k - 1) + t(0, r + k - 2) + t(1, r + k - 3) + 2 * (params.d - params.c)
     return _result("tmeg", (r, k), t(r, k), rhs)
 

@@ -64,14 +64,17 @@ def parse_triangle(text: str) -> TriangleGrid:
 
 
 def triangle_rows(chunks: Iterable[str]) -> Iterator[Sequence[int]]:
-    """The rows of either format, deciding by the first non-blank character of the text."""
+    """The rows of either format, deciding by the first non-blank character of the text.
+
+    ``{`` or ``[`` starts JSON, so a top-level array is refused as JSON; anything else, plain rows.
+    """
     chunks = iter(chunks)
     blank = []
     for chunk in chunks:
         blank.append(chunk)
         stripped = chunk.lstrip()
         if stripped:
-            rows = json_rows if stripped[0] == "{" else plain_rows
+            rows = json_rows if stripped[0] in "{[" else plain_rows
             yield from rows(chain(blank, chunks))
             return
     yield from plain_rows(blank)

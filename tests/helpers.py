@@ -191,20 +191,33 @@ def oracle_sequence(kind, index, seq):
     return DiagonalReport(kind, index, seq[0], diff, None, len(seq) < 3)
 
 
-def oracle_fit(grid):
-    """Fitted parameters; NotGrtError at the first entry that breaks the fit; needs 3 rows."""
+def oracle_fitted(grid):
+    """The parameters rows 0-2 determine; needs 3 rows."""
     rows = grid.rows
     c = rows[0][0]
     d1 = rows[1][0] - c
     d2 = rows[1][1] - c
     d = rows[2][1] - rows[1][0] - rows[1][1] + c
-    for n, row in enumerate(rows):
-        for r, actual in enumerate(row):
-            k = n - r
-            expected = c + k * d1 + r * d2 + r * k * d
-            if actual != expected:
-                raise NotGrtError(r, k, expected, actual)
     return GrtParams(c, d, d1, d2)
+
+
+def oracle_mismatch(grid):
+    """(r, k, expected, actual) of the first entry, row-major, off the fitted closed form; None if none is."""
+    params = oracle_fitted(grid)
+    for n, row in enumerate(grid.rows):
+        for r, actual in enumerate(row):
+            expected = closed_form_entry(params, r, n - r)
+            if actual != expected:
+                return (r, n - r, expected, actual)
+    return None
+
+
+def oracle_fit(grid):
+    """Fitted parameters; NotGrtError at the first entry that breaks the fit; needs 3 rows."""
+    mismatch = oracle_mismatch(grid)
+    if mismatch is not None:
+        raise NotGrtError(*mismatch)
+    return oracle_fitted(grid)
 
 
 def oracle_interior_diamonds(grid):
@@ -234,11 +247,8 @@ def oracle_classify(grid):
     """The classification composed from the reference scans; needs 3 rows."""
     addition = oracle_rule(grid, "addition")
     multiplication = oracle_rule(grid, "multiplication")
-    try:
-        params = oracle_fit(grid)
-    except NotGrtError:
-        params = None
-    if params is not None:
+    mismatch = oracle_mismatch(grid)
+    if mismatch is None:
         verdict = VERDICT_GRT
     elif addition.constant is not None and multiplication.constant is None:
         verdict = VERDICT_ADDITION_ONLY
@@ -246,8 +256,9 @@ def oracle_classify(grid):
         verdict = VERDICT_MULTIPLICATION_ONLY
     else:
         verdict = VERDICT_NEITHER
+    params = oracle_fitted(grid) if mismatch is None else None
     return Classification(
-        verdict, params, tuple(oracle_diagonal_reports(grid)), addition, multiplication
+        verdict, params, mismatch, tuple(oracle_diagonal_reports(grid)), addition, multiplication
     )
 
 
@@ -290,12 +301,12 @@ def oracle_instances(name, depth):
     return [(check, (r, k)) for r in range(r_min, depth + 1) for k in range(k_min, depth + 1)]
 
 
-def oracle_sweep(name, params, depth, entry=None):
+def oracle_sweep(name, params, depth):
     """(instances evaluated, first failing IdentityCheck or None), one check call per instance."""
     count = 0
     for check, args in oracle_instances(name, depth):
         count += 1
-        result = check(params, *args, entry=entry)
+        result = check(params, *args)
         if not result.holds:
             return count, result
     return count, None
@@ -314,13 +325,13 @@ ORACLE_GRIDS = {
 }
 
 
-def oracle_proof(name, params, entry=None):
+def oracle_proof(name, params):
     """(grid points evaluated, first failing IdentityCheck or None), walking the grid lexicographically."""
     check, leading, ranges = ORACLE_GRIDS[name]
     count = 0
     for point in product(*ranges):
         count += 1
-        result = check(params, *leading, *point, entry=entry)
+        result = check(params, *leading, *point)
         if not result.holds:
             return count, result
     return count, None
@@ -352,7 +363,7 @@ def oracle_embed(params, window):
     return (r0, k0)
 
 
-def _oracle_record(name, params, depth, explicit, entry):
+def _oracle_record(name, params, depth, explicit):
     if name == "rowsums":
         count, failure, sums = oracle_row_sums(params, depth)
         if failure is not None:
@@ -380,7 +391,7 @@ def _oracle_record(name, params, depth, explicit, entry):
         status = "inapplicable" if explicit else "skipped"
         summary = f"{status}: needs d1 = d2 = 0, got d1={params.d1}, d2={params.d2}"
         return {"check": name, "status": status, "summary": summary}
-    points, failure = oracle_proof(name, params, entry)
+    points, failure = oracle_proof(name, params)
     if failure is None:
         summary = f"holds for all indices (proved by {points} exact evaluations)"
         return {"check": name, "status": "holds", "summary": summary, "proved": True, "points": points}
@@ -394,9 +405,9 @@ def _oracle_record(name, params, depth, explicit, entry):
     }
 
 
-def oracle_props(params, depth, names, explicit, fmt, entry=None):
-    """(stdout, exit code) of `rascal props`, built from the per-instance checks; ``entry`` feeds the proved ones."""
-    records = [_oracle_record(name, params, depth, explicit, entry) for name in names]
+def oracle_props(params, depth, names, explicit, fmt):
+    """(stdout, exit code) of `rascal props`, built from the per-instance checks; a name given twice is reported once."""
+    records = [_oracle_record(name, params, depth, explicit) for name in dict.fromkeys(names)]
     p = {"c": params.c, "d": params.d, "d1": params.d1, "d2": params.d2}
     if fmt == "json":
         out = json.dumps({"params": p, "depth": depth, "checks": records}) + "\n"

@@ -8,6 +8,9 @@ c, d, d1, d2 in [-3, 3].
 import time
 from fractions import Fraction
 
+import pytest
+
+import rascal.identities as identities
 from helpers import sweep_params, u_style_grid, v_style_grid
 from rascal import (
     VERDICT_ADDITION_ONLY,
@@ -173,14 +176,15 @@ def test_criterion_08_local_rules_sweep_and_mutation():
                 assert ashley_mod_check(params, 2, r, k).holds, (params, r, k)
                 assert ashley_mod_check(params, 3, r, k).holds, (params, r, k)
 
-    # single-entry mutation must break the matching check
+    # single-entry mutation must break the matching check; the checks read their
+    # entries through identities.closed_form_entry, so a +1 is planted there
     cases = [
         (ashley_check, [(0, 0), (-1, 0), (0, -1), (-2, -1)]),
-        (lambda p, r, k, entry=None: ashley_mod_check(p, 1, r, k, entry),
+        (lambda p, r, k: ashley_mod_check(p, 1, r, k),
          [(0, 0), (-1, 0), (0, -1), (-2, -1), (-2, -2), (-3, -2)]),
-        (lambda p, r, k, entry=None: ashley_mod_check(p, 2, r, k, entry),
+        (lambda p, r, k: ashley_mod_check(p, 2, r, k),
          [(0, 0), (0, -1), (-1, -1), (-2, -2), (-2, -3), (-3, -3)]),
-        (lambda p, r, k, entry=None: ashley_mod_check(p, 3, r, k, entry),
+        (lambda p, r, k: ashley_mod_check(p, 3, r, k),
          [(0, 0), (-1, 0), (-1, -1), (-2, -2), (-3, -2), (-3, -3)]),
         (column_diff_check, [(0, 0), (-1, 1), (-1, -1), (-2, 0)]),
     ]
@@ -191,11 +195,13 @@ def test_criterion_08_local_rules_sweep_and_mutation():
             for dr, dk in offsets:
                 cell = (r + dr, k + dk)
 
-                def entry(rr, kk, _cell=cell, _params=params):
-                    value = closed_form_entry(_params, rr, kk)
+                def entry(p, rr, kk, _cell=cell):
+                    value = closed_form_entry(p, rr, kk)
                     return value + 1 if (rr, kk) == _cell else value
 
-                assert not check_fn(params, r, k, entry=entry).holds, (params, cell)
+                with pytest.MonkeyPatch.context() as monkeypatch:
+                    monkeypatch.setattr(identities, "closed_form_entry", entry)
+                    assert not check_fn(params, r, k).holds, (params, cell)
     passed(8, "4-term, 5-term, and column rules hold for indices <= 8; every mutation is caught")
 
 

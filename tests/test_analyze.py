@@ -10,7 +10,9 @@ from helpers import (
     oracle_classify,
     oracle_diagonal_reports,
     oracle_fit,
+    oracle_mismatch,
     oracle_rule,
+    planted_grids,
     small_grids,
     u_style_grid,
     v_style_grid,
@@ -25,7 +27,6 @@ from rascal import (
     NotGrtError,
     TooSmallError,
     TriangleGrid,
-    UnderDeterminedError,
     addition_rows,
     boundary_from_params,
     classify,
@@ -91,7 +92,8 @@ class TestFitGrt:
         assert fit_grt(generate_closed_form(RASCAL, 6)) == RASCAL
 
     def test_under_determined_below_three_rows(self):
-        with pytest.raises(UnderDeterminedError):
+        # the one too-few-rows error, with classify's message
+        with pytest.raises(TooSmallError, match=r"^rule detection needs at least 3 rows, got 2$"):
             fit_grt(generate_closed_form(RASCAL, 2))
 
     def test_first_violation_in_row_major_scan(self):
@@ -275,6 +277,14 @@ class TestAgreesWithReference:
         assert detect_addition_rule(grid) == oracle_rule(grid, "addition")
         assert detect_multiplication_rule(grid) == oracle_rule(grid, "multiplication")
         assert fit_outcome(fit_grt, grid) == fit_outcome(oracle_fit, grid)
+
+    @given(grid=st.one_of(any_grid, planted_grids()))
+    def test_mismatch_is_the_first_cell_off_the_fit(self, grid):
+        # fit_grt raises exactly classify's mismatch, or returns its params when there is none
+        result = classify(grid)
+        assert result.mismatch == oracle_mismatch(grid)
+        assert (result.mismatch is None) == (result.verdict == VERDICT_GRT) == (result.params is not None)
+        assert fit_outcome(fit_grt, grid) == (result.params if result.mismatch is None else result.mismatch)
 
     @given(grid=small_grids(min_rows=1, max_rows=2))
     def test_diagonals_below_three_rows(self, grid):

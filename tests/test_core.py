@@ -235,9 +235,12 @@ VALUE_TYPES = [
     ),
     (
         Classification,
-        dict(verdict="grt", params=GrtParams(1, 1, 0, 0), diagonals=(), addition=_ADDITION, multiplication=_ADDITION),
+        dict(
+            verdict="grt", params=GrtParams(1, 1, 0, 0), mismatch=None, diagonals=(),
+            addition=_ADDITION, multiplication=_ADDITION,
+        ),
         dict(verdict="neither"),
-        "Classification(verdict='grt', params=GrtParams(c=1, d=1, d1=0, d2=0), diagonals=(), "
+        "Classification(verdict='grt', params=GrtParams(c=1, d=1, d1=0, d2=0), mismatch=None, diagonals=(), "
         "addition=RuleReport(rule='addition', constant=1, witnesses=None), "
         "multiplication=RuleReport(rule='addition', constant=1, witnesses=None))",
         [],

@@ -1,6 +1,7 @@
 """Triangle file parsing and serialization."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -140,6 +141,18 @@ class TestFormatDetection:
 
     def test_plain_with_leading_comment(self):
         assert parse_triangle("# note\n3\n").rows == ((3,),)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[[1], [1, 1], [1, 2, 1]]", 'expected a JSON object with a "rows" array'),
+            (" \n[3]", 'expected a JSON object with a "rows" array'),
+            ("[[3]", "line 1: invalid JSON: Expecting ',' delimiter"),
+        ],
+    )
+    def test_top_level_array_read_as_json(self, text, message):
+        with pytest.raises(TriangleParseError, match=f"^{re.escape(message)}$"):
+            parse_triangle(text)
 
 
 class TestParseFuzz:
