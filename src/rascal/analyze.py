@@ -11,11 +11,17 @@ with the closed form, and checks cell by cell only from the first row that
 differs, by whole-row differences and products.  ``Classification`` is
 the one record of that pass; ``fit_grt``, ``diagonal_reports`` and the rule
 detectors are one-line reads of ``classify`` and run the whole pass.
+
+The pass trusts its rows: each is checked once, by the layer that made it.
+``TriangleGrid`` checks the rows of ``classify(grid)``, the row parsers of
+``triangle_io`` check the rows the CLI reads, and ``classify_rows`` checks
+any other rows with ``checked_row``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import count
 from operator import mul, sub
 
 from .core import GrtParams, Record, TriangleGrid, checked_row, closed_form_row
@@ -147,7 +153,7 @@ def classify(grid: TriangleGrid) -> Classification:
     "neither" otherwise: neither rule, or both on a triangle that is not a
     closed form.
     """
-    return classify_rows(grid.rows)
+    return classify_checked_rows(grid.rows)
 
 
 def classify_rows(rows: Iterable[Sequence[int]]) -> Classification:
@@ -157,6 +163,16 @@ def classify_rows(rows: Iterable[Sequence[int]]) -> Classification:
     produces rows one at a time (a parser reading a file, a generator) never
     needs the whole triangle.  Each row is checked as ``TriangleGrid`` checks
     it, with the same ValueError or TypeError.
+    """
+    return classify_checked_rows(map(checked_row, count(), rows))
+
+
+def classify_checked_rows(rows: Iterable[tuple[int, ...]]) -> Classification:
+    """``classify_rows`` of rows already checked: row n a tuple of n + 1 ints, as ``checked_row`` returns it.
+
+    The rows of a ``TriangleGrid`` and of the row parsers (``triangle_rows``,
+    ``plain_rows``, ``json_rows``) are; other rows, such as lists, would be
+    misread, and go through ``classify_rows``.
     """
     folded = _fold(rows)
     params = folded.params
@@ -186,8 +202,8 @@ class _Folded(Record):
     multiplication: RuleWitness | None
 
 
-def _fold(rows: Iterable[Sequence[int]]) -> _Folded:
-    """Read the rows once, in order, keeping only what the reports need.
+def _fold(rows: Iterable[tuple[int, ...]]) -> _Folded:
+    """Read the checked rows once, in order, keeping only what the reports need.
 
     Rows 0-2 fix the parameters; each row is compared with their closed form
     until the first that differs (the mismatch).  From that row on, each is
@@ -215,7 +231,6 @@ def _fold(rows: Iterable[Sequence[int]]) -> _Folded:
     active_minors: list[int] = []
     n = -1
     for n, row in enumerate(rows):
-        row = checked_row(n, row)
         major_first.append(row[n])
         minor_first.append(row[0])
         if n:

@@ -16,7 +16,15 @@ import codecs
 import os
 import sys
 
-from .analyze import VERDICT_GRT, Classification, DiagonalReport, NotGrtError, RuleReport, TooSmallError, classify_rows
+from .analyze import (
+    VERDICT_GRT,
+    Classification,
+    DiagonalReport,
+    NotGrtError,
+    RuleReport,
+    TooSmallError,
+    classify_checked_rows,
+)
 from .core import GrtParams, closed_form_row
 from .generate import (
     addition_rows,
@@ -34,7 +42,17 @@ from .identities import (
     prove_identity,
     row_sum_formula,
 )
-from .triangle_io import _INT_RE, TriangleParseError, csv_chunks, int_for_json, json_chunks, text_chunks, triangle_rows
+from .triangle_io import (
+    _INT_RE,
+    _LINE_BREAK,
+    TriangleParseError,
+    _too_long,
+    csv_chunks,
+    int_for_json,
+    json_chunks,
+    text_chunks,
+    triangle_rows,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -71,15 +89,25 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # a closed reader shows here, not in the interpreter's final flush
         return code
     except Refusal as err:
-        print(f"rascal: {err}", file=sys.stderr)
+        _print_error(str(err))
         return err.code
     except BrokenPipeError:
         # Output still buffered would fail again at exit; send it nowhere instead.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except Exception as err:  # last resort: any other failure is a bug, not a verdict
-        print(f"rascal: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        _print_error(f"internal error: {type(err).__name__}: {err}")
         return EXIT_SOFTWARE
+
+
+def _print_error(message: str) -> None:
+    """Write ``rascal: <message>`` to stderr as one line.
+
+    A line break that a path or an argument brings into the message is
+    escaped as repr() writes it.
+    """
+    message = _LINE_BREAK.sub(lambda match: repr(match.group())[1:-1], message)
+    print(f"rascal: {message}", file=sys.stderr)
 
 
 def _build_parser() -> _Parser:
@@ -151,13 +179,16 @@ def _add_param_flags(parser: argparse.ArgumentParser, required: bool) -> None:
 
 
 def _integer(text: str) -> int:
-    """An integer flag's value, read by the grammar of triangle files: ASCII ``-?[0-9]+``."""
-    if _INT_RE.fullmatch(text):
-        try:
-            return int(text)
-        except ValueError:  # past the interpreter's int-to-str digit limit
-            pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    """An integer flag's value, read by the grammar of triangle files: ASCII ``-?[0-9]+``.
+
+    A token past the interpreter's int-to-str digit limit is named by its length, not echoed.
+    """
+    if not _INT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_too_long(text)}") from None
 
 
 def _cmd_generate(args) -> int:
@@ -239,7 +270,7 @@ def _decoded(stream):
 def _classified(source: str) -> Classification:
     """The classification of the triangle in ``source``; a malformed-input refusal naming why there is none."""
     try:
-        return classify_rows(triangle_rows(_read_input(source)))
+        return classify_checked_rows(triangle_rows(_read_input(source)))  # the parser checks each row
     except OSError as err:
         raise Refusal(EXIT_DATA, f"cannot read {source}: {err.strerror or err}")
     except UnicodeDecodeError as err:

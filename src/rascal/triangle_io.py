@@ -2,15 +2,25 @@
 
 Two input formats:
 
-* plain rows -- one row per line, base-10 integers separated by runs of
-  spaces/tabs; blank lines and lines starting with ``#`` are skipped.
-* JSON -- an object ``{"rows": [[...], ...]}``; entries may be JSON strings
-  so values beyond 64-bit range survive lossy JSON readers.
+* plain rows -- one row per line, integers separated by whitespace (as
+  ``str.split`` splits, so a no-break space separates too); blank lines and
+  lines starting with ``#`` are skipped.
+* JSON -- an object ``{"rows": [[...], ...]}``; entries are JSON integers or
+  integer strings, so values beyond 64-bit range survive lossy JSON readers.
+
+In both, an integer is ASCII ``-?[0-9]+`` (leading zeros and ``-0`` allowed)
+of at most the interpreter's int-to-str digit limit, and row n holds n + 1
+of them.  int() does the scan: it takes exactly that grammar once the text
+holds nothing else it reads (other scripts' digits, ``_``, ``+`` or
+whitespace inside a JSON string), and the regex ``_INT_RE`` only names the
+first bad token when there is one.
 
 Each format has a row parser (``plain_rows`` and ``json_rows``, and
 ``triangle_rows`` for either) that takes the text in pieces of any size and
-yields one row at a time, holding about one row of text.  The ``parse_*``
-functions collect those rows into a ``TriangleGrid``.
+yields one row at a time, holding about one row of text.  Each row comes out
+checked as ``TriangleGrid`` checks it, a tuple of n + 1 ints, so
+``analyze.classify_checked_rows`` takes the rows as they are.  The
+``parse_*`` functions collect those rows into a ``TriangleGrid``.
 
 Output adds a flattened CSV (``n,r,k,value``) since positional CSV is
 ambiguous for jagged rows.
@@ -27,7 +37,6 @@ from .core import _INT_ONLY, TriangleGrid
 
 # ASCII digits only: ``\d`` would also admit other scripts' digits, which int() reads.
 _INT_RE = re.compile(r"-?[0-9]+")
-_ROW_RE = re.compile(r"-?[0-9]+(?:[ \t]+-?[0-9]+)*")
 # the characters str.splitlines ends a line at
 _LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 # a JSON document up to its first row, when its first member is "rows" (as json_chunks writes it)
@@ -36,6 +45,7 @@ _HEAD_WINDOW = 4096  # text read before deciding on _JSON_HEAD
 # what follows "[" (the first row, or "]" for none) and what follows a row ("," and the next, or "]")
 _JSON_FIRST = re.compile(r"[ \t\n\r]*(\]?)")
 _JSON_NEXT = re.compile(r"[ \t\n\r]*(?:,[ \t\n\r]*|(\]))")
+_INT_OR_STR = frozenset({int, str})
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
@@ -63,7 +73,7 @@ def parse_triangle(text: str) -> TriangleGrid:
     return TriangleGrid(list(triangle_rows([text])))
 
 
-def triangle_rows(chunks: Iterable[str]) -> Iterator[Sequence[int]]:
+def triangle_rows(chunks: Iterable[str]) -> Iterator[tuple[int, ...]]:
     """The rows of either format, deciding by the first non-blank character of the text.
 
     ``{`` or ``[`` starts JSON, so a top-level array is refused as JSON; anything else, plain rows.
@@ -87,15 +97,10 @@ def plain_rows(chunks: Iterable[str]) -> Iterator[tuple[int, ...]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if not _ROW_RE.fullmatch(line):
-            # name the bad token; other whitespace between good ones is still a separator
-            for token in line.split():
-                if not _INT_RE.fullmatch(token):
-                    raise TriangleParseError(f"{token!r} is not a base-10 integer", lineno)
-        try:
-            row = tuple(map(int, line.split()))
-        except ValueError:
-            raise TriangleParseError(_too_long(max(line.split(), key=len)), lineno) from None
+        tokens = line.split()
+        row = _grammar_ints(tokens, line)
+        if row is None:
+            row = _plain_row(tokens, lineno)
         if len(row) != n + 1:
             raise TriangleParseError(
                 f"row {n} has {len(row)} entries, expected {n + 1}", lineno
@@ -104,6 +109,33 @@ def plain_rows(chunks: Iterable[str]) -> Iterator[tuple[int, ...]]:
         n += 1
     if not n:
         raise TriangleParseError("no rows found")
+
+
+def _grammar_ints(values: Sequence, text: str) -> tuple[int, ...] | None:
+    """``tuple(map(int, values))`` if each string of ``values`` is a grammar integer; else None.
+
+    ``text`` is the strings, each free of whitespace, joined by whitespace or
+    commas.  Beyond ``-?[0-9]+``, int() reads other scripts' digits, "_", "+"
+    and whitespace around the number; with none of the first three in
+    ``text``, it reads exactly the grammar, and refuses a token past the digit limit.
+    """
+    if text.isascii() and "_" not in text and "+" not in text:
+        try:
+            return tuple(map(int, values))
+        except ValueError:
+            pass
+    return None
+
+
+def _plain_row(tokens: list[str], lineno: int) -> tuple[int, ...]:
+    """The row of a line's tokens, or the TriangleParseError naming its first bad or too-long token."""
+    for token in tokens:
+        if not _INT_RE.fullmatch(token):
+            raise TriangleParseError(f"{token!r} is not a base-10 integer", lineno)
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        raise TriangleParseError(_too_long(max(tokens, key=len)), lineno) from None
 
 
 def _lines(chunks: Iterable[str]) -> Iterator[str]:
@@ -118,7 +150,7 @@ def _lines(chunks: Iterable[str]) -> Iterator[str]:
     yield from "".join(held).splitlines(True)
 
 
-def json_rows(chunks: Iterable[str]) -> Iterator[list[int]]:
+def json_rows(chunks: Iterable[str]) -> Iterator[tuple[int, ...]]:
     """The rows of a JSON triangle, given in consecutive pieces by ``chunks``, one at a time.
 
     A document whose first member is "rows", as ``json_chunks`` writes it, is
@@ -216,7 +248,7 @@ def json_rows(chunks: Iterable[str]) -> Iterator[list[int]]:
         raise TriangleParseError("no rows found")
 
 
-def _document_rows(doc) -> Iterator[list[int]]:
+def _document_rows(doc) -> Iterator[tuple[int, ...]]:
     """The rows of a parsed JSON triangle document."""
     if not isinstance(doc, dict) or "rows" not in doc:
         raise TriangleParseError('expected a JSON object with a "rows" array')
@@ -229,12 +261,21 @@ def _document_rows(doc) -> Iterator[list[int]]:
         raise TriangleParseError("no rows found")
 
 
-def _json_row(raw, n: int) -> list[int]:
+def _json_row(raw, n: int) -> tuple[int, ...]:
     """Row ``n`` from its decoded JSON value."""
     if not isinstance(raw, list):
         raise TriangleParseError(f"row {n} is not an array")
-    # json gives plain ints for integer numbers; anything else goes value by value
-    row = raw if set(map(type, raw)) <= _INT_ONLY else [_json_int(value, n) for value in raw]
+    types = set(map(type, raw))
+    row = None
+    if types <= _INT_ONLY:  # json gives plain ints for integer numbers
+        row = tuple(raw)
+    elif types <= _INT_OR_STR:
+        # integer strings, as json_chunks writes values past 64 bits, are checked all at once
+        strings = ",".join([value for value in raw if type(value) is str])
+        if strings.split() == [strings]:  # no string holds whitespace
+            row = _grammar_ints(raw, strings)
+    if row is None:  # name the first bad value
+        row = tuple([_json_int(value, n) for value in raw])
     if len(row) != n + 1:
         raise TriangleParseError(f"row {n} has {len(row)} entries, expected {n + 1}")
     return row

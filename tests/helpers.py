@@ -1,6 +1,7 @@
 """Shared builders for test triangles and parameter sweeps, and reference implementations."""
 
 import json
+import sys
 from itertools import product
 
 from hypothesis import strategies as st
@@ -450,3 +451,67 @@ any_grid = st.one_of(
     st.builds(generate_by_addition, boundaries(min_rows=3), st.integers(-4, 4)),
     st.builds(v_style_grid, st.integers(3, 8)),
 )
+
+
+# --- reference parsers -------------------------------------------------------
+# The triangle-file grammar read token by token, each token judged character
+# by character rather than by int(): the row parsers must give the same rows,
+# or a TriangleParseError with the same message and line.
+
+
+def oracle_is_int(token):
+    """Whether ``token`` is ASCII ``-?[0-9]+``."""
+    digits = token[1:] if token.startswith("-") else token
+    return digits != "" and all(ch in "0123456789" for ch in digits)
+
+
+def oracle_too_long(token):
+    """The refusal of a grammar token past the interpreter's int-to-str digit limit; None within it."""
+    digits = len(token.lstrip("-"))
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() == 0: no limit before 3.10.7
+    return f"{digits}-digit integer is too long to convert" if limit and digits > limit else None
+
+
+def oracle_plain_rows(text):
+    """The rows of plain-rows ``text``, or the (message, line) of the error reading it must raise."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()  # any whitespace separates, a no-break space too
+        bad = [token for token in tokens if not oracle_is_int(token)]
+        if bad:
+            return f"line {lineno}: {bad[0]!r} is not a base-10 integer", lineno
+        too_long = [token for token in tokens if oracle_too_long(token)]
+        if too_long:
+            return f"line {lineno}: {oracle_too_long(max(too_long, key=len))}", lineno
+        n = len(rows)
+        if len(tokens) != n + 1:
+            return f"line {lineno}: row {n} has {len(tokens)} entries, expected {n + 1}", lineno
+        rows.append(tuple(int(token) for token in tokens))
+    return rows if rows else ("no rows found", None)
+
+
+def oracle_json_rows(raw_rows):
+    """The rows of a decoded JSON ``"rows"`` array, or the (message, line) of the error reading it must raise."""
+    rows = []
+    for n, raw in enumerate(raw_rows):
+        if not isinstance(raw, list):
+            return f"row {n} is not an array", None
+        row = []
+        for value in raw:
+            if isinstance(value, bool):
+                return f"row {n}: {value!r} is not an integer", None
+            if isinstance(value, int):
+                row.append(value)
+            elif isinstance(value, str) and oracle_is_int(value):
+                if oracle_too_long(value):
+                    return f"row {n}: {oracle_too_long(value)}", None
+                row.append(int(value))
+            else:
+                return f"row {n}: {value!r} is not an integer or integer string", None
+        if len(row) != n + 1:
+            return f"row {n} has {len(row)} entries, expected {n + 1}", None
+        rows.append(tuple(row))
+    return rows if rows else ("no rows found", None)

@@ -319,6 +319,26 @@ class TestClassifyRows:
         with pytest.raises(TypeError, match=r"^row 1 holds True; entries must be integers$"):
             classify_rows([[1], [1, True], [1, 2, 1]])
 
+    def test_each_row_checked_once(self, monkeypatch, tmp_path):
+        # TriangleGrid checks the rows of classify(grid) and the parser those of the CLI; the fold checks none
+        from rascal import analyze, cli, render_json
+        from rascal.core import checked_row
+
+        checked = []
+
+        def counted(n, row):
+            checked.append(n)
+            return checked_row(n, row)
+
+        monkeypatch.setattr(analyze, "checked_row", counted)
+        grid = generate_closed_form(W, 6)
+        assert classify_rows(list(row) for row in grid.rows) == classify(grid)
+        assert checked == list(range(6))
+        path = tmp_path / "t.json"
+        path.write_text(render_json(grid))
+        assert cli._classified(str(path)) == classify(grid)
+        assert checked == list(range(6))
+
     @pytest.mark.parametrize("n_rows", [0, 1, 2])
     def test_too_small(self, n_rows):
         with pytest.raises(TooSmallError, match=f"got {n_rows}"):

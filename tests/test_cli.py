@@ -10,7 +10,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rascal
@@ -23,6 +23,7 @@ from helpers import (
     oracle_render_csv,
     oracle_render_json,
     oracle_render_text,
+    small_grids,
     triangle_like_text,
     u_style_grid,
 )
@@ -416,7 +417,7 @@ class TestClassify:
         def crash(rows):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "classify_rows", crash)
+        monkeypatch.setattr(cli, "classify_checked_rows", crash)
         path = write(tmp_path, "t.txt", "1\n1 1\n1 2 1\n")
         code, out, err = run(capsys, "classify", "--input", path)
         assert code == 70
@@ -424,16 +425,24 @@ class TestClassify:
         assert err == "rascal: internal error: RuntimeError: boom\n"
 
 
-def classify_bytes(data, *argv):
-    """(exit code, stdout, stderr) of ``classify`` reading ``data`` from stdin."""
+def main_on_stdin(data, *argv):
+    """(exit code, stdout, stderr) of ``rascal *argv`` run in process, reading ``data`` from stdin."""
     streams = sys.stdin, sys.stdout, sys.stderr
     sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
     try:
-        code = main(["classify", *argv])
+        try:
+            code = main(list(argv))
+        except SystemExit as exit:  # argparse's own exit, after --help
+            code = exit.code
         return code, sys.stdout.getvalue(), sys.stderr.getvalue()
     finally:
         sys.stdin, sys.stdout, sys.stderr = streams
+
+
+def classify_bytes(data, *argv):
+    """(exit code, stdout, stderr) of ``classify`` reading ``data`` from stdin."""
+    return main_on_stdin(data, "classify", *argv)
 
 
 class TestClassifyStream:
@@ -656,6 +665,18 @@ class TestIntegerFlags:
         assert (code, out) == (65, "")
         assert err == f"rascal: row 0: {token!r} is not an integer or integer string\n"
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_token_past_the_digit_limit_is_named_by_its_length(self, capsys, sign):
+        digits = sys.get_int_max_str_digits() + 1
+        token = sign + "9" * digits
+        for command, flags in (("generate", self.GENERATE), ("props", self.PROPS)):
+            for flag in flags:
+                argv = [command]
+                for name, value in {**flags, flag: token}.items():
+                    argv += [name, value]
+                message = f"invalid int value: {digits}-digit integer is too long to convert"
+                assert run(capsys, *argv) == (64, "", f"rascal: error: argument {flag}: {message}\n"), flag
+
     def test_tokens_of_the_grammar(self, capsys):
         argv = ["--c", "007", "--d", "-0", "--d1", "-2", "--d2", "0"]
         plain = run(capsys, "generate", *_flags(GrtParams(7, 0, -2, 0)), "--rows", "3")
@@ -781,3 +802,93 @@ class TestRoundTrip:
             doc = json.loads(out)
             assert doc["params"] == {"c": c, "d": d, "d1": d1, "d2": d2}
         assert len(seen) > 20  # the sample actually varied
+
+
+# --- the argv contract under fuzzing -------------------------------------------
+
+# junk for a flag value or a stray argument: outside the integer grammar or the choices, a line break, past the digit limit
+_junk = st.one_of(
+    st.sampled_from(["", "x", "\u0661", "\uff11", "1_0", " 1", "+1", "-", "a\nb", "\x85", "--", "-h", "csv", "div"]),
+    st.just("9" * (sys.get_int_max_str_digits() + 1)),
+)
+# --rows and --depth stay cheap; zeros are frequent, so that --rule mul meets a zero north entry
+_small = st.one_of(st.sampled_from(["0", "-0", "007"]), st.integers(-1, 12).map(str))
+_param = st.one_of(_small, st.integers(-(10**30), 10**30).map(str))
+_FLAG_VALUES = {
+    "--c": _param,
+    "--d": _param,
+    "--d1": _param,
+    "--d2": _param,
+    "--rows": _small,
+    "--depth": _small,
+    "--rule": st.sampled_from(["closed", "add", "mul"]),
+    "--format": st.sampled_from(["text", "json"]),  # and "csv" now and then, which only generate takes
+    "--checks": st.one_of(
+        st.just("all"),
+        st.lists(st.sampled_from([*CHECK_NAMES, "", "nope", " tmeg "]), min_size=1, max_size=3).map(",".join),
+    ),
+    "--input": st.sampled_from(["-", "-", "-", "missing.txt", ".", "a\nb"]),
+}
+_COMMAND_FLAGS = {
+    "generate": ["--c", "--d", "--d1", "--d2", "--rows", "--rule", "--format"],
+    "classify": ["--input", "--format"],
+    "props": ["--c", "--d", "--d1", "--d2", "--input", "--checks", "--depth", "--format"],
+}
+
+
+def _now_and_then(draw) -> bool:
+    return draw(st.integers(0, 15)) == 0
+
+
+@st.composite
+def argvs(draw):
+    """A command, most of its own flags with drawn values, and now and then a junk value, another flag or a stray token.
+
+    ``props`` takes either the parameter flags or ``--input``, mostly one of them.
+    """
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    own = _COMMAND_FLAGS[command]
+    if command == "props" and not _now_and_then(draw):
+        dropped = ("--c", "--d", "--d1", "--d2") if draw(st.booleans()) else ("--input",)
+        own = [flag for flag in own if flag not in dropped]
+    flags = [flag for flag in own if not _now_and_then(draw)]
+    if _now_and_then(draw):
+        flags.append(draw(st.sampled_from(sorted(_FLAG_VALUES))))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv += [flag, draw(_junk if _now_and_then(draw) else _FLAG_VALUES[flag])]
+    if _now_and_then(draw):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_junk))
+    return argv
+
+
+_grids = st.one_of(any_grid, small_grids(min_rows=1, max_rows=2))
+_stdin = st.one_of(
+    st.binary(max_size=40),
+    triangle_like_text.map(str.encode),
+    _grids.map(render_text).map(str.encode),
+    _grids.map(render_json).map(str.encode),
+)
+
+
+class TestArgvContract:
+    """Any argv, run in process: a documented exit code, never 70, and a refusal is one stderr line and no stdout."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(argv=argvs(), data=_stdin)
+    def test_any_argv(self, argv, data):
+        code, out, err = main_on_stdin(data, *argv)
+        assert code in (0, 1, 2, 3, 64, 65), err
+        if err:
+            assert err.startswith("rascal: ") and len(err.splitlines()) == 1 and err.endswith("\n"), err
+            assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, code, expected",
+        [
+            (["classify", "a\nb"], 64, "rascal: error: unrecognized arguments: a\\nb\n"),
+            (["classify", "--input", "no\r\nfile"], 65, "rascal: cannot read no\\r\\nfile: No such file or directory\n"),
+        ],
+    )
+    def test_line_break_in_a_refusal_is_escaped(self, argv, code, expected):
+        assert main_on_stdin(b"", *argv) == (code, "", expected)

@@ -2,12 +2,13 @@
 
 import json
 import re
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import triangle_like_text
+from helpers import oracle_json_rows, oracle_plain_rows, triangle_like_text
 from rascal import (
     GrtParams,
     TriangleGrid,
@@ -271,7 +272,7 @@ class TestRowParsers:
             yield first
             raise AssertionError("read past the rows asked for")
 
-        assert next(json_rows(text(head))) == [4]
+        assert next(json_rows(text(head))) == (4,)
         assert next(plain_rows(text("4\n4 4\n"))) == (4,)
 
     @pytest.mark.parametrize(
@@ -284,7 +285,7 @@ class TestRowParsers:
     @pytest.mark.parametrize("indent", [None, 2])
     def test_other_layouts_parse_as_json_loads_reads_them(self, doc, indent):
         text = json.dumps(doc, indent=indent)
-        assert list(json_rows(pieces(text, range(0, 200, 3)))) == doc["rows"]
+        assert list(json_rows(pieces(text, range(0, 200, 3)))) == list(map(tuple, doc["rows"]))
 
     @pytest.mark.parametrize("fault", ["[1 2]", "[1, 2],", "[1, 2]] x", '[1, "2\n"]'])
     def test_late_syntax_error_keeps_its_line(self, fault):
@@ -307,3 +308,85 @@ class TestRowParsers:
         # as json.loads sees it: the document is invalid before any row is looked at
         with pytest.raises(TriangleParseError, match="^line 3: invalid JSON"):
             list(json_rows(['{"rows": [[1], 5,\n', "[1, 2],\n", "[1 2 3]]}"]))
+
+
+# one more digit than the interpreter converts (sys.set_int_max_str_digits)
+OVER_LIMIT = "9" * (sys.get_int_max_str_digits() + 1)
+
+# tokens near the grammar: int() reads "+1", "1_0" and the other scripts' digits
+_PLAIN_NEAR = ["+1", "1_0", "\u0661", "\uff11", "-", "--1", "1-", OVER_LIMIT, "-" + OVER_LIMIT]
+_PLAIN_PIECES = [*"0123456789", "-", "+", "_", "\u0661", "\uff11", OVER_LIMIT]
+_PLAIN_SEPARATORS = [" ", "\t", "\x1f", "\u00a0", " \t"]  # str.split() separates at each, splitlines at none
+_plain_good = st.one_of(st.integers(-99, 99).map(str), st.sampled_from(["007", "-0"]))
+_plain_near = st.one_of(
+    st.sampled_from(_PLAIN_NEAR), st.lists(st.sampled_from(_PLAIN_PIECES), min_size=1, max_size=3).map("".join)
+)
+_free_line = st.lists(st.sampled_from([*_PLAIN_PIECES, *_PLAIN_SEPARATORS]), max_size=8).map("".join)
+
+# JSON values near the grammar: int() reads every string here but "1,2", "-" and ""
+_JSON_NEAR = [
+    "1,2", " 1", "1 ", "\x1c1", "1\x1f", "+1", "1_0", "-", "", "\u0661",
+    OVER_LIMIT, "-" + OVER_LIMIT, True, False, 1.0, [1], [], None,
+]
+_json_good = st.one_of(
+    st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70).map(str), st.sampled_from(["007", "-0"])
+)
+
+
+@st.composite
+def near_rows(draw, good, near):
+    """Rows 0, 1, ... of about the right length from ``good`` values, now and then one replaced by a ``near`` one."""
+    rows = []
+    for n in range(draw(st.integers(0, 5))):
+        size = draw(st.sampled_from([n + 1, n + 1, n + 1, n, n + 2]))
+        row = draw(st.lists(good, min_size=size, max_size=size))
+        if row and draw(st.booleans()):
+            row[draw(st.integers(0, size - 1))] = draw(near)
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def plain_like_text(draw):
+    """``near_rows`` of tokens, separated by whitespace near the grammar, and now and then a line of pieces."""
+    lines = []
+    for tokens in draw(near_rows(_plain_good, _plain_near)):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_free_line))
+            continue
+        gaps = len(tokens) + 1
+        separators = draw(st.lists(st.sampled_from(_PLAIN_SEPARATORS), min_size=gaps, max_size=gaps))
+        line = separators[0] + "".join(token + separator for token, separator in zip(tokens, separators[1:]))
+        lines.append(line.rstrip() if draw(st.booleans()) else line)
+    return "\n".join(lines)
+
+
+@st.composite
+def json_like_rows(draw):
+    """``near_rows`` of JSON values, and now and then a row that is no array."""
+    rows = draw(near_rows(_json_good, st.sampled_from(_JSON_NEAR)))
+    if rows and draw(st.integers(0, 9)) == 0:
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.sampled_from(_JSON_NEAR))
+    return rows
+
+
+def parsed(rows):
+    """The rows an iterator of rows gives, or the (message, line) of the TriangleParseError it raises."""
+    try:
+        return list(rows)
+    except TriangleParseError as err:
+        return str(err), err.line
+
+
+class TestAgainstReferenceGrammar:
+    """The row parsers, which let int() scan, agree with a token-by-token reading of the grammar."""
+
+    @settings(max_examples=300)
+    @given(text=plain_like_text())
+    def test_plain_rows(self, text):
+        assert parsed(plain_rows([text])) == oracle_plain_rows(text)
+
+    @settings(max_examples=300)
+    @given(rows=json_like_rows())
+    def test_json_rows(self, rows):
+        assert parsed(json_rows([json.dumps({"rows": rows})])) == oracle_json_rows(rows)
