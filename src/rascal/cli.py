@@ -282,12 +282,12 @@ def _classified(source: str) -> Classification:
 def _cmd_classify(args) -> int:
     # the whole input is read and checked before anything is written
     result = _classified(args.input)
-    # joined before writing: a report that fails part way must print nothing;
+    # built whole before writing: a report that fails part way must print nothing;
     # a rule constant is a difference of products of two entries, so at most 2L + 1 digits,
     # and the mismatch's expected entry c + k*d1 + r*d2 + r*k*d, whose parameters are sums of at
     # most four entries and r, k < rows, at most L + 3 + 2*digits(rows), below 2L + 1 since
     # L >= 640 (the interpreter's least limit) and no input has 10**300 rows
-    sys.stdout.write(_with_digit_limit(1, lambda: "".join(_classification_report(result, args.format))))
+    sys.stdout.write(_with_digit_limit(1, lambda: _classification_report(result, args.format)))
     return EXIT_OK if result.verdict == VERDICT_GRT else EXIT_NEGATIVE
 
 
@@ -514,8 +514,7 @@ def _diagonal_line(report: DiagonalReport) -> str:
     )
 
 
-def _classification_report(result: Classification, fmt: str):
-    """The report in pieces, one per diagonal, so that no document object of it is built whole."""
+def _classification_report(result: Classification, fmt: str) -> str:
     if fmt == "json":
         import json
 
@@ -526,24 +525,19 @@ def _classification_report(result: Classification, fmt: str):
             "addition": _rule_dict(result.addition),
             "multiplication": _rule_dict(result.multiplication),
         }
-        # the text of _json_line({**head, "diagonals": [...]}), one diagonal at a time
-        yield _json_line(head)[:-2] + ', "diagonals": ['
-        separator = ""
-        for rep in result.diagonals:
-            yield separator + json.dumps(_diagonal_dict(rep))
-            separator = ", "
-        yield "]}\n"
-        return
-    yield f"verdict: {result.verdict}\n"
+        # the text of _json_line({**head, "diagonals": [...]}), each diagonal's dict dropped once
+        # encoded: one json.dumps of every dict at once traces 1.1 MiB more on 700 rows
+        diagonals = ", ".join(json.dumps(_diagonal_dict(rep)) for rep in result.diagonals)
+        return f'{_json_line(head)[:-2]}, "diagonals": [{diagonals}]}}\n'
+    lines = [f"verdict: {result.verdict}"]
     if result.mismatch is not None:
-        yield f"mismatch: {NotGrtError(*result.mismatch)}\n"
+        lines.append(f"mismatch: {NotGrtError(*result.mismatch)}")
     if result.params is not None:
         p = result.params
-        yield f"params: c={p.c} d={p.d} d1={p.d1} d2={p.d2}\n"
-    yield _rule_line(result.addition) + "\n"
-    yield _rule_line(result.multiplication) + "\n"
-    for rep in result.diagonals:
-        yield _diagonal_line(rep) + "\n"
+        lines.append(f"params: c={p.c} d={p.d} d1={p.d1} d2={p.d2}")
+    lines += [_rule_line(result.addition), _rule_line(result.multiplication)]
+    lines += map(_diagonal_line, result.diagonals)
+    return "\n".join(lines) + "\n"
 
 
 def _props_report(params: GrtParams, depth: int, records, fmt: str) -> str:

@@ -5,8 +5,9 @@ Two input formats:
 * plain rows -- one row per line, integers separated by whitespace (as
   ``str.split`` splits, so a no-break space separates too); blank lines and
   lines starting with ``#`` are skipped.
-* JSON -- an object ``{"rows": [[...], ...]}``; entries are JSON integers or
-  integer strings, so values beyond 64-bit range survive lossy JSON readers.
+* JSON -- an object ``{"rows": [[...], ...]}``, other members allowed around
+  "rows" but not a second "rows"; entries are JSON integers or integer
+  strings, so values beyond 64-bit range survive lossy JSON readers.
 
 In both, an integer is ASCII ``-?[0-9]+`` (leading zeros and ``-0`` allowed)
 of at most the interpreter's int-to-str digit limit, and row n holds n + 1
@@ -29,6 +30,7 @@ ambiguous for jagged rows.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
 from operator import add
@@ -39,12 +41,17 @@ from .core import _INT_ONLY, TriangleGrid
 _INT_RE = re.compile(r"-?[0-9]+")
 # the characters str.splitlines ends a line at
 _LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
-# a JSON document up to its first row, when its first member is "rows" (as json_chunks writes it)
-_JSON_HEAD = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"rows"[ \t\n\r]*:[ \t\n\r]*\[')
-_HEAD_WINDOW = 4096  # text read before deciding on _JSON_HEAD
-# what follows "[" (the first row, or "]" for none) and what follows a row ("," and the next, or "]")
-_JSON_FIRST = re.compile(r"[ \t\n\r]*(\]?)")
-_JSON_NEXT = re.compile(r"[ \t\n\r]*(?:,[ \t\n\r]*|(\]))")
+# json_rows's states: the text it reads up to the next value, group 1 a bracket that opens or
+# closes, and the text that leaves json.loads in the same state
+_JSON_STATES = (
+    (r"[ \t\n\r]*(\{?)", ""),  # the document: an object, else refused
+    (r'[ \t\n\r]*(?:(\})|(?="))', "{"),  # after "{": a key, or "}"
+    (r"[ \t\n\r]*:[ \t\n\r]*", '{""'),  # after a key: ":" and its value
+    (r'[ \t\n\r]*(?:,[ \t\n\r]*(?=")|(\}))', '{"": null'),  # after a member: "," and a key, or "}"
+    (r"[ \t\n\r]*(\]?)", '{"": ['),  # after the "[" of "rows": a row, or "]"
+    (r"[ \t\n\r]*(?:,[ \t\n\r]*|(\]))", '{"": [null'),  # after a row: "," and a row, or "]"
+    (r"[ \t\n\r]*\Z", "{}"),  # after the object: nothing
+)
 _INT_OR_STR = frozenset({int, str})
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
@@ -134,8 +141,10 @@ def _plain_row(tokens: list[str], lineno: int) -> tuple[int, ...]:
             raise TriangleParseError(f"{token!r} is not a base-10 integer", lineno)
     try:
         return tuple(map(int, tokens))
-    except ValueError:
-        raise TriangleParseError(_too_long(max(tokens, key=len)), lineno) from None
+    except ValueError:  # name the longest token past the digit limit
+        limit = sys.get_int_max_str_digits()
+        token = max([token for token in tokens if len(token.lstrip("-")) > limit], key=len)
+        raise TriangleParseError(_too_long(token), lineno) from None
 
 
 def _lines(chunks: Iterable[str]) -> Iterator[str]:
@@ -153,26 +162,19 @@ def _lines(chunks: Iterable[str]) -> Iterator[str]:
 def json_rows(chunks: Iterable[str]) -> Iterator[tuple[int, ...]]:
     """The rows of a JSON triangle, given in consecutive pieces by ``chunks``, one at a time.
 
-    A document whose first member is "rows", as ``json_chunks`` writes it, is
-    decoded one row at a time with ``raw_decode``, holding the text of about
-    one row.  Any other is parsed whole by ``json.loads``.  Either way the rows
-    and the TriangleParseError of a bad document are those of ``json.loads``
-    on the whole text, except that a second "rows" member (which would
-    replace the first) is an error.
+    The top-level object is decoded one member at a time with ``raw_decode``,
+    and a "rows" array one row at a time, so the reader holds about one row of
+    text (or one other member).  The rows and the TriangleParseError of a bad
+    document are those of ``json.loads`` on the whole text, except that a
+    second "rows" member (which would replace the first) is an error.  A
+    top-level value that is not an object is read whole, only to refuse it.
     """
     import json
 
+    states = [(re.compile(pattern), prefix) for pattern, prefix in _JSON_STATES]  # re caches them after one call
+    top, first_key, colon, next_key, first_row, next_row, end = states
     chunks = iter(chunks)
     text = ""
-    for chunk in chunks:
-        text += chunk
-        if len(text) >= _HEAD_WINDOW:
-            break
-    head = _JSON_HEAD.match(text)
-    if head is None:
-        yield from _document_rows(_loads(text + "".join(chunks)))
-        return
-
     lines = 0  # line breaks in the text dropped from the front of ``text``
     ended = False
 
@@ -202,62 +204,65 @@ def json_rows(chunks: Iterable[str]) -> Iterator[tuple[int, ...]]:
         return TriangleParseError("invalid JSON")
 
     raw_decode = json.JSONDecoder().raw_decode
-    start, after, prefix = head.end(), _JSON_FIRST, '{"rows": ['  # start: after "[" or the last row
-    n, problem = 0, None  # problem: the first bad row's error, raised once the syntax is known good
+    state, start, n = top, 0, 0  # start: where the text not yet read begins; n: the rows read
+    # problem: the first error past the syntax, raised once the syntax is known good
+    missing = problem = TriangleParseError('expected a JSON object with a "rows" array')
     while True:
+        after, prefix = state
         follows = after.match(text, start)
         if (follows is None or follows.end() == len(text)) and not ended:
             start = more(start)
             continue
         if follows is None:
             raise invalid(start, prefix)
-        if follows.group(1):
-            break  # the "]" closing the rows
+        at = follows.end()
+        if state is colon:
+            if key == "rows" and text.startswith("[", at):
+                state, start = first_row, at + 1
+                continue
+        elif state is end:
+            break
+        elif state is top:
+            if not follows.group(1):
+                _loads(text + "".join(chunks))
+                raise missing
+            state, start = first_key, at
+            continue
+        elif follows.group(1):  # the "}" closing the object, or the "]" closing the rows
+            state, start = (end if state is first_key or state is next_key else next_key), at
+            continue
         try:
-            value, end = raw_decode(text, follows.end())
-        except json.JSONDecodeError:
+            value, stop = raw_decode(text, at)
+        except (ValueError, RecursionError):
             if ended:
                 raise invalid(start, prefix) from None
+            stop = len(text)
+        if stop > len(text) - 3 and not ended:  # the value may go on in the next piece: "1", "1." or "1e-"
             start = more(start)
             continue
-        except (ValueError, RecursionError) as err:
-            raise _json_problem(err) from err
-        if end == len(text) and not ended:  # a number may go on in the next piece
-            start = more(start)
-            continue
-        if problem is None:
-            try:
-                row = _json_row(value, n)
-            except TriangleParseError as err:
-                problem = err
-            else:
-                yield row
-        n += 1
-        start, after, prefix = end, _JSON_NEXT, '{"rows": [0'
-    end = follows.end()
-    members = _loads(
-        '{"rows": 0' + text[end:] + "".join(chunks),
-        lines + text.count("\n", 0, end),
-        object_pairs_hook=list,
-    )
-    if [key for key, _ in members].count("rows") > 1:
-        raise TriangleParseError('more than one "rows" member')
+        if state is next_row or state is first_row:
+            if problem is None:
+                try:
+                    row = _json_row(value, n)
+                except TriangleParseError as err:
+                    problem = err
+                else:
+                    yield row
+            n += 1
+            state = next_row
+        elif state is colon:
+            if key == "rows" and problem is None:
+                problem = TriangleParseError('"rows" must be an array of arrays')
+            state = next_key
+        else:
+            key = value
+            if key == "rows":
+                problem = None if problem is missing else TriangleParseError('more than one "rows" member')
+            state = colon
+        start = stop
     if problem is not None:
         raise problem
     if not n:
-        raise TriangleParseError("no rows found")
-
-
-def _document_rows(doc) -> Iterator[tuple[int, ...]]:
-    """The rows of a parsed JSON triangle document."""
-    if not isinstance(doc, dict) or "rows" not in doc:
-        raise TriangleParseError('expected a JSON object with a "rows" array')
-    raw_rows = doc["rows"]
-    if not isinstance(raw_rows, list):
-        raise TriangleParseError('"rows" must be an array of arrays')
-    for n, raw in enumerate(raw_rows):
-        yield _json_row(raw, n)
-    if not raw_rows:
         raise TriangleParseError("no rows found")
 
 
@@ -281,23 +286,18 @@ def _json_row(raw, n: int) -> tuple[int, ...]:
     return row
 
 
-def _loads(text: str, line_offset: int = 0, **options):
+def _loads(text: str, line_offset: int = 0):
     """``json.loads``, its failures raised as TriangleParseError; ``line_offset`` lines precede ``text``."""
     import json
 
     try:
-        return json.loads(text, **options)
-    except (ValueError, RecursionError) as err:
-        raise _json_problem(err, line_offset) from err
-
-
-def _json_problem(err: Exception, line_offset: int = 0) -> TriangleParseError:
-    """The TriangleParseError for an exception of the json decoder."""
-    if hasattr(err, "lineno"):  # json.JSONDecodeError
-        return TriangleParseError(f"invalid JSON: {err.msg}", err.lineno + line_offset)
-    if isinstance(err, RecursionError):
-        return TriangleParseError("invalid JSON: arrays nested too deeply")
-    return TriangleParseError("invalid JSON: a number has too many digits to convert")
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise TriangleParseError(f"invalid JSON: {err.msg}", err.lineno + line_offset) from err
+    except RecursionError as err:
+        raise TriangleParseError("invalid JSON: arrays nested too deeply") from err
+    except ValueError as err:
+        raise TriangleParseError("invalid JSON: a number has too many digits to convert") from err
 
 
 def _json_int(value, n: int) -> int:

@@ -515,3 +515,35 @@ def oracle_json_rows(raw_rows):
             return f"row {n} has {len(row)} entries, expected {n + 1}", None
         rows.append(tuple(row))
     return rows if rows else ("no rows found", None)
+
+
+class _Object(dict):
+    """A JSON object as ``json.loads`` reads it, the last value of a key kept, with every key read in ``read``."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.read = [key for key, _ in pairs]
+
+
+def oracle_json_document(text):
+    """The rows of the JSON triangle ``text``, or the (message, line) of the error reading it must raise.
+
+    The whole document is parsed by ``json.loads``: its error, if any, is the
+    answer, then a second "rows" member of the top-level object, then the
+    checks of the "rows" array and its rows.
+    """
+    try:
+        doc = json.loads(text, object_pairs_hook=_Object)
+    except json.JSONDecodeError as err:
+        return f"line {err.lineno}: invalid JSON: {err.msg}", err.lineno
+    except RecursionError:
+        return "invalid JSON: arrays nested too deeply", None
+    except ValueError:
+        return "invalid JSON: a number has too many digits to convert", None
+    if not isinstance(doc, dict) or "rows" not in doc:
+        return 'expected a JSON object with a "rows" array', None
+    if doc.read.count("rows") > 1:
+        return 'more than one "rows" member', None
+    if not isinstance(doc["rows"], list):
+        return '"rows" must be an array of arrays', None
+    return oracle_json_rows(doc["rows"])

@@ -499,3 +499,30 @@ class TestProofGrids:
             for side in (lhs, rhs):
                 poly = sympy.Poly(sympy.expand(side), *variables)
                 assert all(poly.degree(v) <= bound for v, bound in zip(variables, bounds)), (name, side)
+
+
+class TestClosedFormShortcuts:
+    """The algebra the closed-form shortcuts rest on, expanded to zero for every index and parameter."""
+
+    def test_identities_expand_to_zero(self):
+        sympy = pytest.importorskip("sympy")
+        c, d, d1, d2, r, k, n = sympy.symbols("c d d1 d2 r k n")
+
+        def t(r, k, c=c, d=d):
+            return c + k * d1 + r * d2 + r * k * d
+
+        north, east, west, south = t(r - 1, k - 1), t(r, k - 1), t(r - 1, k), t(r, k)
+        identities = {
+            # closed_form_row: row n starts at T(0, n) and steps from position r to r + 1
+            "row start": (t(0, n), c + n * d1),
+            "row step": (t(r + 1, n - r - 1) - t(r, n - r), (d2 - d1) + d * (n - 1 - 2 * r)),
+            # the classify fold's closed-form prefix and predict_multiplication_failure: every
+            # diamond of the closed form obeys both rules, and a major diagonal is linear in k
+            "addition rule": (south, east + west + d - north),
+            "multiplication rule": (south * north, east * west + (c * d - d1 * d2)),
+            "major diagonal": (t(r, k), (c + r * d2) + k * (d1 + r * d)),
+            # embed_in_rascal: the Rascal triangle 1 + r*k shifted to offset (d1, d2)
+            "embedding": (1 + (d1 + r) * (d2 + k), t(r, k, c=1 + d1 * d2, d=1)),
+        }
+        for name, (lhs, rhs) in identities.items():
+            assert sympy.expand(lhs - rhs) == 0, name

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_json_rows, oracle_plain_rows, triangle_like_text
+from helpers import oracle_json_document, oracle_json_rows, oracle_plain_rows, triangle_like_text
 from rascal import (
     GrtParams,
     TriangleGrid,
@@ -75,6 +75,10 @@ class TestPlainRows:
         with pytest.raises(TriangleParseError, match="5000-digit") as exc_info:
             parse_plain_rows("1\n1 -{}\n".format("7" * 5000))
         assert exc_info.value.line == 2
+        # the token named is past the limit, not the signed one as long as it but within the limit
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(TriangleParseError, match=f"^line 2: {limit + 1}-digit integer is too long"):
+            parse_plain_rows(f"1\n-{'9' * limit} {'9' * (limit + 1)}\n")
 
 
 class TestJsonFormat:
@@ -254,7 +258,7 @@ class TestRowParsers:
 
     @pytest.mark.parametrize("value", ["1234", "12.5", "true"])
     def test_value_cut_between_pieces_is_read_whole(self, value):
-        head = render_json(generate_closed_form(GrtParams(4, 1, 2, 3), 100))[:-3]  # past the head window
+        head = render_json(generate_closed_form(GrtParams(4, 1, 2, 3), 100))[:-3]
         text = head + ", " + value + "]}"
         cut = len(head) + 3
         with pytest.raises(TriangleParseError, match="^row 100 is not an array$"):
@@ -266,13 +270,13 @@ class TestRowParsers:
 
     def test_rows_come_before_the_text_ends(self):
         head = render_json(generate_closed_form(GrtParams(4, 1, 2, 3), 100))[:-3]
-        assert len(head) > 4096  # the parser reads this much to tell its own layout from others
 
         def text(first):
             yield first
             raise AssertionError("read past the rows asked for")
 
         assert next(json_rows(text(head))) == (4,)
+        assert next(json_rows(text('{"format": "rascal", ' + head[1:]))) == (4,)
         assert next(plain_rows(text("4\n4 4\n"))) == (4,)
 
     @pytest.mark.parametrize(
@@ -303,6 +307,14 @@ class TestRowParsers:
     def test_second_rows_member_rejected(self):
         with pytest.raises(TriangleParseError, match='more than one "rows" member'):
             parse_json('{"rows": [[1]], "rows": [[2]]}')
+        # in any layout, the key spelled with an escape too
+        for text in [
+            '{"a": 1, "rows": [[1]], "rows": [[2]]}',
+            '{"r\\u006fws": [[1]], "rows": [[2]]}',
+            '{"rows": 1, "rows": [[1]]}',
+        ]:
+            with pytest.raises(TriangleParseError, match='^more than one "rows" member$'):
+                list(json_rows(pieces(text, range(0, len(text), 3))))
 
     def test_syntax_error_after_a_bad_row_wins(self):
         # as json.loads sees it: the document is invalid before any row is looked at
@@ -390,3 +402,42 @@ class TestAgainstReferenceGrammar:
     @given(rows=json_like_rows())
     def test_json_rows(self, rows):
         assert parsed(json_rows([json.dumps({"rows": rows})])) == oracle_json_rows(rows)
+
+
+# Top-level objects with their members in any order: "rows" (or its key spelled with an escape)
+# once, twice or not at all, now and then with a value that is no array, other members, spacing
+# the writer never uses and trailing text; now and then a fault put in anywhere, or the text cut
+_JSON_KEYS = ['"rows"', '"r\\u006fws"', '"a"', '"rows "']
+_JSON_OTHER_VALUES = ["1", "-2.5e3", '"x"', "null", "[1, 2]", "[]", '{"rows": [[1]]}', "{}"]
+_JSON_SPACE = ["", " ", "\n", " \t\r\n"]
+_JSON_FAULTS = ["e5", ".5", "x", '"', "[", "]", "{", "}", ",", ":", "1", "-", "\n", '"rows"']
+_json_space = st.sampled_from(_JSON_SPACE)
+
+
+@st.composite
+def json_like_documents(draw):
+    members = []
+    for key in draw(st.lists(st.sampled_from(_JSON_KEYS), max_size=4)):
+        values = st.sampled_from(_JSON_OTHER_VALUES)
+        value = draw(values if key == '"a"' else st.one_of(json_like_rows().map(json.dumps), values))
+        space = [draw(_json_space) for _ in range(4)]
+        members.append(f"{space[0]}{key}{space[1]}:{space[2]}{value}{space[3]}")
+    text = draw(_json_space) + "{" + ",".join(members) + "}" + draw(st.sampled_from(["", "\n", " x", "{}", ","]))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_JSON_FAULTS)) + text[at:]
+    if draw(st.integers(0, 5)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+class TestAgainstJsonLoads:
+    """json_rows reads any JSON document, in pieces of any size, as json.loads reads it whole,
+    except that a second "rows" member is refused."""
+
+    @settings(max_examples=300)
+    @given(text=json_like_documents(), cuts=st.lists(st.integers(0, 400), max_size=8))
+    def test_json_documents(self, text, cuts):
+        expected = oracle_json_document(text)
+        assert parsed(json_rows(pieces(text, cuts))) == expected
+        assert parsed(json_rows(text)) == expected  # one character at a time
