@@ -7,10 +7,11 @@ A triangle is generalized Rascal exactly when it equals the closed form of
 the parameters fitted from its rows 0-2, and then every diagonal is
 arithmetic and every diamond implies the fitted rule constants.  So one
 pass over the rows answers every analysis at once: it compares whole rows
-with the closed form, and checks cell by cell only from the first row that
-differs, by whole-row differences and products.  ``Classification`` is
-the one record of that pass; ``fit_grt``, ``diagonal_reports`` and the rule
-detectors are one-line reads of ``classify`` and run the whole pass.
+with the closed form, and from the first row that differs it checks only the
+diagonals still arithmetic, and each rule up to its first conflict.
+``Classification`` is the one record of that pass; ``fit_grt``,
+``diagonal_reports`` and the rule detectors are one-line reads of
+``classify`` and run the whole pass.
 
 The pass trusts its rows: each is checked once, by the layer that made it.
 ``TriangleGrid`` checks the rows of ``classify(grid)``, the row parsers of
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from itertools import count
-from operator import mul, sub
+from operator import invert, itemgetter, mul, sub
 
 from .core import GrtParams, Record, TriangleGrid, checked_row, closed_form_row
 from .generate import mult_constant
@@ -206,29 +207,32 @@ def _fold(rows: Iterable[tuple[int, ...]]) -> _Folded:
     """Read the checked rows once, in order, keeping only what the reports need.
 
     Rows 0-2 fix the parameters; each row is compared with their closed form
-    until the first that differs (the mismatch).  From that row on, each is
-    checked against the one before by two difference vectors: ``down[r]`` is
-    major r's step into row n and ``across[j]`` minor (n - 1 - j)'s.  A
-    diagonal stays arithmetic while its step repeats, so a family is checked
-    cell by cell only in a row whose vector differs from the previous one, and
-    then only at the diagonals that have not failed yet.  Up to the mismatch
-    every diagonal is arithmetic and every diamond implies ``d`` and
-    ``c*d - d1*d2``, the constants of the first diamond, (1, 1), so both
-    rules are checked from there on too: each is answered by the first
-    diamond that implies another constant.
+    until the first that differs (the mismatch).  Up to the mismatch every
+    diagonal is arithmetic and every diamond implies ``d`` and
+    ``c*d - d1*d2``, the constants of the first diamond, (1, 1).  From that
+    row on, each family's work per row follows its diagonals still
+    arithmetic: their steps into the row are gathered (by one slice while
+    they are consecutive) and compared with their first steps in one list
+    comparison, and the diagonals are walked one by one only in a row where
+    that comparison fails.  Each rule is checked by whole-row vectors, the
+    addition rule's differences and the multiplication rule's products, only
+    until its first conflict: the first diamond that implies another
+    constant answers it.
 
-    Held at any time: the last two rows and their step vectors, the
-    diagonals still arithmetic, and the first two entries of every diagonal
-    (major r: rows[r][r] and rows[r + 1][r]; minor k: rows[k][0] and
-    rows[k + 1][1]).
+    Held at any time: the last two rows, the first two entries of every
+    diagonal (major r: rows[r][r] and rows[r + 1][r]; minor k: rows[k][0]
+    and rows[k + 1][1]), each family's diagonals still arithmetic with their
+    first steps, and, until the addition rule's first conflict, the last
+    row's steps of every minor.
     """
     major_first, major_second, minor_first, minor_second = [], [], [], []
     majors: dict[int, tuple[int, int, int]] = {}  # a diagonal's index -> its first violation
     minors: dict[int, tuple[int, int, int]] = {}
+    # each family's diagonals still arithmetic among those with a third entry in a row read so far,
+    # in index order, and the first step of each
+    live_majors, major_steps, live_minors, minor_steps = [], [], [], []
     params = mismatch = add_conflict = mult_conflict = None
-    prev2 = prev = down_prev = across_prev = ()
-    active_majors: list[int] = []
-    active_minors: list[int] = []
+    prev2 = prev = across_prev = ()
     n = -1
     for n, row in enumerate(rows):
         major_first.append(row[n])
@@ -236,6 +240,11 @@ def _fold(rows: Iterable[tuple[int, ...]]) -> _Folded:
         if n:
             major_second.append(row[n - 1])
             minor_second.append(row[1])
+        if n >= 2:
+            live_majors.append(n - 2)
+            major_steps.append(major_second[n - 2] - major_first[n - 2])
+            live_minors.append(n - 2)
+            minor_steps.append(minor_second[n - 2] - minor_first[n - 2])
         if n == 2:
             params = _fitted(prev2, prev, row)
             d_mult = mult_constant(params)
@@ -244,31 +253,21 @@ def _fold(rows: Iterable[tuple[int, ...]]) -> _Folded:
             if row != expected:
                 r = next(r for r, value in enumerate(row) if value != expected[r])
                 mismatch = (r, n - r, expected[r], row[r])
-                # diagonals whose third entry lies above row n, all arithmetic so far
-                active_majors = list(range(n - 2))
-                active_minors = list(range(n - 2))
-                down_prev = list(map(sub, prev, prev2))
                 across_prev = list(map(sub, prev[1:], prev2))
         if mismatch is not None:
-            across = list(map(sub, row[1:], prev))
-            down = list(map(sub, row, prev))
-            active_majors.append(n - 2)
-            active_minors.append(n - 2)
-            if down[:-1] != down_prev:
-                active_majors = _check_steps(
-                    active_majors, n, row, prev, down, down_prev, majors, mirrored=False
-                )
-            if across[1:] != across_prev:
-                active_minors = _check_steps(
-                    active_minors, n, row, prev, across, across_prev, minors, mirrored=True
-                )
-            down_prev = down
+            live_majors, major_steps = _still_arithmetic(
+                live_majors, major_steps, n, row, prev, majors, mirrored=False
+            )
+            live_minors, minor_steps = _still_arithmetic(
+                live_minors, minor_steps, n, row, prev, minors, mirrored=True
+            )
             if add_conflict is None:
+                across = list(map(sub, row[1:], prev))  # across[j]: minor (n - 1 - j)'s step into row n
                 add_conflict = _conflict(list(map(sub, across, across_prev)), params.d, n)
+                across_prev = across
             if mult_conflict is None:
                 implied = map(sub, map(mul, row[1:], prev2), map(mul, prev[1:], prev))
                 mult_conflict = _conflict(list(implied), d_mult, n)
-            across_prev = across
         prev2, prev = prev, row
     reports = _diagonal_reports("major", major_first, major_second, majors)
     reports += _diagonal_reports("minor", minor_first, minor_second, minors)
@@ -281,20 +280,34 @@ def _fitted(row0, row1, row2) -> GrtParams:
     return GrtParams(c, row2[1] - row1[0] - row1[1] + c, row1[0] - c, row1[1] - c)
 
 
-def _check_steps(active, n, row, prev, steps, steps_prev, violations, mirrored) -> list[int]:
-    """Record in ``violations`` each active diagonal whose step into row n breaks; return the rest.
+def _still_arithmetic(live, steps, n, row, prev, violations, mirrored):
+    """The diagonals of ``live`` whose step into row n is their first step, with those steps.
 
-    Major r is at index r of every row and step vector.  Minor k is k places
-    from the right end of each, at index ~k (= -1 - k) when ``mirrored``.
+    ``steps[i]`` is the first step of diagonal ``live[i]``; each other
+    diagonal's first violation goes into ``violations``.  Major r is at index
+    r of every row, and minor k, k places from the right end, at index ~k
+    (= -1 - k) when ``mirrored``.
     """
-    kept = []
-    for i in active:
-        j = ~i if mirrored else i
-        if steps[j] == steps_prev[j]:
+    if not live:
+        return live, steps
+    first, last = live[0], live[-1]
+    if last - first == len(live) - 1:  # one run of consecutive diagonals: a slice, leftwards for minors
+        cells = slice(~first, ~last - 1, -1) if mirrored else slice(first, last + 1)
+        current = list(map(sub, row[cells], prev[cells]))
+    else:
+        cells = itemgetter(*map(invert, live)) if mirrored else itemgetter(*live)
+        current = list(map(sub, cells(row), cells(prev)))
+    if current == steps:
+        return live, steps
+    kept, kept_steps = [], []
+    for i, step, now in zip(live, steps, current):
+        if now == step:
             kept.append(i)
+            kept_steps.append(step)
         else:
-            violations[i] = (n - i, prev[j] + steps_prev[j], row[j])
-    return kept
+            j = ~i if mirrored else i
+            violations[i] = (n - i, prev[j] + step, row[j])
+    return kept, kept_steps
 
 
 def _conflict(implied: list[int], constant: int, n: int) -> RuleWitness | None:

@@ -17,8 +17,8 @@ the rows into a ``TriangleGrid``.
 The multiplication rule can fail part way, at a zero or inexact north
 entry.  Grown from ``boundary_from_params`` it can only fail at a zero of
 the closed form, and ``predict_multiplication_failure`` finds the first such
-zero in O(rows) time before any row is built, so the CLI streams ``mul``
-like the other rules and still prints nothing on failure.
+zero in at most O(rows) time before any row is built, so the CLI streams
+``mul`` like the other rules and still prints nothing on failure.
 """
 
 from __future__ import annotations
@@ -148,14 +148,22 @@ def predict_multiplication_failure(params: GrtParams, n_rows: int) -> ZeroNorthE
     row-major order, of closed-form rows 0..n_rows-3 (the rows that are
     north of some cell): a zero T(r, k) stops the cell (r + 1, k + 1).  On
     major diagonal r, T(r, k) = (c + r*d2) + k*(d1 + r*d) is linear in k,
-    so one division finds the diagonal's first zero: O(rows) time, O(1)
-    memory, no row built.
+    so one division finds the diagonal's first zero, in O(1) memory and with
+    no row built.
+
+    When d != 0 and D != 0, d*T(r, k) = (d*r + d1)(d*k + d2) + D, so a zero
+    needs d*r + d1 to divide D: none lies at r > (|D| + |d1|) / |d|, and the
+    search stops there.  It takes O(min(rows, |D| / |d|)) time.
     """
     if n_rows < 1:
         raise ValueError(f"n_rows must be at least 1, got {n_rows}")
+    diagonals = n_rows - 2  # majors 0..n_rows-3 hold the rows searched
+    mult = mult_constant(params)
+    if params.d and mult:
+        diagonals = min(diagonals, (abs(mult) + abs(params.d1)) // abs(params.d) + 1)
     zero = None
     last = n_rows - 3  # the last row to search; shrinks to just above the first zero found
-    for r in range(n_rows - 2):
+    for r in range(diagonals):
         if r > last:  # T(r, k) lies in row r + k >= r
             break
         first, step = params.c + r * params.d2, params.d1 + r * params.d

@@ -1,7 +1,8 @@
 """Exact checks for the structural identities of parameterized triangles.
 
 Each ``*_check`` evaluates one concrete instance and reports holds / first
-failure; means are compared as exact fractions, never floats.  The checks
+failure; means are compared exactly, as cross-multiplied integer sums, never
+as floats, and a failure reports them as exact fractions.  The checks
 read their entries from the closed form, through this module's
 ``closed_form_entry`` as it is when they run, never a copy bound at import:
 replacing it plants a wrong entry in every check, which is how the tests
@@ -44,6 +45,16 @@ def _result(name: str, location: tuple, lhs, rhs) -> IdentityCheck:
     return IdentityCheck(name, False, (location, lhs, rhs))
 
 
+def _means(name: str, location: tuple, lhs_sum, lhs_count, rhs_sum, rhs_count) -> IdentityCheck:
+    """Whether lhs_sum / lhs_count equals rhs_sum / rhs_count; a failure carries both means as fractions."""
+    if lhs_sum * rhs_count == rhs_sum * lhs_count:
+        return IdentityCheck(name, True, None)
+    from fractions import Fraction
+
+    lhs, rhs = Fraction(lhs_sum, lhs_count), Fraction(rhs_sum, rhs_count)
+    return IdentityCheck(name, False, (location, lhs, rhs))
+
+
 def row_sum_formula(params: GrtParams, n: int) -> int:
     """Row sum s_n = (d/6)n^3 + ((d1+d2)/2)n^2 + (c + (d1+d2)/2 - d/6)n + c.
 
@@ -59,16 +70,17 @@ def row_sum_formula(params: GrtParams, n: int) -> int:
 
 
 def odd_diamond_check(params: GrtParams, top_r: int, top_k: int, half: int) -> IdentityCheck:
-    """Mean of the 8*half rim entries of a (2*half + 1)-side diamond equals its center entry."""
-    from fractions import Fraction
+    """Mean of the 8*half rim entries of a (2*half + 1)-side diamond equals its center entry.
 
+    Compared as the rim sum against ``len(rim) * center``; a failure reports the two means.
+    """
     if half < 1:
         raise ValueError(f"half must be at least 1, got {half}")
     t = partial(closed_form_entry, params)
     rim = Diamond(top_r, top_k, 2 * half + 1).boundary_cells()
-    mean = Fraction(sum(t(r, k) for r, k in rim), len(rim))
+    rim_sum = sum(t(r, k) for r, k in rim)
     center = t(top_r + half, top_k + half)
-    return _result("odd-diamond", (top_r, top_k, half), mean, Fraction(center))
+    return _means("odd-diamond", (top_r, top_k, half), rim_sum, len(rim), center, 1)
 
 
 def even_diamond_check(params: GrtParams, top_r: int, top_k: int, n: int) -> IdentityCheck:
@@ -76,10 +88,9 @@ def even_diamond_check(params: GrtParams, top_r: int, top_k: int, n: int) -> Ide
 
     ``(top_r, top_k)`` names the top of the inner 2-diamond; both indices must
     be at least n - 1 so the outer diamond, whose top sits n - 1 cells up-left,
-    stays inside the triangle.  The outer rim has 8n - 4 entries.
+    stays inside the triangle.  The outer rim has 8n - 4 entries.  Compared as
+    ``4 * outer_sum`` against ``len(outer) * inner_sum``; a failure reports the two means.
     """
-    from fractions import Fraction
-
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     if top_r < n - 1 or top_k < n - 1:
@@ -88,10 +99,10 @@ def even_diamond_check(params: GrtParams, top_r: int, top_k: int, n: int) -> Ide
         )
     t = partial(closed_form_entry, params)
     inner = [(top_r, top_k), (top_r + 1, top_k), (top_r, top_k + 1), (top_r + 1, top_k + 1)]
-    inner_mean = Fraction(sum(t(r, k) for r, k in inner), 4)
+    inner_sum = sum(t(r, k) for r, k in inner)
     outer = Diamond(top_r - (n - 1), top_k - (n - 1), 2 * n).boundary_cells()
-    outer_mean = Fraction(sum(t(r, k) for r, k in outer), len(outer))
-    return _result("even-diamond", (top_r, top_k, n), outer_mean, inner_mean)
+    outer_sum = sum(t(r, k) for r, k in outer)
+    return _means("even-diamond", (top_r, top_k, n), outer_sum, len(outer), inner_sum, len(inner))
 
 
 def ashley_check(params: GrtParams, r: int, k: int) -> IdentityCheck:

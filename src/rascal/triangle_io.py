@@ -323,6 +323,11 @@ def int_for_json(value: int) -> int | str:
     return value if _I64_MIN <= value <= _I64_MAX else str(value)
 
 
+def json_int(value: int) -> str:
+    """``json.dumps(int_for_json(value))``: the decimal digits, quoted outside the signed 64-bit range."""
+    return str(value) if _I64_MIN <= value <= _I64_MAX else f'"{value}"'
+
+
 def render_text(grid: TriangleGrid) -> str:
     return "".join(text_chunks(grid.rows))
 

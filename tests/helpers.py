@@ -263,6 +263,46 @@ def oracle_classify(grid):
     )
 
 
+def oracle_classification_json(grid):
+    """``classify --format json`` of ``grid``: ``oracle_classify`` as one dict, written by ``json.dumps``."""
+    result = oracle_classify(grid)
+
+    def number(value):
+        return value if -(2**63) <= value < 2**63 else str(value)
+
+    def fields(keys, values):
+        return None if values is None else dict(zip(keys, map(number, values)))
+
+    def rule(report):
+        witnesses = report.witnesses and [
+            {"r": w.r, "k": w.k, "implied_constant": number(w.implied_constant)} for w in report.witnesses
+        ]
+        constant = None if report.constant is None else number(report.constant)
+        return {"rule": report.rule, "constant": constant, "witnesses": witnesses}
+
+    diagonals = [
+        {
+            "kind": rep.kind,
+            "index": rep.index,
+            "first_term": number(rep.first_term),
+            "common_difference": None if rep.common_difference is None else number(rep.common_difference),
+            "first_violation": fields(("position", "expected", "actual"), rep.first_violation),
+            "under_determined": rep.under_determined,
+        }
+        for rep in result.diagonals
+    ]
+    p = result.params
+    doc = {
+        "verdict": result.verdict,
+        "mismatch": fields(("r", "k", "expected", "actual"), result.mismatch),
+        "params": None if p is None else fields(("c", "d", "d1", "d2"), (p.c, p.d, p.d1, p.d2)),
+        "addition": rule(result.addition),
+        "multiplication": rule(result.multiplication),
+        "diagonals": diagonals,
+    }
+    return json.dumps(doc) + "\n"
+
+
 # --- reference identity sweeps, proofs and props report --------------------
 # Every instance evaluated on its own by the public per-instance checks: up
 # to a depth (a plain sweep, which confirms the proofs on more points), or
@@ -440,6 +480,62 @@ def planted_grids(draw):
     n = draw(st.integers(0, len(rows) - 1))
     r = draw(st.integers(0, n))
     rows[n][r] += draw(st.integers(-3, 3).filter(bool))
+    return TriangleGrid(rows)
+
+
+@st.composite
+def mixed_grids(draw):
+    """A closed form of 10-40 rows with some diagonals broken from chosen rows on, the others arithmetic.
+
+    Three cases.  Bumps growing as squares along chosen diagonals from
+    chosen cells on: each breaks its own diagonal, and each diagonal of the
+    other family where it crosses, so the diagonals still arithmetic form
+    runs with holes.  ``e*r*r*k`` (or ``e*r*k*k``) added everywhere: every
+    minor (or major) breaks but the edge, which survives alone, as in the
+    benchmark's "neither" construction.  Or a few single cells changed.
+    """
+    params = draw(st.builds(GrtParams, *[st.integers(-5, 5)] * 4))
+    n_rows = draw(st.integers(10, 40))
+    rows = [list(row) for row in generate_closed_form(params, n_rows).rows]
+    nonzero = st.integers(-3, 3).filter(bool)
+    case = draw(st.sampled_from(["diagonals", "lone edge", "cells"]))
+    if case == "diagonals":
+        for _ in range(draw(st.integers(1, 4))):
+            major = draw(st.booleans())
+            index = draw(st.integers(0, n_rows - 1))
+            start = draw(st.integers(0, n_rows - 1 - index))  # a position along the diagonal
+            bump = draw(nonzero)
+            for position in range(start, n_rows - index):
+                r, k = (index, position) if major else (position, index)
+                rows[r + k][r] += bump * (position - start + 1) ** 2
+    elif case == "lone edge":
+        e, minors_break = draw(nonzero), draw(st.booleans())
+        for n, row in enumerate(rows):
+            for r in range(n + 1):
+                row[r] += e * r * (n - r) * (r if minors_break else n - r)
+    else:
+        for _ in range(draw(st.integers(1, 3))):
+            n = draw(st.integers(0, n_rows - 1))
+            rows[n][draw(st.integers(0, n))] += draw(nonzero)
+    return TriangleGrid(rows)
+
+
+_I64_EDGES = [-(2**63) - 1, -(2**63), 2**63 - 1, 2**63]
+
+
+@st.composite
+def i64_edge_grids(draw):
+    """Grids whose first terms, differences and violations sit at the edges of the signed 64-bit range.
+
+    A closed form with c, d1 and d2 drawn from the four values around the
+    signed 64-bit range (or small), and perhaps one cell set to such a value.
+    """
+    value = st.one_of(st.sampled_from(_I64_EDGES), st.integers(-2, 2))
+    params = GrtParams(draw(value), draw(st.integers(-2, 2)), draw(value), draw(value))
+    rows = [list(row) for row in generate_closed_form(params, draw(st.integers(3, 7))).rows]
+    if draw(st.booleans()):
+        n = draw(st.integers(0, len(rows) - 1))
+        rows[n][draw(st.integers(0, n))] = draw(st.sampled_from(_I64_EDGES))
     return TriangleGrid(rows)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import (
     any_grid,
     boundaries,
+    mixed_grids,
     oracle_classify,
     oracle_diagonal_reports,
     oracle_fit,
@@ -269,6 +270,12 @@ class TestAgreesWithReference:
 
     @given(grid=any_grid)
     def test_classify(self, grid):
+        assert classify(grid) == oracle_classify(grid)
+
+    @given(grid=mixed_grids())
+    def test_classify_mixed_grids(self, grid):
+        # many diagonals of each family still arithmetic, in runs with holes, a lone edge,
+        # or all but a few planted cells: each way the fold gathers and walks them
         assert classify(grid) == oracle_classify(grid)
 
     @given(grid=any_grid)

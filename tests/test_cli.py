@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 import rascal
 from helpers import (
     any_grid,
+    i64_edge_grids,
+    mixed_grids,
+    oracle_classification_json,
     oracle_classify,
     oracle_closed_form,
     oracle_generate,
@@ -287,6 +290,25 @@ def test_import_loads_no_dataclasses_or_fractions():
         assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "json", "typing"}, flags
 
 
+def test_props_loads_no_fractions_or_decimal():
+    # the diamond checks compare cross-multiplied sums and build Fraction means only for a failure,
+    # so a props run with every check, whose identities all hold, imports neither module
+    src = str(Path(rascal.__file__).resolve().parents[1])
+    code = (
+        "import sys, rascal.cli; code = rascal.cli.main(sys.argv[1:]); "
+        "print(code, *sorted({'fractions', 'decimal'} & set(sys.modules)), file=sys.stderr)"
+    )
+    for params in ("5 3 2 7", "300 350 0 0", "37 1 4 9"):
+        c, d, d1, d2 = params.split()
+        for fmt in ("text", "json"):
+            argv = ["props", "--c", c, "--d", d, "--d1", d1, "--d2", d2, "--depth", "100", "--format", fmt]
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *argv],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True,
+            )
+            assert proc.stderr == "0\n", argv
+
+
 class TestClassify:
     def test_grt_file(self, capsys, tmp_path):
         path = write(tmp_path, "t.txt", "1\n1 1\n1 2 1\n1 3 3 1\n")
@@ -455,6 +477,19 @@ class TestClassifyStream:
         expected = oracle_classify(grid)
         assert (out, err) == ("".join(_classification_report(expected, fmt)), "")
         assert code == (0 if expected.verdict == "grt" else 1)
+
+    @pytest.mark.parametrize(
+        "grids", [any_grid, mixed_grids(), i64_edge_grids()], ids=["any", "mixed", "i64-edges"]
+    )
+    @given(data=st.data(), json_input=st.booleans())
+    def test_json_report_is_json_dumps_of_the_reference(self, grids, data, json_input):
+        # the diagonals are written without json.dumps: the report must read as json.dumps
+        # writes the reference classification's dict, integers past 64 bits as strings
+        grid = data.draw(grids)
+        text = (render_json if json_input else render_text)(grid)
+        code, out, err = classify_bytes(text.encode(), "--format", "json")
+        assert (out, err) == (oracle_classification_json(grid), "")
+        assert code == (0 if json.loads(out)["verdict"] == "grt" else 1)
 
     @pytest.fixture
     def small_blocks(self, monkeypatch):

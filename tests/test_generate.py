@@ -291,6 +291,19 @@ class TestPredictMultiplicationFailure:
         params = GrtParams(-2, 0, 1, 1)  # T(r, k) = r + k - 2: all of row 2 is zero
         assert _failure(self._assert_agrees(params, 5)) == _failure(ZeroNorthError(1, 3))
 
+    def test_search_stops_past_the_last_possible_zero(self):
+        # d*T(r, k) = (d*r + d1)(d*k + d2) + D: with d != 0 and D != 0 no zero lies past
+        # r = (|D| + |d1|) // |d|, so 10**18 rows are searched only that far; a search of
+        # every major diagonal would not finish
+        assert predict_multiplication_failure(GrtParams(123, 7, 45, 67), 10**18) is None
+        # first zeros on the last diagonal the bound lets through: T(36, 2) = 0 and T(23, 1) = 0
+        for params, zero in ((GrtParams(-30, 5, -3, -9), (36, 2)), (GrtParams(-23, -5, 0, 6), (23, 1))):
+            far = predict_multiplication_failure(params, 10**18)
+            assert (far.r - 1, far.k - 1) == zero
+            assert zero[0] == (abs(mult_constant(params)) + abs(params.d1)) // abs(params.d)
+            # the recurrence itself, on just enough rows for the zero to be north of a cell
+            assert _failure(far) == _failure(self._assert_agrees(params, sum(zero) + 3))
+
     def test_rejects_zero_rows(self):
         with pytest.raises(ValueError):
             predict_multiplication_failure(RASCAL, 0)
