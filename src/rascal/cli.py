@@ -28,8 +28,8 @@ from .analyze import (
 from .core import GrtParams, closed_form_row
 from .generate import (
     addition_rows,
-    boundary_from_params,
     closed_form_rows,
+    edges_from_params,
     mult_constant,
     multiplication_rows,
     predict_multiplication_failure,
@@ -200,13 +200,13 @@ def _cmd_generate(args) -> int:
     if args.rule == "closed":
         rows = closed_form_rows(params, args.rows)
     elif args.rule == "add":
-        rows = addition_rows(boundary_from_params(params, args.rows), params.d)
+        rows = addition_rows(edges_from_params(params, args.rows), params.d)
     else:
         # a failure must print no rows, so it is found from the closed form before any is built
         failure = predict_multiplication_failure(params, args.rows)
         if failure is not None:
             raise Refusal(EXIT_ARITHMETIC, str(failure))
-        rows = multiplication_rows(boundary_from_params(params, args.rows), mult_constant(params))
+        rows = multiplication_rows(edges_from_params(params, args.rows), mult_constant(params))
     sys.stdout.writelines(_CHUNKS[args.format](rows))
     return EXIT_OK
 

@@ -12,19 +12,23 @@ Each way is a row iterator (``closed_form_rows``, ``addition_rows``,
 built from, so a caller that consumes rows as they come needs O(rows)
 memory.  A recurrence row is computed with whole-row ``map``s of the
 ``operator`` functions, with no Python call per cell; ``generate_*`` collect
-the rows into a ``TriangleGrid``.
+the rows into a ``TriangleGrid``.  The recurrences grow from a ``Boundary``
+or from its edge entries given row by row: ``edges_from_params`` computes
+the parameterized edges that way, so the first row comes at once however
+many rows are asked for.
 
 The multiplication rule can fail part way, at a zero or inexact north
-entry.  Grown from ``boundary_from_params`` it can only fail at a zero of
+entry.  Grown from the parameters' own edges it can only fail at a zero of
 the closed form, and ``predict_multiplication_failure`` finds the first such
-zero in at most O(rows) time before any row is built, so the CLI streams
-``mul`` like the other rules and still prints nothing on failure.
+zero before any row is built, in O(log) time when d = 0, O(1) when
+D = c*d - d1*d2 = 0 and O(min(rows, |D| / |d|)) otherwise.  So the CLI
+streams ``mul`` like the other rules and still prints nothing on failure.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from itertools import repeat
+from itertools import count, islice, repeat
 from operator import add, floordiv, mod, mul, sub
 
 from .core import GrtParams, Record, TriangleGrid, closed_form_row, major_diagonal, minor_diagonal
@@ -101,6 +105,17 @@ def boundary_from_params(params: GrtParams, n_rows: int) -> Boundary:
     return Boundary(params.c, major_diagonal(params, 0, n_rows), minor_diagonal(params, 0, n_rows))
 
 
+def edges_from_params(params: GrtParams, n_rows: int) -> Iterator[tuple[int, int]]:
+    """The edges of ``boundary_from_params`` one row at a time: (c + n*d1, c + n*d2) for n < n_rows.
+
+    ``addition_rows`` and ``multiplication_rows`` take these pairs in place of
+    a ``Boundary``, so their first row comes at once, however many rows follow.
+    """
+    if n_rows < 1:
+        raise ValueError(f"n_rows must be at least 1, got {n_rows}")
+    return islice(zip(count(params.c, params.d1), count(params.c, params.d2)), n_rows)
+
+
 def closed_form_rows(params: GrtParams, n_rows: int) -> Iterator[tuple[int, ...]]:
     """Rows 0..n_rows-1 of the closed form, one at a time."""
     if n_rows < 1:
@@ -108,10 +123,12 @@ def closed_form_rows(params: GrtParams, n_rows: int) -> Iterator[tuple[int, ...]
     return map(closed_form_row, repeat(params, n_rows), range(n_rows))
 
 
-def addition_rows(boundary: Boundary, d: int) -> Iterator[tuple[int, ...]]:
+def addition_rows(boundary: Boundary | Iterable[tuple[int, int]], d: int) -> Iterator[tuple[int, ...]]:
     """Rows of the addition-rule triangle, south = east + west + d - north, one at a time.
 
-    Total: succeeds for every integer boundary and constant, zeros included.
+    ``boundary`` is a ``Boundary`` or its (major, minor) edge entries row by
+    row, as ``edges_from_params`` gives them.  Total: succeeds for every
+    integer boundary and constant, zeros included.
     """
 
     def interior(n: int, prev: tuple[int, ...], above: tuple[int, ...]) -> Iterable[int]:
@@ -121,12 +138,13 @@ def addition_rows(boundary: Boundary, d: int) -> Iterator[tuple[int, ...]]:
     return _grow_rows(boundary, interior)
 
 
-def multiplication_rows(boundary: Boundary, mult: int) -> Iterator[tuple[int, ...]]:
+def multiplication_rows(boundary: Boundary | Iterable[tuple[int, int]], mult: int) -> Iterator[tuple[int, ...]]:
     """Rows of the multiplication-rule triangle, south = (east*west + mult) / north, one at a time.
 
-    Raises ZeroNorthError or InexactDivisionError naming the first cell, in
-    row-major order, where the rule fails to produce an integer; every row
-    before that one has been yielded.
+    ``boundary`` is as for ``addition_rows``.  Raises ZeroNorthError or
+    InexactDivisionError naming the first cell, in row-major order, where the
+    rule fails to produce an integer; every row before that one has been
+    yielded.
     """
 
     def interior(n: int, prev: tuple[int, ...], above: tuple[int, ...]) -> Iterable[int]:
@@ -145,39 +163,85 @@ def predict_multiplication_failure(params: GrtParams, n_rows: int) -> ZeroNorthE
     The closed form satisfies south*north = east*west + D with
     D = c*d - d1*d2, so while every north entry is nonzero the recurrence
     reproduces it, each division exact.  It fails at the first zero, in
-    row-major order, of closed-form rows 0..n_rows-3 (the rows that are
-    north of some cell): a zero T(r, k) stops the cell (r + 1, k + 1).  On
-    major diagonal r, T(r, k) = (c + r*d2) + k*(d1 + r*d) is linear in k,
-    so one division finds the diagonal's first zero, in O(1) memory and with
-    no row built.
+    row-major order (least r + k, then least r), of closed-form rows
+    0..n_rows-3 (the rows that are north of some cell): a zero T(r, k) stops
+    the cell (r + 1, k + 1).  No row is built:
 
-    When d != 0 and D != 0, d*T(r, k) = (d*r + d1)(d*k + d2) + D, so a zero
-    needs d*r + d1 to divide D: none lies at r > (|D| + |d1|) / |d|, and the
-    search stops there.  It takes O(min(rows, |D| / |d|)) time.
+    * d = 0: T(r, k) = c + k*d1 + r*d2 is zero on a line, solved by the
+      extended gcd in O(log) time (``_first_zero_on_line``).
+    * d != 0 and D = 0: d*T(r, k) = (d*r + d1)(d*k + d2), so the zeros fill
+      major diagonal r = -d1/d and minor diagonal k = -d2/d, where those are
+      whole and nonnegative; the first is T(-d1/d, 0) or T(0, -d2/d).
+    * d != 0 and D != 0: d*T(r, k) = (d*r + d1)(d*k + d2) + D, so a zero
+      needs d*r + d1 to divide D, and none lies at r > (|D| + |d1|) / |d|.
+      On major diagonal r, T(r, k) = (c + r*d2) + k*(d1 + r*d) is linear in
+      k, so one division finds its first zero; the search takes
+      O(min(rows, |D| / |d|)) time.
     """
     if n_rows < 1:
         raise ValueError(f"n_rows must be at least 1, got {n_rows}")
-    diagonals = n_rows - 2  # majors 0..n_rows-3 hold the rows searched
+    c, d, d1, d2 = params.c, params.d, params.d1, params.d2
     mult = mult_constant(params)
-    if params.d and mult:
-        diagonals = min(diagonals, (abs(mult) + abs(params.d1)) // abs(params.d) + 1)
-    zero = None
-    last = n_rows - 3  # the last row to search; shrinks to just above the first zero found
-    for r in range(diagonals):
-        if r > last:  # T(r, k) lies in row r + k >= r
-            break
-        first, step = params.c + r * params.d2, params.d1 + r * params.d
-        if step:
+    if not d:
+        zero = _first_zero_on_line(c, d1, d2)
+    elif not mult:
+        zeros = [(-d1 // d, 0)] if d1 % d == 0 and d1 // d <= 0 else []
+        if d2 % d == 0 and d2 // d <= 0:
+            zeros.append((0, -d2 // d))
+        zero = min(zeros, key=lambda z: (z[0] + z[1], z[0]), default=None)
+    else:
+        zero = None
+        last = n_rows - 3  # the last row to search; shrinks to just above the first zero found
+        diagonals = min(n_rows - 2, (abs(mult) + abs(d1)) // abs(d) + 1)  # majors 0..n_rows-3 hold the rows
+        for r in range(diagonals):
+            if r > last:  # T(r, k) lies in row r + k >= r
+                break
+            first, step = c + r * d2, d1 + r * d
+            if not step:  # d*r + d1 = 0: d*T(r, k) = D on the whole diagonal
+                continue
             k, remainder = divmod(-first, step)
             if remainder or k < 0:
                 continue
-        elif first:
-            continue
-        else:
-            k = 0
-        if r + k <= last:  # strictly above any earlier find, so a tie keeps the smaller r
-            zero, last = (r, k), r + k - 1
-    return None if zero is None else ZeroNorthError(zero[0] + 1, zero[1] + 1)
+            if r + k <= last:  # strictly above any earlier find, so a tie keeps the smaller r
+                zero, last = (r, k), r + k - 1
+    if zero is None or zero[0] + zero[1] > n_rows - 3:  # rows n_rows-2 and n_rows-1 are north of no cell
+        return None
+    return ZeroNorthError(zero[0] + 1, zero[1] + 1)
+
+
+def _first_zero_on_line(c: int, d1: int, d2: int) -> tuple[int, int] | None:
+    """The first (r, k), least r + k and then least r, with r, k >= 0 and c + k*d1 + r*d2 = 0; or None."""
+    if not d1 and not d2:
+        return (0, 0) if not c else None
+    g, x, y = _extended_gcd(d2, d1)
+    if c % g:
+        return None
+    # every solution: (r, k) = (r0 + t*p, k0 - t*q) for an integer t
+    r0, k0, p, q = -c // g * x, -c // g * y, d1 // g, d2 // g
+    lo = hi = None  # the t with r >= 0 and k >= 0: each of a*t + b >= 0 below bounds t on one side
+    for a, b in ((p, r0), (-q, k0)):
+        if a > 0:
+            lo = -(b // a) if lo is None else max(lo, -(b // a))
+        elif a < 0:
+            hi = b // -a if hi is None else min(hi, b // -a)
+        elif b < 0:
+            return None
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    # r + k moves by p - q per step of t, and r by p; p and q are not both 0, and the
+    # bound on the side that lowers them exists (p > q means p > 0 or q < 0, and so on)
+    t = lo if (p - q or p) > 0 else hi
+    return r0 + t * p, k0 - t * q
+
+
+def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        quotient, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - quotient * x1
+        y0, y1 = y1, y0 - quotient * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
 def generate_closed_form(params: GrtParams, n_rows: int) -> TriangleGrid:
@@ -203,21 +267,22 @@ def generate_by_multiplication(boundary: Boundary, mult: int) -> TriangleGrid:
 
 
 def _grow_rows(
-    boundary: Boundary,
+    boundary: Boundary | Iterable[tuple[int, int]],
     interior: Callable[[int, tuple[int, ...], tuple[int, ...]], Iterable[int]],
 ) -> Iterator[tuple[int, ...]]:
     """Yield row 0, then each row n as its two edge entries around ``interior(n, row n-1, row n-2)``.
 
-    Only the last two rows are kept.  Position r of row n is T(r, n - r), so
-    the interior cell at position r has east = prev[r], west = prev[r - 1]
-    and north = above[r - 1]; row 1 has no interior, and ``above`` is empty.
+    The edge entries are read one row at a time, and only the last two rows
+    are kept.  Position r of row n is T(r, n - r), so the interior cell at
+    position r has east = prev[r], west = prev[r - 1] and north = above[r - 1];
+    row 1 has no interior, and ``above`` is empty.
     """
-    major, minor = boundary.major_edge, boundary.minor_edge
+    if isinstance(boundary, Boundary):
+        boundary = zip(boundary.major_edge, boundary.minor_edge)
     above: tuple[int, ...] = ()
-    prev = (boundary.apex,)
-    yield prev
-    for n in range(1, boundary.n_rows):
-        above, prev = prev, (major[n], *interior(n, prev, above), minor[n])
+    prev: tuple[int, ...] = ()
+    for n, (major, minor) in enumerate(boundary):
+        above, prev = prev, ((major, *interior(n, prev, above), minor) if n else (major,))
         yield prev
 
 

@@ -24,7 +24,12 @@ checked as ``TriangleGrid`` checks it, a tuple of n + 1 ints, so
 ``parse_*`` functions collect those rows into a ``TriangleGrid``.
 
 Output adds a flattened CSV (``n,r,k,value``) since positional CSV is
-ambiguous for jagged rows.
+ambiguous for jagged rows.  Each writer (``text_chunks``, ``json_chunks``,
+``csv_chunks``) yields one chunk per row, made by one ``%`` call on a
+template of the row's length, with no per-cell ``str`` and join: ``%s`` for
+text and CSV (the CSV row's ``n,r,k,`` labels are built into its template),
+and ``%d`` for a JSON row of plain ints inside 64 bits, whose other rows
+``json.dumps`` writes.  So ``json`` is imported only for those.
 """
 
 from __future__ import annotations
@@ -340,34 +345,51 @@ def render_csv(grid: TriangleGrid) -> str:
     return "".join(csv_chunks(grid.rows))
 
 
-# One chunk per row, so a writer can emit rows as they are produced.
+# One chunk per row, so a writer can emit rows as they are produced.  Each chunk is one ``%``
+# call on a template of the row's length: ``%s`` writes what ``str()`` writes, and refuses an
+# entry past the int-to-str digit limit with the same ValueError.
 
 
 def text_chunks(rows: Iterable[Sequence[int]]) -> Iterator[str]:
     for row in rows:
-        yield " ".join(map(str, row)) + "\n"
+        row = tuple(row)
+        yield (("%s " * len(row))[:-1] + "\n") % row  # "%s %s ... %s\n"; "\n" for an empty row
 
 
 def json_chunks(rows: Iterable[Sequence[int]]) -> Iterator[str]:
-    r"""The text of ``json.dumps({"rows": rows}) + "\n"``, entries as ``int_for_json`` writes them."""
-    import json
+    r"""The text of ``json.dumps({"rows": rows}) + "\n"``, entries as ``int_for_json`` writes them.
 
+    A row of plain ints in the signed 64-bit range is written by a ``%d``
+    template.  ``json.dumps`` writes any other row: values past 64 bits, and
+    entries of any other type, where ``%d`` would differ (``True`` as ``1``,
+    ``1.5`` as ``1``).
+    """
     yield '{"rows": ['
     separator = ""
     for row in rows:
-        if not (_I64_MIN <= min(row) and max(row) <= _I64_MAX):
-            row = list(map(int_for_json, row))
-        yield separator + json.dumps(row)
+        row = tuple(row)
+        in_range = _I64_MIN <= min(row) and max(row) <= _I64_MAX
+        if in_range and _INT_ONLY.issuperset(map(type, row)):
+            yield (separator + "[" + "%d, " * (len(row) - 1) + "%d]") % row
+        else:
+            import json
+
+            yield separator + json.dumps(row if in_range else list(map(int_for_json, row)))
         separator = ", "
     yield "]}\n"
 
 
 def csv_chunks(rows: Iterable[Sequence[int]]) -> Iterator[str]:
-    """Flattened ``n,r,k,value`` lines; every field is an integer, so nothing needs quoting."""
+    """Flattened ``n,r,k,value`` lines; every field is an integer, so nothing needs quoting.
+
+    Row n must hold n + 1 entries, else ValueError.
+    """
     yield "n,r,k,value\n"
     labels: list[str] = []  # labels[i] == f"{i},", shared by the n, r and k fields
     for n, row in enumerate(rows):
+        row = tuple(row)
+        if len(row) != n + 1:
+            raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
         labels.append(f"{n},")
-        head = labels[n]
-        cells = map(add, map(add, labels, reversed(labels)), map(str, row))
-        yield head + ("\n" + head).join(cells) + "\n"
+        head = labels[n]  # the template: "n,r,k,%s\n" for r = 0..n
+        yield (head + ("%s\n" + head).join(map(add, labels, reversed(labels))) + "%s\n") % row

@@ -3,6 +3,7 @@
 import json
 import sys
 from itertools import product
+from operator import add
 
 from hypothesis import strategies as st
 
@@ -34,6 +35,7 @@ from rascal import (
     row_sum_formula,
     t_meg_check,
 )
+from rascal.triangle_io import int_for_json
 
 
 def sweep_params(lo=-3, hi=3):
@@ -153,15 +155,49 @@ def oracle_render_text(rows):
     return "\n".join(" ".join(str(v) for v in row) for row in rows) + "\n"
 
 
+I64_MIN, I64_MAX = -(2**63), 2**63 - 1
+
+
 def oracle_render_json(rows):
-    i64_min, i64_max = -(2**63), 2**63 - 1
-    rows = [[v if i64_min <= v <= i64_max else str(v) for v in row] for row in rows]
+    rows = [[v if I64_MIN <= v <= I64_MAX else str(v) for v in row] for row in rows]
     return json.dumps({"rows": rows}) + "\n"
 
 
 def oracle_render_csv(rows):
     lines = [f"{n},{r},{n - r},{value}\n" for n, row in enumerate(rows) for r, value in enumerate(row)]
     return "n,r,k,value\n" + "".join(lines)
+
+
+# The row writers as they were before each row became one %-format call: one
+# str() per cell, json.dumps per row, and each CSV line joined from its labels
+# and value.  triangle_io's text_chunks, json_chunks and csv_chunks must write
+# the same chunks.
+
+
+def oracle_text_chunks(rows):
+    for row in rows:
+        yield " ".join(map(str, row)) + "\n"
+
+
+def oracle_json_chunks(rows):
+    yield '{"rows": ['
+    separator = ""
+    for row in rows:
+        if not (I64_MIN <= min(row) and max(row) <= I64_MAX):
+            row = list(map(int_for_json, row))
+        yield separator + json.dumps(row)
+        separator = ", "
+    yield "]}\n"
+
+
+def oracle_csv_chunks(rows):
+    yield "n,r,k,value\n"
+    labels = []
+    for n, row in enumerate(rows):
+        labels.append(f"{n},")
+        head = labels[n]
+        cells = map(add, map(add, labels, reversed(labels)), map(str, row))
+        yield head + ("\n" + head).join(cells) + "\n"
 
 
 # --- reference classifier ------------------------------------------------

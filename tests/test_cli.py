@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -253,6 +254,42 @@ class TestGenerateStreaming:
             tracemalloc.stop()
         assert code == 0
         assert peak < 2 * 2**20  # the whole 1000-row triangle holds about 500k cells
+
+    @pytest.mark.parametrize(
+        "rule, params",
+        [
+            ("add", GrtParams(123, 7, 45, 67)),
+            ("mul", GrtParams(123, 7, 45, 67)),
+            ("mul", GrtParams(5, 0, 3, 7)),  # d = 0
+            ("mul", GrtParams(6, 2, 3, 4)),  # D = c*d - d1*d2 = 0
+        ],
+    )
+    def test_first_row_of_ten_million_at_once(self, monkeypatch, rule, params):
+        class FirstRow(io.TextIOBase):
+            def writelines(self, chunks):
+                self.first = next(iter(chunks))
+
+        out = FirstRow()
+        monkeypatch.setattr("sys.stdout", out)
+        start = time.perf_counter()
+        code = main(["generate", *_flags(params), "--rows", "10000000", "--rule", rule])
+        assert time.perf_counter() - start < 0.5
+        assert (code, out.first) == (0, f"{params.c}\n")
+
+    def test_json_output_loads_no_json(self):
+        # rows of plain ints inside 64 bits are written by a template; json is imported only for the others
+        src = str(Path(rascal.__file__).resolve().parents[1])
+        code = (
+            "import sys; before = set(sys.modules); import rascal.cli; code = rascal.cli.main(sys.argv[1:]); "
+            "print(code, 'json' in set(sys.modules) - before, file=sys.stderr)"
+        )
+        for c, loaded in (("1", False), (str(2**63), True)):
+            argv = ["generate", "--c", c, "--d", "5", "--d1", "2", "--d2", "3", "--rows", "20", "--format", "json"]
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *argv],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True,
+            )
+            assert proc.stderr == f"0 {loaded}\n", argv
 
     def test_closed_reader_exit_141_quietly(self):
         src = str(Path(rascal.__file__).resolve().parents[1])

@@ -1,5 +1,8 @@
 """The three generators and the constant bridging addition to multiplication."""
 
+import time
+from math import gcd
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from rascal import (
     boundary_from_params,
     closed_form_entry,
     closed_form_rows,
+    edges_from_params,
     generate_by_addition,
     generate_by_multiplication,
     generate_closed_form,
@@ -219,6 +223,37 @@ class TestRowIteratorsAgreeWithReference:
         assert _outcome(lambda: generate_by_multiplication(boundary, 1).rows) == expected
 
 
+class TestEdgesFromParams:
+    """The parameterized edges, computed row by row, in place of a Boundary."""
+
+    @given(params=params_st, n_rows=st.integers(1, 10))
+    def test_pairs_are_the_boundary_edges(self, params, n_rows):
+        boundary = boundary_from_params(params, n_rows)
+        assert list(edges_from_params(params, n_rows)) == list(zip(boundary.major_edge, boundary.minor_edge))
+
+    @given(params=params_st, n_rows=st.integers(1, 10), constant=st.integers(-3, 3))
+    def test_rows_match_the_boundary(self, params, n_rows, constant):
+        boundary = boundary_from_params(params, n_rows)
+        for rows, grid in ((addition_rows, generate_by_addition), (multiplication_rows, generate_by_multiplication)):
+            expected = _outcome(lambda: rows(boundary, constant))
+            assert _outcome(lambda: rows(edges_from_params(params, n_rows), constant)) == expected
+            assert _outcome(lambda: grid(edges_from_params(params, n_rows), constant).rows) == expected
+
+    def test_first_row_comes_at_once(self):
+        # boundary_from_params builds both edges whole: 10**7 rows take seconds and about 0.7 GB
+        params = GrtParams(123, 7, 45, 67)
+        for rows, constant in ((addition_rows, params.d), (multiplication_rows, mult_constant(params))):
+            start = time.perf_counter()
+            made = rows(edges_from_params(params, 10**7), constant)
+            first = [next(made) for _ in range(3)]
+            assert time.perf_counter() - start < 0.5
+            assert first == oracle_closed_form(params, 3)
+
+    def test_rejects_zero_rows(self):
+        with pytest.raises(ValueError):
+            edges_from_params(RASCAL, 0)
+
+
 def _recurrence_outcome(params, n_rows):
     """``multiplication_rows`` on the parameters' own boundary and constant: its rows, or its error."""
     try:
@@ -303,6 +338,59 @@ class TestPredictMultiplicationFailure:
             assert zero[0] == (abs(mult_constant(params)) + abs(params.d1)) // abs(params.d)
             # the recurrence itself, on just enough rows for the zero to be north of a cell
             assert _failure(far) == _failure(self._assert_agrees(params, sum(zero) + 3))
+
+    @given(c=st.integers(-60, 60), d1=st.integers(-9, 9), d2=st.integers(-9, 9), n_rows=st.integers(1, 30))
+    def test_agrees_with_d_zero(self, c, d1, d2, n_rows):
+        # d = 0: the zeros of T(r, k) = c + k*d1 + r*d2 lie on a line
+        self._assert_agrees(GrtParams(c, 0, d1, d2), n_rows)
+
+    @given(
+        d=st.integers(-6, 6).filter(bool),
+        d1=st.integers(-30, 30),
+        m=st.integers(-30, 30),
+        n_rows=st.integers(1, 30),
+    )
+    def test_agrees_with_mult_constant_zero(self, d, d1, m, n_rows):
+        # D = c*d - d1*d2 = 0: d*T(r, k) = (d*r + d1)(d*k + d2), zero on two diagonals
+        d2 = m * d // gcd(d, d1)  # so that d divides d1*d2
+        params = GrtParams(d1 * d2 // d, d, d1, d2)
+        assert mult_constant(params) == 0
+        self._assert_agrees(params, n_rows)
+
+    def test_d_zero_is_solved_on_its_line(self):
+        # 10**18 rows: a search of every major diagonal would not finish
+        for params in (GrtParams(5, 0, 3, 7), GrtParams(7, 0, 4, -6), GrtParams(0, 0, 0, 0), GrtParams(3, 0, 0, 0)):
+            start = time.perf_counter()
+            far = predict_multiplication_failure(params, 10**18)
+            assert time.perf_counter() - start < 0.5
+            # the first zero against the recurrence on just enough rows for it to be north of a cell
+            near = (far.r - 1) + (far.k - 1) + 3 if far else 40
+            assert _failure(far) == _failure(self._assert_agrees(params, near))
+        # T(r, k) = 2 + 5k - 3r: zeros at (4, 2), (9, 5), ...
+        assert _failure(predict_multiplication_failure(GrtParams(2, 0, 5, -3), 10**18)) == _failure(ZeroNorthError(5, 3))
+        # 7r + 3k = 7*10**15 + 6: least r + k at the largest r, (r, k) = (10**15, 2), in row 10**15 + 2
+        params = GrtParams(-(7 * 10**15 + 6), 0, 3, 7)
+        zero = predict_multiplication_failure(params, 10**18)
+        assert (zero.r - 1, zero.k - 1) == (10**15, 2)
+        assert closed_form_entry(params, 10**15, 2) == 0
+        assert predict_multiplication_failure(params, 10**15 + 4) is None  # that row is north of no cell
+        assert _failure(predict_multiplication_failure(params, 10**15 + 5)) == _failure(zero)
+
+    def test_mult_constant_zero_is_read_off_two_diagonals(self):
+        # T(r, k) = d*(r + d1/d)(k + d2/d): major diagonal -d1/d and minor diagonal -d2/d are all zeros
+        for d1, d2, zero in ((-6, -4, (0, 2)), (-4, -6, (2, 0)), (-6, -6, (0, 3)), (3, 4, None), (-3, 4, None)):
+            params = GrtParams(d1 * d2 // 2, 2, d1, d2)
+            assert mult_constant(params) == 0
+            start = time.perf_counter()
+            far = predict_multiplication_failure(params, 10**18)
+            assert time.perf_counter() - start < 0.5
+            assert (far and (far.r - 1, far.k - 1)) == zero
+            near = sum(zero) + 3 if zero else 40
+            assert _failure(far) == _failure(self._assert_agrees(params, near))
+        params = GrtParams(10**15 * (10**15 + 1), 1, -(10**15), -(10**15 + 1))
+        far = predict_multiplication_failure(params, 10**18)
+        assert (far.r, far.k) == (10**15 + 1, 1)
+        assert closed_form_entry(params, 10**15, 0) == 0
 
     def test_rejects_zero_rows(self):
         with pytest.raises(ValueError):

@@ -8,12 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_json_document, oracle_json_rows, oracle_plain_rows, triangle_like_text
+from helpers import (
+    oracle_csv_chunks,
+    oracle_json_chunks,
+    oracle_json_document,
+    oracle_json_rows,
+    oracle_plain_rows,
+    oracle_text_chunks,
+    triangle_like_text,
+)
 from rascal import (
     GrtParams,
     TriangleGrid,
     TriangleParseError,
+    csv_chunks,
     generate_closed_form,
+    json_chunks,
     json_rows,
     parse_json,
     parse_plain_rows,
@@ -22,6 +32,7 @@ from rascal import (
     render_csv,
     render_json,
     render_text,
+    text_chunks,
     triangle_rows,
 )
 
@@ -201,6 +212,90 @@ class TestRendering:
 
     def test_csv_flattens_jagged_rows(self):
         assert render_csv(TriangleGrid(((1,), (2, 3)))) == "n,r,k,value\n0,0,0,1\n1,0,1,2\n1,1,0,3\n"
+
+
+class _Int(int):
+    """An int subclass whose str() and repr() are not its digits."""
+
+    def __str__(self):
+        return f"int:{int(self)}"
+
+    __repr__ = __str__
+
+
+I64_EDGES = [-(2**63) - 1, -(2**63), 2**63 - 1, 2**63]  # each end of the signed 64-bit range, and one past
+ENTRIES = {
+    "small": st.integers(-(10**6), 10**6),
+    "64-bit edges": st.sampled_from(I64_EDGES),
+    "mixed sizes": st.one_of(st.integers(-99, 99), st.sampled_from(I64_EDGES), st.integers(-(2**200), 2**200)),
+    "int subclasses": st.one_of(
+        st.integers(-99, 99), st.booleans(), st.builds(_Int, st.integers(-(2**70), 2**70)), st.sampled_from(I64_EDGES)
+    ),
+}
+WRITERS = [(text_chunks, oracle_text_chunks), (json_chunks, oracle_json_chunks), (csv_chunks, oracle_csv_chunks)]
+
+
+def triangles(entry):
+    """1-6 rows, row n of n + 1 entries, each row a tuple or a list."""
+    row = lambda n: st.lists(entry, min_size=n + 1, max_size=n + 1).flatmap(
+        lambda values: st.sampled_from([tuple(values), values])
+    )
+    return st.integers(1, 6).flatmap(lambda n_rows: st.tuples(*map(row, range(n_rows))))
+
+
+def written(chunks):
+    """The chunks a writer yields, or the class and message of what it raises."""
+    try:
+        return list(chunks())
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+
+
+class TestRowWriters:
+    """Each row is one %-format call; the chunks are those of one str() per cell and json.dumps per row."""
+
+    @pytest.mark.parametrize("entries", ENTRIES)
+    @given(data=st.data())
+    def test_match_the_per_cell_writers(self, entries, data):
+        rows = data.draw(triangles(ENTRIES[entries]))
+        for chunks, oracle in WRITERS:
+            assert written(lambda: chunks(rows)) == written(lambda: oracle(rows))
+
+    @pytest.mark.parametrize("entries", ENTRIES)
+    @given(data=st.data())
+    def test_one_row_of_any_length(self, entries, data):
+        row = data.draw(st.lists(ENTRIES[entries], max_size=12))
+        for chunks, oracle in WRITERS[:2]:  # a CSV row 0 holds one entry
+            assert written(lambda: chunks([row])) == written(lambda: oracle([row]))
+
+    def test_bool_and_subclass_entries_keep_json_dumps(self):
+        rows = [(True,), (_Int(5), False)]
+        assert "".join(json_chunks(rows)) == '{"rows": [[true], [5, false]]}\n'
+        assert "".join(text_chunks(rows)) == "True\nint:5 False\n"
+        assert "".join(csv_chunks(rows)) == "n,r,k,value\n0,0,0,True\n1,0,1,int:5\n1,1,0,False\n"
+
+    def test_floats_are_not_truncated(self):
+        rows = [(1.5,), (2, 2.75)]
+        assert "".join(text_chunks(rows)) == "1.5\n2 2.75\n"
+        assert "".join(json_chunks(rows)) == '{"rows": [[1.5], [2, 2.75]]}\n'
+
+    @pytest.mark.parametrize(
+        "rows, n, length", [([(1,), (2, 3, 4), (5,)], 1, 3), ([(1,), (2,)], 1, 1), ([(1, 2)], 0, 2), ([()], 0, 0)]
+    )
+    def test_csv_refuses_a_row_of_the_wrong_length(self, rows, n, length):
+        with pytest.raises(ValueError, match=rf"^row {n} has {length} entries, expected {n + 1}$"):
+            list(csv_chunks(rows))
+
+    @pytest.mark.parametrize(
+        "render, oracle",
+        [(render_text, oracle_text_chunks), (render_json, oracle_json_chunks), (render_csv, oracle_csv_chunks)],
+    )
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_entry_past_the_digit_limit_raises_as_str_does(self, render, oracle, sign):
+        grid = TriangleGrid(((1,), (1, sign * 10 ** sys.get_int_max_str_digits())))
+        expected = written(lambda: oracle(grid.rows))
+        assert expected[0] is ValueError and "limit" in expected[1]
+        assert written(lambda: [render(grid)]) == expected
 
 
 class TestRoundTrips:
