@@ -1,5 +1,9 @@
 """Command-line interface: generate triangles, classify files, verify identities.
 
+``props`` proves each identity of ``identities.PROOF_GRIDS`` for every index,
+the row-sum formula among them, and reports embedding and scalar multiples;
+``--depth`` only sets how many row sums its ``rowsums`` record lists.
+
 Exit codes are a stable contract: 0 success (or verdict "grt"), 1 negative
 classification or failed check, 2 multiplication-rule arithmetic failure,
 3 inapplicable check, 64 usage error, 65 malformed input, 70 internal error
@@ -15,6 +19,7 @@ import argparse
 import codecs
 import os
 import sys
+from functools import partial
 
 from .analyze import (
     VERDICT_GRT,
@@ -25,7 +30,7 @@ from .analyze import (
     TooSmallError,
     classify_checked_rows,
 )
-from .core import GrtParams, closed_form_row
+from .core import GrtParams
 from .generate import (
     addition_rows,
     closed_form_rows,
@@ -380,78 +385,53 @@ def _jsonable(value):
     return int_for_json(value) if isinstance(value, int) else str(value)
 
 
-def _proved_identity(name, params):
+def _proved_identity(name, params, depth):
+    """The record of check ``name`` of ``PROOF_GRIDS``; a proved ``rowsums`` also lists s_n for n = 0..depth."""
     points, failure = prove_identity(name, params)
-    if failure is None:
+    if failure is not None:
+        location, lhs, rhs = failure.first_failure
         return {
             "check": name,
-            "status": "holds",
-            "summary": f"holds for all indices (proved by {points} exact evaluations)",
-            "proved": True,
-            "points": points,
+            "status": "failed",
+            "summary": f"failed at {location}: {lhs} != {rhs}",
+            "first_failure": {"location": list(location), "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)},
         }
-    location, lhs, rhs = failure.first_failure
-    return {
+    record = {
         "check": name,
-        "status": "failed",
-        "summary": f"failed at {location}: {lhs} != {rhs}",
-        "first_failure": {"location": list(location), "lhs": _jsonable(lhs), "rhs": _jsonable(rhs)},
-    }
-
-
-def _run_rowsums(params, depth):
-    """row_sum_formula against the summed closed-form row, for n = 0..depth."""
-    sums = []
-    for n in range(depth + 1):
-        formula, direct = row_sum_formula(params, n), sum(closed_form_row(params, n))
-        if formula != direct:
-            return {
-                "check": "rowsums",
-                "status": "failed",
-                "summary": f"failed at n={n}: formula {formula} != row sum {direct}",
-                "first_failure": {"location": [n], "lhs": _jsonable(formula), "rhs": _jsonable(direct)},
-            }
-        sums.append(direct)
-    return {
-        "check": "rowsums",
         "status": "holds",
-        "summary": "holds for n <= {} (sums {})".format(depth, " ".join(map(str, sums))),
-        "instances": depth + 1,
-        "sums": list(map(int_for_json, sums)),
+        "summary": f"holds for all indices (proved by {points} exact evaluations)",
+        "proved": True,
+        "points": points,
     }
+    if name == "rowsums":
+        sums = [row_sum_formula(params, n) for n in range(depth + 1)]
+        record["summary"] += "; sums for n <= {}: {}".format(depth, " ".join(map(str, sums)))
+        record["sums"] = list(map(int_for_json, sums))
+    return record
 
 
-def _run_embed(params, depth):
-    offset = embed_in_rascal(params)
-    if offset is None:
-        return {"check": "embed", "status": "none", "summary": "no embedding", "offset": None}
-    return {
-        "check": "embed",
-        "status": "found",
-        "summary": f"embeds at offset (r0={offset[0]}, k0={offset[1]})",
-        "offset": list(offset),
-    }
+# check name -> (finder of the parameters, JSON key, summary of a found value, summary of none,
+# the found value as JSON)
+_FINDERS = {
+    "embed": (embed_in_rascal, "offset", "embeds at offset (r0={0[0]}, k0={0[1]})", "no embedding", list),
+    "multiple": (multiple_of_rascal, "multiplier", "multiple with m = {0}", "not a multiple", int_for_json),
+}
 
 
-def _run_multiple(params, depth):
-    m = multiple_of_rascal(params)
-    if m is None:
-        return {"check": "multiple", "status": "none", "summary": "not a multiple", "multiplier": None}
-    return {
-        "check": "multiple",
-        "status": "found",
-        "summary": f"multiple with m = {m}",
-        "multiplier": int_for_json(m),
-    }
+def _found_record(name, params, depth):
+    """The record of check ``name`` of ``_FINDERS``: what its finder found in ``params``, or none."""
+    find, key, found, none, jsonable = _FINDERS[name]
+    value = find(params)
+    if value is None:
+        return {"check": name, "status": "none", "summary": none, key: None}
+    return {"check": name, "status": "found", "summary": found.format(value), key: jsonable(value)}
 
 
 # check name -> runner(params, depth) -> report record; a runner raises
 # InapplicableCheckError when the check's domain rules the parameters out
 _CHECK_RUNNERS = {
-    "rowsums": _run_rowsums,
-    **{name: lambda params, depth, name=name: _proved_identity(name, params) for name in PROOF_GRIDS},
-    "embed": _run_embed,
-    "multiple": _run_multiple,
+    **{name: partial(_proved_identity, name) for name in PROOF_GRIDS},
+    **{name: partial(_found_record, name) for name in _FINDERS},
 }
 CHECK_NAMES = list(_CHECK_RUNNERS)  # in report order
 

@@ -10,7 +10,8 @@ confirm that the checks bite.
 
 ``prove_identity`` proves a check for every index at once.  For fixed
 parameters the closed form is bilinear in ``(r, k)``, so each check compares
-two polynomials in its index variables, of small degree in each.  A
+two polynomials in its index variables, of small degree in each: the row
+sum too, as a sum of n + 1 bilinear entries is cubic in n.  A
 polynomial whose degree in each variable x is at most D(x), and which
 vanishes on a product grid of D(x) + 1 points per variable, is zero
 everywhere (Alon, *Combinatorial Nullstellensatz*, 1999, Lemma 2.1; Schwartz
@@ -67,6 +68,12 @@ def row_sum_formula(params: GrtParams, n: int) -> int:
         raise ValueError(f"row index must be nonnegative, got {n}")
     c, d, d1, d2 = params.c, params.d, params.d1, params.d2
     return (d * (n - 1) * n * (n + 1) + 3 * (d1 + d2) * n * (n + 1) + 6 * c * (n + 1)) // 6
+
+
+def row_sum_check(params: GrtParams, n: int) -> IdentityCheck:
+    """``row_sum_formula`` at n equals the sum of row n's entries T(r, n - r), r = 0..n."""
+    t = partial(closed_form_entry, params)
+    return _result("rowsums", (n,), row_sum_formula(params, n), sum(t(r, n - r) for r in range(n + 1)))
 
 
 def odd_diamond_check(params: GrtParams, top_r: int, top_k: int, half: int) -> IdentityCheck:
@@ -200,6 +207,8 @@ def multiple_of_rascal(params: GrtParams) -> int | None:
 # the means' denominators cleared, have at most these degrees, and each grid
 # of degree + 1 values per variable lies inside the check's domain.
 PROOF_GRIDS: dict[str, tuple[Callable[..., IdentityCheck], tuple[tuple[int, int], ...]]] = {
+    # n: the formula against the summed row, both cubic in n
+    "rowsums": (row_sum_check, ((0, 3),)),
     # top_r, top_k, half: rim sum against 8*half * centre
     "odd-diamond": (odd_diamond_check, ((0, 1), (0, 1), (1, 3))),
     # top_r, top_k, n: 4 * outer rim sum against (8n - 4) * inner sum; the grid keeps tops >= n - 1

@@ -360,15 +360,15 @@ def json_chunks(rows: Iterable[Sequence[int]]) -> Iterator[str]:
     r"""The text of ``json.dumps({"rows": rows}) + "\n"``, entries as ``int_for_json`` writes them.
 
     A row of plain ints in the signed 64-bit range is written by a ``%d``
-    template.  ``json.dumps`` writes any other row: values past 64 bits, and
-    entries of any other type, where ``%d`` would differ (``True`` as ``1``,
-    ``1.5`` as ``1``).
+    template.  ``json.dumps`` writes any other row: an empty row, values past
+    64 bits, and entries of any other type, where ``%d`` would differ
+    (``True`` as ``1``, ``1.5`` as ``1``).
     """
     yield '{"rows": ['
     separator = ""
     for row in rows:
         row = tuple(row)
-        in_range = _I64_MIN <= min(row) and max(row) <= _I64_MAX
+        in_range = row and _I64_MIN <= min(row) and max(row) <= _I64_MAX
         if in_range and _INT_ONLY.issuperset(map(type, row)):
             yield (separator + "[" + "%d, " * (len(row) - 1) + "%d]") % row
         else:

@@ -24,6 +24,7 @@ from helpers import (
     oracle_closed_form,
     oracle_generate,
     oracle_props,
+    oracle_row_sums,
     oracle_render_csv,
     oracle_render_json,
     oracle_render_text,
@@ -209,7 +210,7 @@ class TestReportDigitLimit:
         code, out, err = run(capsys, "props", *_flags(params), "--checks", "rowsums", "--depth", "100")
         assert (code, err) == (0, "")
         assert sys.get_int_max_str_digits() == limit
-        assert out.endswith(" " + self.full_text(sum(closed_form_entry(params, r, 100 - r) for r in range(101))) + ")\n")
+        assert out.endswith(" " + self.full_text(sum(closed_form_entry(params, r, 100 - r) for r in range(101))) + "\n")
 
 
 class TestGenerateStreaming:
@@ -638,6 +639,27 @@ class TestProps:
         assert "rowsums: holds" in out
         assert " 15 " in out  # the n = 4 row sum
 
+    def test_depth_sets_only_the_rowsums_listing(self, capsys, monkeypatch):
+        # rowsums is proved on a fixed grid: the entries it reads do not grow with --depth,
+        # and the listing is the formula at n = 0..depth
+        import rascal.identities as identities
+
+        params = GrtParams(5, 3, -2, 7)
+        read = []
+        monkeypatch.setattr(identities, "closed_form_entry", lambda p, r, k: read.append((r, k)) or closed_form_entry(p, r, k))
+        records = {}
+        for depth in (10, 100000):
+            read.clear()
+            code, out, err = run(capsys, "props", *_flags(params), "--checks", "rowsums", "--depth", str(depth), "--format", "json")
+            assert (code, err) == (0, "")
+            records[depth] = (len(read), json.loads(out)["checks"][0])
+        (short_reads, short), (long_reads, long) = records[10], records[100000]
+        assert short_reads == long_reads == 1 + 2 + 3 + 4  # rows 0-3 of the proof grid
+        assert (short["proved"], short["points"]) == (long["proved"], long["points"]) == (True, 4)
+        assert short["sums"] == oracle_row_sums(params, 10)[2]
+        assert len(long["sums"]) == 100001 and long["sums"][:11] == short["sums"]
+        assert long["sums"][-1] == sum(closed_form_entry(params, r, 100000 - r) for r in range(100001))
+
     def test_embed_absent_still_exit_zero(self, capsys):
         code, out, _ = run(
             capsys, "props", "--c", "2", "--d", "1", "--d1", "2", "--d2", "3", "--checks", "embed"
@@ -820,7 +842,7 @@ class TestPropsOutputIdentity:
         code, out, _ = run(capsys, *argv)
         assert code == 1
         assert (out, code) == oracle_props(params, 6, names, True, fmt)
-        assert out.count("failed at") == 7
+        assert out.count("failed at") == 8
 
 
 class TestFailureReporting:

@@ -25,9 +25,7 @@ from rascal import (
     row_sum_formula,
     t_meg_check,
 )
-from rascal.cli import _run_rowsums
 from rascal.identities import PROOF_GRIDS
-from rascal.triangle_io import int_for_json
 
 RASCAL = GrtParams(1, 1, 0, 0)
 W = GrtParams(1, 5, 2, 3)
@@ -436,16 +434,26 @@ class TestSweepsAgreeWithReference:
     @settings(deadline=None)
     @given(params=proof_params_st, depth=st.integers(0, 20))
     def test_row_sums(self, params, depth):
-        record = _run_rowsums(params, depth)
+        # the formula, as props lists it, against the rows generated and summed up to the depth
         count, failure, sums = oracle_row_sums(params, depth)
-        assert failure is None
-        assert (record["status"], record["instances"], record["sums"]) == ("holds", count, list(map(int_for_json, sums)))
+        assert (count, failure) == (depth + 1, None)
+        assert oracle_sweep("rowsums", params, depth) == (depth + 1, None)
+        assert [row_sum_formula(params, n) for n in range(depth + 1)] == sums
 
     def test_argument_errors(self):
         with pytest.raises(InapplicableCheckError, match="needs d1 = d2 = 0"):
             prove_identity("tmeg", W)
         with pytest.raises(KeyError):
-            prove_identity("rowsums", W)
+            prove_identity("embed", W)
+
+    @pytest.mark.parametrize("name", list(PROOF_GRIDS))
+    def test_unit_parameters(self, name):
+        # both sides of every identity are linear forms in (c, d, d1, d2) (TestProofGrids'
+        # test_homogeneous_in_the_parameters), so a proof at each unit vector proves it for all
+        fields = ("c", "d") if name == "tmeg" else GrtParams._fields
+        for field in fields:
+            unit = GrtParams(**{other: int(other == field) for other in GrtParams._fields})
+            assert prove_identity(name, unit) == (len(_grid(name)), None), unit
 
 
 class TestProofGrids:
@@ -474,6 +482,10 @@ class TestProofGrids:
             a, b, n = variables = sympy.symbols("top_r top_k n", integer=True, positive=True)
             inner = t(a, b) + t(a + 1, b) + t(a, b + 1) + t(a + 1, b + 1)
             return variables, [(4 * rim(a - (n - 1), b - (n - 1), 2 * n), (8 * n - 4) * inner)]
+        if name == "rowsums":
+            n = sympy.Symbol("n", integer=True, nonnegative=True)
+            formula = d * n**3 / 6 + (d1 + d2) * n**2 / 2 + (c + (d1 + d2) / 2 - d / 6) * n + c
+            return (n,), [(formula, sympy.summation(t(i, n - i), (i, 0, n)))]
         r, k = variables = sympy.symbols("r k", integer=True, positive=True)
         pairs = {
             "ashley": [(t(r, k), t(r - 1, k) + t(r, k - 1) - t(r - 2, k - 1) + (2 - k) * d - d2)],
@@ -499,6 +511,16 @@ class TestProofGrids:
             for side in (lhs, rhs):
                 poly = sympy.Poly(sympy.expand(side), *variables)
                 assert all(poly.degree(v) <= bound for v, bound in zip(variables, bounds)), (name, side)
+
+    @pytest.mark.parametrize("name", list(PROOF_GRIDS))
+    def test_homogeneous_in_the_parameters(self, name):
+        # each side is a linear form in the parameters, whose coefficients are polynomials in the indices
+        sympy = pytest.importorskip("sympy")
+        _, pairs = self.sides(sympy, name)
+        parameters = sympy.symbols("c d d1 d2")
+        for side in (side for pair in pairs for side in pair):
+            poly = sympy.Poly(sympy.expand(side), *parameters)
+            assert poly.is_homogeneous and poly.total_degree() == 1, (name, side)
 
 
 class TestClosedFormShortcuts:

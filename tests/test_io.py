@@ -274,6 +274,12 @@ class TestRowWriters:
         assert "".join(text_chunks(rows)) == "True\nint:5 False\n"
         assert "".join(csv_chunks(rows)) == "n,r,k,value\n0,0,0,True\n1,0,1,int:5\n1,1,0,False\n"
 
+    @pytest.mark.parametrize("row", [(), []])
+    def test_empty_row(self, row):
+        assert "".join(json_chunks([row])) == json.dumps({"rows": [[]]}) + "\n" == '{"rows": [[]]}\n'
+        assert "".join(json_chunks([(7,), row, (1, 2)])) == '{"rows": [[7], [], [1, 2]]}\n'
+        assert "".join(text_chunks([row])) == "\n"
+
     def test_floats_are_not_truncated(self):
         rows = [(1.5,), (2, 2.75)]
         assert "".join(text_chunks(rows)) == "1.5\n2 2.75\n"
