@@ -4,6 +4,19 @@
 the row-sum formula among them, and reports embedding and scalar multiples;
 ``--depth`` only sets how many row sums its ``rowsums`` record lists.
 
+The grammar of the commands is one table, ``_COMMANDS``: per command its
+handler, its help, and per flag its kind (an integer by the grammar of
+triangle files, one of fixed choices, or free text), default, whether it is
+required, and help.  ``_read_argv`` takes exactly the well-formed calls from
+the table: the command, then ``--flag value`` or ``--flag=value`` pairs, the
+last of a repeated flag winning, as in ``argparse``.  Any other argv (no
+command, ``-h``/``--help``, an abbreviated or unknown flag, a missing value,
+a value starting with ``-`` other than ``-`` or a negative integer, a bad
+integer or choice, a missing required flag) goes whole to the ``argparse``
+parser ``_build_parser`` makes from the same table, so help and usage errors
+are argparse's own.  ``argparse`` is imported only then: a well-formed call
+starts without it.
+
 Exit codes are a stable contract: 0 success (or verdict "grt"), 1 negative
 classification or failed check, 2 multiplication-rule arithmetic failure,
 3 inapplicable check, 64 usage error, 65 malformed input, 70 internal error
@@ -15,7 +28,6 @@ command killed by that signal; nothing is printed).
 
 from __future__ import annotations
 
-import argparse
 import codecs
 import os
 import sys
@@ -48,9 +60,8 @@ from .identities import (
     row_sum_formula,
 )
 from .triangle_io import (
-    _INT_RE,
-    _LINE_BREAK,
     TriangleParseError,
+    _is_grammar_int,
     _too_long,
     csv_chunks,
     int_for_json,
@@ -82,16 +93,14 @@ def _usage(message: str) -> Refusal:
     return Refusal(EXIT_USAGE, f"error: {message}")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # report usage problems via exit code 64, not argparse's 2
-        raise _usage(message)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-        code = args.handler(args)
+        args = _read_argv(argv)
+        if args is None:  # help, or a call to refuse in argparse's words
+            args = vars(_build_parser().parse_args(argv))
+        code = _COMMANDS[args["command"]][0](args)
         sys.stdout.flush()  # a closed reader shows here, not in the interpreter's final flush
         return code
     except Refusal as err:
@@ -112,107 +121,107 @@ def _print_error(message: str) -> None:
     A line break that a path or an argument brings into the message is
     escaped as repr() writes it.
     """
-    message = _LINE_BREAK.sub(lambda match: repr(match.group())[1:-1], message)
+    import re
+
+    line_break = "[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]"  # the characters str.splitlines ends a line at
+    message = re.sub(line_break, lambda match: repr(match.group())[1:-1], message)
     print(f"rascal: {message}", file=sys.stderr)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="rascal", description="Exact tools for generalized Rascal triangles.")
-    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
-
-    gen = sub.add_parser("generate", help="generate a triangle from (c, d, d1, d2)")
-    _add_param_flags(gen, required=True)
-    gen.add_argument("--rows", type=_integer, required=True, help="number of rows (>= 1)")
-    gen.add_argument(
-        "--rule",
-        choices=["closed", "add", "mul"],
-        default="closed",
-        help="generation rule (default: closed)",
-    )
-    gen.add_argument(
-        "--format",
-        choices=["text", "json", "csv"],
-        default="text",
-        help="output format (default: text)",
-    )
-    gen.set_defaults(handler=_cmd_generate)
-
-    cls = sub.add_parser("classify", help="classify a triangle file")
-    cls.add_argument("--input", default="-", help="triangle file, - for stdin (default: -)")
-    cls.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="report format (default: text)",
-    )
-    cls.set_defaults(handler=_cmd_classify)
-
-    props = sub.add_parser("props", help="verify identities for parameters or a triangle file")
-    _add_param_flags(props, required=False)
-    props.add_argument("--input", help="triangle file, - for stdin (alternative to parameter flags)")
-    props.add_argument(
-        "--checks",
-        default="all",
-        help="comma-separated subset of: %s (default: all)" % ", ".join(CHECK_NAMES),
-    )
-    props.add_argument(
-        "--depth",
-        type=_integer,
-        default=8,
-        help="last row of the rowsums listing (default: 8)",
-    )
-    props.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="report format (default: text)",
-    )
-    props.set_defaults(handler=_cmd_props)
-    return parser
-
-
-def _add_param_flags(parser: argparse.ArgumentParser, required: bool) -> None:
-    parser.add_argument("--c", type=_integer, required=required, help="apex entry")
-    parser.add_argument(
-        "--d", type=_integer, required=required, help="change of diagonal differences (addition constant)"
-    )
-    parser.add_argument(
-        "--d1", type=_integer, required=required, help="difference of the outside major diagonal (left edge)"
-    )
-    parser.add_argument(
-        "--d2", type=_integer, required=required, help="difference of the outside minor diagonal (right edge)"
-    )
+def _read_argv(argv: list[str]) -> dict | None:
+    """The arguments of a well-formed call, as ``vars()`` of argparse's namespace for it; None for any other argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    flags = _COMMANDS[argv[0]][2]
+    args = {"command": argv[0]}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        if flag not in flags:
+            return None
+        if not equals:
+            value = next(tokens, None)
+            if value is None:
+                return None
+        kind = flags[flag][0]
+        if kind is int:
+            try:
+                value = _integer(value)
+            except ValueError:
+                return None
+        elif kind is str:
+            if value.startswith("-") and value != "-":  # argparse may take it for a flag
+                return None
+        elif value not in kind:
+            return None
+        args[flag[2:]] = value
+    for flag, (_, default, required, _) in flags.items():
+        if flag[2:] not in args:
+            if required:
+                return None
+            args[flag[2:]] = default
+    return args
 
 
 def _integer(text: str) -> int:
     """An integer flag's value, read by the grammar of triangle files: ASCII ``-?[0-9]+``.
 
-    A token past the interpreter's int-to-str digit limit is named by its length, not echoed.
+    Else ValueError; a token past the interpreter's int-to-str digit limit is named by its length, not echoed.
     """
-    if not _INT_RE.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if not _is_grammar_int(text):
+        raise ValueError(f"invalid int value: {text!r}")
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_too_long(text)}") from None
+        raise ValueError(f"invalid int value: {_too_long(text)}") from None
 
 
-def _cmd_generate(args) -> int:
-    if args.rows < 1:
+def _build_parser():
+    """The argparse parser of ``_COMMANDS``, whose usage errors are refusals with exit code 64."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # report usage problems via exit code 64, not argparse's 2
+            raise _usage(message)
+
+    def integer(text: str) -> int:
+        try:
+            return _integer(text)
+        except ValueError as err:  # argparse words a ValueError its own way, but keeps this one's message
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    parser = Parser(prog="rascal", description="Exact tools for generalized Rascal triangles.")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
+    for command, (_, command_help, flags) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=command_help)
+        for flag, (kind, default, required, flag_help) in flags.items():
+            command_parser.add_argument(
+                flag,
+                type=integer if kind is int else None,
+                choices=kind if isinstance(kind, tuple) else None,
+                default=default,
+                required=required,
+                help=flag_help,
+            )
+    return parser
+
+
+def _cmd_generate(args: dict) -> int:
+    if args["rows"] < 1:
         raise _usage("--rows must be at least 1")
-    params = GrtParams(args.c, args.d, args.d1, args.d2)
-    _check_printable(params, args.rows)
-    if args.rule == "closed":
-        rows = closed_form_rows(params, args.rows)
-    elif args.rule == "add":
-        rows = addition_rows(edges_from_params(params, args.rows), params.d)
+    params = GrtParams(args["c"], args["d"], args["d1"], args["d2"])
+    _check_printable(params, args["rows"])
+    if args["rule"] == "closed":
+        rows = closed_form_rows(params, args["rows"])
+    elif args["rule"] == "add":
+        rows = addition_rows(edges_from_params(params, args["rows"]), params.d)
     else:
         # a failure must print no rows, so it is found from the closed form before any is built
-        failure = predict_multiplication_failure(params, args.rows)
+        failure = predict_multiplication_failure(params, args["rows"])
         if failure is not None:
             raise Refusal(EXIT_ARITHMETIC, str(failure))
-        rows = multiplication_rows(edges_from_params(params, args.rows), mult_constant(params))
-    sys.stdout.writelines(_CHUNKS[args.format](rows))
+        rows = multiplication_rows(edges_from_params(params, args["rows"]), mult_constant(params))
+    sys.stdout.writelines(_CHUNKS[args["format"]](rows))
     return EXIT_OK
 
 
@@ -285,32 +294,32 @@ def _classified(source: str) -> Classification:
         raise Refusal(EXIT_DATA, str(err))
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args: dict) -> int:
     # the whole input is read and checked before anything is written
-    result = _classified(args.input)
+    result = _classified(args["input"])
     # built whole before writing: a report that fails part way must print nothing;
     # a rule constant is a difference of products of two entries, so at most 2L + 1 digits,
     # and the mismatch's expected entry c + k*d1 + r*d2 + r*k*d, whose parameters are sums of at
     # most four entries and r, k < rows, at most L + 3 + 2*digits(rows), below 2L + 1 since
     # L >= 640 (the interpreter's least limit) and no input has 10**300 rows
-    sys.stdout.write(_with_digit_limit(1, lambda: _classification_report(result, args.format)))
+    sys.stdout.write(_with_digit_limit(1, lambda: _classification_report(result, args["format"])))
     return EXIT_OK if result.verdict == VERDICT_GRT else EXIT_NEGATIVE
 
 
-def _cmd_props(args) -> int:
-    if args.depth < 1:
+def _cmd_props(args: dict) -> int:
+    if args["depth"] < 1:
         raise _usage("--depth must be at least 1")
     flag_names = ("c", "d", "d1", "d2")
-    given = [name for name in flag_names if getattr(args, name) is not None]
-    if args.input is not None and given:
+    given = [name for name in flag_names if args[name] is not None]
+    if args["input"] is not None and given:
         raise _usage("give either --input or the parameter flags, not both")
-    if args.input is None:
+    if args["input"] is None:
         if len(given) < 4:
-            missing = ", ".join(f"--{n}" for n in flag_names if getattr(args, n) is None)
+            missing = ", ".join(f"--{n}" for n in flag_names if args[n] is None)
             raise _usage(f"missing {missing} (or use --input)")
-        params = GrtParams(args.c, args.d, args.d1, args.d2)
+        params = GrtParams(args["c"], args["d"], args["d1"], args["d2"])
     else:
-        result = _classified(args.input)
+        result = _classified(args["input"])
         if result.verdict != VERDICT_GRT:
             raise Refusal(
                 EXIT_INAPPLICABLE,
@@ -321,21 +330,21 @@ def _cmd_props(args) -> int:
     # parameters have at most L + 1 digits (fitted ones are sums of four entries), a row sum
     # up to n = depth is at most (depth + 1)^3 times the largest, and (depth + 1)^3 has at
     # most (depth + 1).bit_length() + 1 digits, since 8 < 10
-    return _with_digit_limit((args.depth + 1).bit_length() + 2, lambda: _props(params, args))
+    return _with_digit_limit((args["depth"] + 1).bit_length() + 2, lambda: _props(params, args))
 
 
-def _props(params: GrtParams, args) -> int:
+def _props(params: GrtParams, args: dict) -> int:
     """Run the requested checks on ``params``, write their report and return the exit code."""
-    explicit = args.checks.strip() != "all"
+    explicit = args["checks"].strip() != "all"
     # run-everything mode skips a restricted rule instead of erroring
     inapplicable = "inapplicable" if explicit else "skipped"
     records = []
-    for name in _parse_check_names(args.checks):
+    for name in _parse_check_names(args["checks"]):
         try:
-            records.append(_CHECK_RUNNERS[name](params, args.depth))
+            records.append(_CHECK_RUNNERS[name](params, args["depth"]))
         except InapplicableCheckError as err:
             records.append({"check": name, "status": inapplicable, "summary": f"{inapplicable}: {err}"})
-    sys.stdout.write(_props_report(params, args.depth, records, args.format))
+    sys.stdout.write(_props_report(params, args["depth"], records, args["format"]))
     if any(record["status"] == "inapplicable" for record in records):
         return EXIT_INAPPLICABLE
     if any(record["status"] == "failed" for record in records):
@@ -434,6 +443,51 @@ _CHECK_RUNNERS = {
     **{name: partial(_found_record, name) for name in _FINDERS},
 }
 CHECK_NAMES = list(_CHECK_RUNNERS)  # in report order
+
+
+def _param_flags(required: bool) -> dict:
+    return {
+        "--c": (int, None, required, "apex entry"),
+        "--d": (int, None, required, "change of diagonal differences (addition constant)"),
+        "--d1": (int, None, required, "difference of the outside major diagonal (left edge)"),
+        "--d2": (int, None, required, "difference of the outside minor diagonal (right edge)"),
+    }
+
+
+# the commands' grammar: command -> (handler, help, {flag: (kind, default, required, help)}), where a
+# kind is int (read by the grammar of triangle files), str (free text) or a tuple of the choices;
+# the handler takes the arguments as _read_argv returns them
+_COMMANDS = {
+    "generate": (
+        _cmd_generate,
+        "generate a triangle from (c, d, d1, d2)",
+        {
+            **_param_flags(required=True),
+            "--rows": (int, None, True, "number of rows (>= 1)"),
+            "--rule": (("closed", "add", "mul"), "closed", False, "generation rule (default: closed)"),
+            "--format": (("text", "json", "csv"), "text", False, "output format (default: text)"),
+        },
+    ),
+    "classify": (
+        _cmd_classify,
+        "classify a triangle file",
+        {
+            "--input": (str, "-", False, "triangle file, - for stdin (default: -)"),
+            "--format": (("text", "json"), "text", False, "report format (default: text)"),
+        },
+    ),
+    "props": (
+        _cmd_props,
+        "verify identities for parameters or a triangle file",
+        {
+            **_param_flags(required=False),
+            "--input": (str, None, False, "triangle file, - for stdin (alternative to parameter flags)"),
+            "--checks": (str, "all", False, "comma-separated subset of: %s (default: all)" % ", ".join(CHECK_NAMES)),
+            "--depth": (int, 8, False, "last row of the rowsums listing (default: 8)"),
+            "--format": (("text", "json"), "text", False, "report format (default: text)"),
+        },
+    ),
+}
 
 
 # --- report rendering ----------------------------------------------------

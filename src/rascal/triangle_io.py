@@ -13,8 +13,11 @@ In both, an integer is ASCII ``-?[0-9]+`` (leading zeros and ``-0`` allowed)
 of at most the interpreter's int-to-str digit limit, and row n holds n + 1
 of them.  int() does the scan: it takes exactly that grammar once the text
 holds nothing else it reads (other scripts' digits, ``_``, ``+`` or
-whitespace inside a JSON string), and the regex ``_INT_RE`` only names the
-first bad token when there is one.
+whitespace inside a JSON string), and ``_is_grammar_int`` only names the
+first bad token when there is one.  A plain line is split into at most one
+token more than its row holds, so an over-long row is refused without a list
+of all its tokens.  Nothing here imports ``re`` but the JSON reader, which
+``json`` loads it for anyway.
 
 Each format has a row parser (``plain_rows`` and ``json_rows``, and
 ``triangle_rows`` for either) that takes the text in pieces of any size and
@@ -34,7 +37,6 @@ and ``%d`` for a JSON row of plain ints inside 64 bits, whose other rows
 
 from __future__ import annotations
 
-import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain
@@ -42,10 +44,6 @@ from operator import add
 
 from .core import _INT_ONLY, TriangleGrid
 
-# ASCII digits only: ``\d`` would also admit other scripts' digits, which int() reads.
-_INT_RE = re.compile(r"-?[0-9]+")
-# the characters str.splitlines ends a line at
-_LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 # json_rows's states: the text it reads up to the next value, group 1 a bracket that opens or
 # closes, and the text that leaves json.loads in the same state
 _JSON_STATES = (
@@ -109,15 +107,9 @@ def plain_rows(chunks: Iterable[str]) -> Iterator[tuple[int, ...]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
-        row = _grammar_ints(tokens, line)
-        if row is None:
-            row = _plain_row(tokens, lineno)
-        if len(row) != n + 1:
-            raise TriangleParseError(
-                f"row {n} has {len(row)} entries, expected {n + 1}", lineno
-            )
-        yield row
+        tokens = line.split(None, n + 1)  # n + 2 pieces at most: a longer row stops at its first token too many
+        row = _grammar_ints(tokens, line) if len(tokens) == n + 1 else None
+        yield _plain_row(line, n, lineno) if row is None else row
         n += 1
     if not n:
         raise TriangleParseError("no rows found")
@@ -139,17 +131,66 @@ def _grammar_ints(values: Sequence, text: str) -> tuple[int, ...] | None:
     return None
 
 
-def _plain_row(tokens: list[str], lineno: int) -> tuple[int, ...]:
-    """The row of a line's tokens, or the TriangleParseError naming its first bad or too-long token."""
-    for token in tokens:
-        if not _INT_RE.fullmatch(token):
-            raise TriangleParseError(f"{token!r} is not a base-10 integer", lineno)
-    try:
-        return tuple(map(int, tokens))
-    except ValueError:  # name the longest token past the digit limit
-        limit = sys.get_int_max_str_digits()
-        token = max([token for token in tokens if len(token.lstrip("-")) > limit], key=len)
-        raise TriangleParseError(_too_long(token), lineno) from None
+def _is_grammar_int(token: str) -> bool:
+    """Whether ``token`` is ASCII ``-?[0-9]+``: ``isdigit`` alone also admits other scripts' digits."""
+    digits = token[1:] if token.startswith("-") else token
+    return digits.isascii() and digits.isdigit()
+
+
+def _plain_row(line: str, n: int, lineno: int) -> tuple[int, ...]:
+    """Row ``n`` from its stripped ``line``, read token by token where int() alone cannot tell.
+
+    Else the TriangleParseError of the line's first token outside the grammar,
+    else of its longest token past the digit limit, else of its count of
+    entries.  The line is read a window at a time, so an over-long row builds
+    no list of all its tokens.
+    """
+    row: list[int] = []
+    count, longest = 0, ""
+    for tokens, text in _windows(line):
+        count += len(tokens)
+        ints = _grammar_ints(tokens, text)
+        if ints is None:
+            for token in tokens:
+                if not _is_grammar_int(token):
+                    raise TriangleParseError(f"{token!r} is not a base-10 integer", lineno)
+            try:
+                ints = tuple(map(int, tokens))
+            except ValueError:  # keep the longest token past the digit limit, the first of equals
+                limit = sys.get_int_max_str_digits()
+                longest = max([longest, *(token for token in tokens if len(token.lstrip("-")) > limit)], key=len)
+                continue
+        if count <= n + 1:
+            row += ints
+    if longest:
+        raise TriangleParseError(_too_long(longest), lineno)
+    if count != n + 1:
+        raise TriangleParseError(f"row {n} has {count} entries, expected {n + 1}", lineno)
+    return tuple(row)
+
+
+_WINDOW = 1 << 16  # characters of a line split at a time by _windows
+
+
+def _windows(text: str) -> Iterator[tuple[list[str], str]]:
+    """The tokens of ``text.split()`` in lists of about ``_WINDOW`` characters, each with the text they come from.
+
+    A window ends before a token that goes on past it; a window of one such
+    token doubles until the token ends.
+    """
+    start, size = 0, _WINDOW
+    while start < len(text):
+        piece = text[start : start + size]
+        tokens = piece.split()
+        end = start + len(piece)
+        if end < len(text) and not piece[-1].isspace() and not text[end].isspace():
+            if len(tokens) == 1:
+                size *= 2
+                continue
+            end -= len(tokens.pop())
+            piece = piece[: end - start]
+        yield tokens, piece
+        start, size = end, _WINDOW
 
 
 def _lines(chunks: Iterable[str]) -> Iterator[str]:
@@ -157,10 +198,11 @@ def _lines(chunks: Iterable[str]) -> Iterator[str]:
     held: list[str] = []  # text after the last line given out: it may grow, or gain the "\n" of "\r\n"
     for chunk in chunks:
         held.append(chunk)
-        if _LINE_BREAK.search(chunk):
-            lines = "".join(held).splitlines(True)
-            held = [lines.pop()]
-            yield from lines
+        # a line ends in the chunk: at a "\n", else at another of splitlines's line breaks
+        if "\n" in chunk or chunk.splitlines() != [chunk]:
+            lines = "".join(held).splitlines(True)  # none for an empty chunk after none held
+            held = lines[-1:]
+            yield from lines[:-1]
     yield from "".join(held).splitlines(True)
 
 
@@ -175,6 +217,7 @@ def json_rows(chunks: Iterable[str]) -> Iterator[tuple[int, ...]]:
     top-level value that is not an object is read whole, only to refuse it.
     """
     import json
+    import re  # json.decoder has loaded it already
 
     states = [(re.compile(pattern), prefix) for pattern, prefix in _JSON_STATES]  # re caches them after one call
     top, first_key, colon, next_key, first_row, next_row, end = states
@@ -310,7 +353,7 @@ def _json_int(value, n: int) -> int:
         raise TriangleParseError(f"row {n}: {value!r} is not an integer")
     if isinstance(value, int):
         return value
-    if isinstance(value, str) and _INT_RE.fullmatch(value):
+    if isinstance(value, str) and _is_grammar_int(value):
         try:
             return int(value)
         except ValueError:

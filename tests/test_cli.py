@@ -42,7 +42,7 @@ from rascal import (
     render_json,
     render_text,
 )
-from rascal.cli import CHECK_NAMES, _classification_report, main
+from rascal.cli import CHECK_NAMES, Refusal, _build_parser, _classification_report, _read_argv, main
 
 RASCAL_FLAGS = ["--c", "1", "--d", "1", "--d1", "0", "--d2", "0"]
 
@@ -325,7 +325,34 @@ def test_import_loads_no_dataclasses_or_fractions():
         )
         loaded = set(proc.stdout.split())
         assert "rascal.cli" in loaded
-        assert not loaded & {"dataclasses", "inspect", "fractions", "decimal", "json", "typing"}, flags
+        # re: a site that loads it first keeps it out of ``loaded``; without site (-S) it is only rascal's
+        unwanted = {"dataclasses", "inspect", "fractions", "decimal", "json", "typing", "re", "argparse", "gettext"}
+        assert not loaded & unwanted, flags
+
+
+def test_well_formed_calls_load_no_argparse(tmp_path):
+    # a well-formed call is read from the command table; argparse, with gettext (and locale, which
+    # its first message lookup imports), is imported only for help and refusals
+    src = str(Path(rascal.__file__).resolve().parents[1])
+    text = write(tmp_path, "t.txt", "1\n1 1\n1 2 1\n")
+    document = write(tmp_path, "t.json", '{"rows": [[1], [1, 1], [1, 2, 1]]}')
+    code = (
+        "import sys, rascal.cli; code = rascal.cli.main(sys.argv[1:]); "
+        "print(code, *sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), file=sys.stderr)"
+    )
+    calls = [
+        *(["generate", *RASCAL_FLAGS, "--rows", "3", "--rule", rule] for rule in ("closed", "add", "mul")),
+        ["classify", "--input", text],
+        ["classify", f"--input={document}", "--format", "json"],
+        ["props", "--c=-3", "--d", "2", "--d1", "-0", "--d2", "5", "--checks", "rowsums,embed", "--depth", "4"],
+        ["props", "--input", text, "--format", "json", "--format=text"],
+    ]
+    for argv, expected in [*((argv, "0\n") for argv in calls), (["generate", "--rows"], "64 argparse gettext locale\n")]:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.stderr.splitlines()[-1:] == expected.splitlines(), argv
 
 
 def test_props_loads_no_fractions_or_decimal():
@@ -963,6 +990,85 @@ _stdin = st.one_of(
     _grids.map(render_text).map(str.encode),
     _grids.map(render_json).map(str.encode),
 )
+
+
+# flag values the reader takes only in part: negative integers, "-", empty text, other scripts' digits
+_odd_values = st.sampled_from(["-7", "-0", "-007", "-", "", "-x", "--", "a=b", "\u0661", "-\u0661", "\uff11", "1 2"])
+
+
+@st.composite
+def reader_argvs(draw):
+    """``argvs``, a flag now and then given as ``--flag=value``, abbreviated, given an odd value, or repeated."""
+    argv = draw(argvs())
+    tokens = iter(argv[1:])
+    argv = argv[:1]
+    for token in tokens:
+        value = next(tokens, None) if token in _FLAG_VALUES else None
+        if value is None:
+            argv.append(token)
+            continue
+        if _now_and_then(draw):
+            value = draw(_odd_values)
+        if _now_and_then(draw) and len(token) > 3:
+            token = token[: draw(st.integers(3, len(token) - 1))]
+        argv += [f"{token}={value}"] if draw(st.booleans()) else [token, value]
+        if draw(st.integers(0, 7)) == 0:
+            argv += [token, draw(_FLAG_VALUES.get(token, _junk))]
+    return argv
+
+
+class TestArgvReader:
+    """A well-formed call is read from the command table; any other argv goes whole to argparse."""
+
+    @staticmethod
+    def argparse_args(argv):
+        """``vars()`` of argparse's namespace for ``argv``; None when argparse refuses it or prints help."""
+        try:
+            return vars(_build_parser().parse_args(argv))
+        except (Refusal, SystemExit):
+            return None
+
+    @settings(deadline=None, max_examples=500)
+    @given(argv=reader_argvs())
+    def test_reader_hands_over_or_agrees_with_argparse(self, argv):
+        read = _read_argv(argv)
+        assert read is None or read == self.argparse_args(argv), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", *RASCAL_FLAGS, "--rows", "3"],
+            ["generate", "--c=-5", "--d", "-0", "--d1=007", "--d2", "2", "--rows=3", "--rule", "mul", "--format=csv"],
+            ["generate", *RASCAL_FLAGS, "--rows", "3", "--rows", "4", "--rule=add", "--rule", "closed"],
+            ["classify"],
+            ["classify", "--input", "-", "--format", "json"],
+            ["classify", "--input=-", "--input", "a=b"],
+            ["props", "--checks", "", "--checks=tmeg,rowsums", "--depth", "-1", "--input", "x"],
+            ["props", *RASCAL_FLAGS, "--d=-4", "--format", "json"],
+        ],
+    )
+    def test_well_formed_calls_are_read(self, argv):
+        assert _read_argv(argv) == self.argparse_args(argv) is not None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["generate", "--help"],
+            ["generate", "--form", "json", *RASCAL_FLAGS, "--rows", "3"],
+            ["generate", *RASCAL_FLAGS],
+            ["generate", *RASCAL_FLAGS, "--rows"],
+            ["generate", *RASCAL_FLAGS, "--rows", "\u0663"],
+            ["classify", "--format", "csv"],
+            ["classify", "--input", "-x"],
+            ["classify", "--", "--input", "x"],
+            ["props", "--checks", "-1"],
+            ["props", "--depth", "3", "stray"],
+        ],
+    )
+    def test_other_argvs_are_handed_over(self, argv):
+        assert _read_argv(argv) is None
 
 
 class TestArgvContract:
