@@ -8,7 +8,12 @@ the parameters fitted from its rows 0-2, and then every diagonal is
 arithmetic and every diamond implies the fitted rule constants.  So one
 pass over the rows answers every analysis at once: it compares whole rows
 with the closed form, and from the first row that differs it checks only the
-diagonals still arithmetic, and each rule up to its first conflict.
+diagonals still arithmetic, and each rule up to its first conflict.  Each
+closed-form row is built once, before its row is read, and sent to the row
+source when that is a generator: the row parsers of ``triangle_io`` give the
+same tuple back when the row's text is the writer's text of it, so the
+closed-form prefix of a file is matched on its text, with no int() and no
+comparison.
 ``Classification`` is the one record of that pass; ``fit_grt``,
 ``diagonal_reports`` and the rule detectors are one-line reads of
 ``classify`` and run the whole pass.
@@ -173,7 +178,9 @@ def classify_checked_rows(rows: Iterable[tuple[int, ...]]) -> Classification:
 
     The rows of a ``TriangleGrid`` and of the row parsers (``triangle_rows``,
     ``plain_rows``, ``json_rows``) are; other rows, such as lists, would be
-    misread, and go through ``classify_rows``.
+    misread, and go through ``classify_rows``.  A generator of rows is sent,
+    by ``send``, the closed form's next row once rows 0-2 have fixed it, and
+    may yield that same tuple back to mean that row.
     """
     folded = _fold(rows)
     params = folded.params
@@ -207,8 +214,10 @@ def _fold(rows: Iterable[tuple[int, ...]]) -> _Folded:
     """Read the checked rows once, in order, keeping only what the reports need.
 
     Rows 0-2 fix the parameters; each row is compared with their closed form
-    until the first that differs (the mismatch).  Up to the mismatch every
-    diagonal is arithmetic and every diamond implies ``d`` and
+    until the first that differs (the mismatch).  Row n + 1 of the closed
+    form is built once, after row n matches, and sent to a generator of rows
+    before it yields row n + 1; a row that is that tuple matches.  Up to the
+    mismatch every diagonal is arithmetic and every diamond implies ``d`` and
     ``c*d - d1*d2``, the constants of the first diamond, (1, 1).  From that
     row on, each family's work per row follows its diagonals still
     arithmetic: their steps into the row are gathered (by one slice while
@@ -231,10 +240,15 @@ def _fold(rows: Iterable[tuple[int, ...]]) -> _Folded:
     # each family's diagonals still arithmetic among those with a third entry in a row read so far,
     # in index order, and the first step of each
     live_majors, major_steps, live_minors, minor_steps = [], [], [], []
-    params = mismatch = add_conflict = mult_conflict = None
+    params = mismatch = add_conflict = mult_conflict = expected = None
     prev2 = prev = across_prev = ()
-    n = -1
-    for n, row in enumerate(rows):
+    rows = iter(rows)
+    send = getattr(rows, "send", None) or (lambda _: next(rows))  # an iterator that is no generator takes nothing
+    for n in count():
+        try:
+            row = send(expected)
+        except StopIteration:
+            break
         major_first.append(row[n])
         minor_first.append(row[0])
         if n:
@@ -248,12 +262,15 @@ def _fold(rows: Iterable[tuple[int, ...]]) -> _Folded:
         if n == 2:
             params = _fitted(prev2, prev, row)
             d_mult = mult_constant(params)
-        if mismatch is None and n >= 2:
-            expected = closed_form_row(params, n)
-            if row != expected:
+            expected = closed_form_row(params, 2)
+        if expected is not None:
+            if row is expected or row == expected:
+                expected = closed_form_row(params, n + 1)
+            else:
                 r = next(r for r, value in enumerate(row) if value != expected[r])
                 mismatch = (r, n - r, expected[r], row[r])
                 across_prev = list(map(sub, prev[1:], prev2))
+                expected = None
         if mismatch is not None:
             live_majors, major_steps = _still_arithmetic(
                 live_majors, major_steps, n, row, prev, majors, mirrored=False
@@ -271,7 +288,7 @@ def _fold(rows: Iterable[tuple[int, ...]]) -> _Folded:
         prev2, prev = prev, row
     reports = _diagonal_reports("major", major_first, major_second, majors)
     reports += _diagonal_reports("minor", minor_first, minor_second, minors)
-    return _Folded(n + 1, params, mismatch, tuple(reports), add_conflict, mult_conflict)
+    return _Folded(n, params, mismatch, tuple(reports), add_conflict, mult_conflict)
 
 
 def _fitted(row0, row1, row2) -> GrtParams:

@@ -99,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _read_argv(argv)
         if args is None:  # help, or a call to refuse in argparse's words
-            args = vars(_build_parser().parse_args(argv))
+            args = _argparse_args(argv)
         code = _COMMANDS[args["command"]][0](args)
         sys.stdout.flush()  # a closed reader shows here, not in the interpreter's final flush
         return code
@@ -176,6 +176,24 @@ def _integer(text: str) -> int:
         raise ValueError(f"invalid int value: {_too_long(text)}") from None
 
 
+def _argparse_args(argv: list[str]) -> dict:
+    """``vars()`` of the namespace ``_build_parser`` reads from ``argv``, a ``--flag=--`` read as argparse 3.13 reads it.
+
+    ``argparse`` before 3.13 drops the ``--`` and stores ``[]``, with no type
+    or choice checked; here the flag holds ``--`` as free text, and an
+    integer or a choice is refused in 3.13's words.
+    """
+    args = vars(_build_parser().parse_args(argv))
+    for flag, (kind, *_) in _COMMANDS[args["command"]][2].items():
+        if args[flag[2:]] == []:
+            if kind is int:
+                raise _usage(f"argument {flag}: invalid int value: '--'")
+            if kind is not str:
+                raise _usage(f"argument {flag}: invalid choice: '--' (choose from {', '.join(map(repr, kind))})")
+            args[flag[2:]] = "--"
+    return args
+
+
 def _build_parser():
     """The argparse parser of ``_COMMANDS``, whose usage errors are refusals with exit code 64."""
     import argparse
@@ -209,6 +227,7 @@ def _build_parser():
 def _cmd_generate(args: dict) -> int:
     if args["rows"] < 1:
         raise _usage("--rows must be at least 1")
+    _check_index_bound("--rows", args["rows"])
     params = GrtParams(args["c"], args["d"], args["d1"], args["d2"])
     _check_printable(params, args["rows"])
     if args["rule"] == "closed":
@@ -223,6 +242,12 @@ def _cmd_generate(args: dict) -> int:
         rows = multiplication_rows(edges_from_params(params, args["rows"]), mult_constant(params))
     sys.stdout.writelines(_CHUNKS[args["format"]](rows))
     return EXIT_OK
+
+
+def _check_index_bound(flag: str, value: int) -> None:
+    """A usage refusal for a count past ``sys.maxsize``, which the row iterators cannot count to."""
+    if value > sys.maxsize:
+        raise _usage(f"{flag} must be at most {sys.maxsize}")
 
 
 def _check_printable(params: GrtParams, n_rows: int) -> None:
@@ -309,6 +334,7 @@ def _cmd_classify(args: dict) -> int:
 def _cmd_props(args: dict) -> int:
     if args["depth"] < 1:
         raise _usage("--depth must be at least 1")
+    _check_index_bound("--depth", args["depth"])
     flag_names = ("c", "d", "d1", "d2")
     given = [name for name in flag_names if args[name] is not None]
     if args["input"] is not None and given:

@@ -26,6 +26,18 @@ checked as ``TriangleGrid`` checks it, a tuple of n + 1 ints, so
 ``analyze.classify_checked_rows`` takes the rows as they are.  The
 ``parse_*`` functions collect those rows into a ``TriangleGrid``.
 
+A row parser may be sent the row its caller expects next: classify's fold
+sends the closed form's row n, fitted from rows 0-2, before the parser reads
+row n >= 3.  Where the text there is the writer's text of that row, the
+``text_chunks`` line with its "\n" or the ``json_chunks`` array, the parser
+gives back the sent tuple itself, with no split, no int() and no comparison;
+the closed form has exactly one such text.  Any other text is read as
+usual, with the same rows and errors: a comment or blank line is skipped,
+and a row is parsed where it has other spacing, tabs, "\r\n", leading
+zeros, another JSON layout, a JSON entry past 64 bits (written quoted), or
+an expected entry past the int-to-str digit limit, which the writer cannot
+write.
+
 Output adds a flattened CSV (``n,r,k,value``) since positional CSV is
 ambiguous for jagged rows.  Each writer (``text_chunks``, ``json_chunks``,
 ``csv_chunks``) yields one chunk per row, made by one ``%`` call on a
@@ -38,7 +50,7 @@ and ``%d`` for a JSON row of plain ints inside 64 bits, whose other rows
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Generator, Iterable, Iterator, Sequence
 from itertools import chain
 from operator import add
 
@@ -100,19 +112,44 @@ def triangle_rows(chunks: Iterable[str]) -> Iterator[tuple[int, ...]]:
     yield from plain_rows(blank)
 
 
-def plain_rows(chunks: Iterable[str]) -> Iterator[tuple[int, ...]]:
-    """The rows of plain-rows text, given in consecutive pieces by ``chunks``, one at a time."""
+def plain_rows(chunks: Iterable[str]) -> Generator[tuple[int, ...], tuple[int, ...] | None, None]:
+    """The rows of plain-rows text, given in consecutive pieces by ``chunks``, one at a time.
+
+    A row sent in is given back, unparsed, when the next row's line is its
+    ``text_chunks`` line, line end included.
+    """
     n = 0
+    expected = expected_text = None
     for lineno, raw in enumerate(_lines(chunks), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split(None, n + 1)  # n + 2 pieces at most: a longer row stops at its first token too many
-        row = _grammar_ints(tokens, line) if len(tokens) == n + 1 else None
-        yield _plain_row(line, n, lineno) if row is None else row
+        if raw == expected_text:
+            row = expected
+        else:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tokens = line.split(None, n + 1)  # n + 2 pieces at most: a longer row stops at its first token too many
+            row = _grammar_ints(tokens, line) if len(tokens) == n + 1 else None
+            if row is None:
+                row = _plain_row(line, n, lineno)
+        expected = yield row
+        expected_text = _expected_text(_text_template, expected)
         n += 1
     if not n:
         raise TriangleParseError("no rows found")
+
+
+def _expected_text(template, row: tuple[int, ...] | None) -> str | None:
+    """``template(len(row)) % row``, the writer's text of a row sent in; None, which no text equals, for no row.
+
+    None too for an entry past the int-to-str digit limit, which ``%``
+    refuses with ValueError: that row is parsed.
+    """
+    if row is None:
+        return None
+    try:
+        return template(len(row)) % row
+    except ValueError:
+        return None
 
 
 def _grammar_ints(values: Sequence, text: str) -> tuple[int, ...] | None:
@@ -206,7 +243,7 @@ def _lines(chunks: Iterable[str]) -> Iterator[str]:
     yield from "".join(held).splitlines(True)
 
 
-def json_rows(chunks: Iterable[str]) -> Iterator[tuple[int, ...]]:
+def json_rows(chunks: Iterable[str]) -> Generator[tuple[int, ...], tuple[int, ...] | None, None]:
     """The rows of a JSON triangle, given in consecutive pieces by ``chunks``, one at a time.
 
     The top-level object is decoded one member at a time with ``raw_decode``,
@@ -215,6 +252,8 @@ def json_rows(chunks: Iterable[str]) -> Iterator[tuple[int, ...]]:
     document are those of ``json.loads`` on the whole text, except that a
     second "rows" member (which would replace the first) is an error.  A
     top-level value that is not an object is read whole, only to refuse it.
+    A row sent in is given back, undecoded, when the next row's array is its
+    ``json_chunks`` text.
     """
     import json
     import re  # json.decoder has loaded it already
@@ -253,6 +292,7 @@ def json_rows(chunks: Iterable[str]) -> Iterator[tuple[int, ...]]:
 
     raw_decode = json.JSONDecoder().raw_decode
     state, start, n = top, 0, 0  # start: where the text not yet read begins; n: the rows read
+    expected = expected_text = None  # the row sent in for the next row, and its json_chunks text
     # problem: the first error past the syntax, raised once the syntax is known good
     missing = problem = TriangleParseError('expected a JSON object with a "rows" array')
     while True:
@@ -279,6 +319,15 @@ def json_rows(chunks: Iterable[str]) -> Iterator[tuple[int, ...]]:
         elif follows.group(1):  # the "}" closing the object, or the "]" closing the rows
             state, start = (end if state is first_key or state is next_key else next_key), at
             continue
+        elif expected_text is not None and problem is None and (state is next_row or state is first_row):
+            if text.startswith(expected_text, at):
+                state, start, n = next_row, at + len(expected_text), n + 1
+                expected = yield expected
+                expected_text = _expected_text(_json_template, expected)
+                continue
+            if len(text) - at < len(expected_text) and not ended:  # the row may go on in the next piece
+                start = more(start)
+                continue
         try:
             value, stop = raw_decode(text, at)
         except (ValueError, RecursionError):
@@ -295,7 +344,8 @@ def json_rows(chunks: Iterable[str]) -> Iterator[tuple[int, ...]]:
                 except TriangleParseError as err:
                     problem = err
                 else:
-                    yield row
+                    expected = yield row
+                    expected_text = _expected_text(_json_template, expected)
             n += 1
             state = next_row
         elif state is colon:
@@ -393,10 +443,20 @@ def render_csv(grid: TriangleGrid) -> str:
 # entry past the int-to-str digit limit with the same ValueError.
 
 
+def _text_template(length: int) -> str:
+    """``"%s %s ... %s\\n"`` for ``length`` entries; ``"\\n"`` for none."""
+    return ("%s " * length)[:-1] + "\n"
+
+
+def _json_template(length: int) -> str:
+    """``"[%d, %d, ..., %d]"`` for ``length`` entries, at least one."""
+    return "[" + "%d, " * (length - 1) + "%d]"
+
+
 def text_chunks(rows: Iterable[Sequence[int]]) -> Iterator[str]:
     for row in rows:
         row = tuple(row)
-        yield (("%s " * len(row))[:-1] + "\n") % row  # "%s %s ... %s\n"; "\n" for an empty row
+        yield _text_template(len(row)) % row
 
 
 def json_chunks(rows: Iterable[Sequence[int]]) -> Iterator[str]:
@@ -413,7 +473,7 @@ def json_chunks(rows: Iterable[Sequence[int]]) -> Iterator[str]:
         row = tuple(row)
         in_range = row and _I64_MIN <= min(row) and max(row) <= _I64_MAX
         if in_range and _INT_ONLY.issuperset(map(type, row)):
-            yield (separator + "[" + "%d, " * (len(row) - 1) + "%d]") % row
+            yield (separator + _json_template(len(row))) % row
         else:
             import json
 

@@ -1092,3 +1092,32 @@ class TestArgvContract:
     )
     def test_line_break_in_a_refusal_is_escaped(self, argv, code, expected):
         assert main_on_stdin(b"", *argv) == (code, "", expected)
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["generate", "--c", "1", "--d=--", "--d1", "0", "--d2", "0", "--rows", "3"], "argument --d: invalid int value: '--'"),
+            (["props", *RASCAL_FLAGS, "--depth=--"], "argument --depth: invalid int value: '--'"),
+            (
+                ["generate", *RASCAL_FLAGS, "--rows", "3", "--rule=--"],
+                "argument --rule: invalid choice: '--' (choose from 'closed', 'add', 'mul')",
+            ),
+            (["classify", "--format=--"], "argument --format: invalid choice: '--' (choose from 'text', 'json')"),
+            (["props", *RASCAL_FLAGS, "--checks=--"], "unknown check '--'; valid: " + ", ".join(CHECK_NAMES)),
+        ],
+    )
+    def test_double_dash_value_is_read_as_argparse_3_13_reads_it(self, argv, expected):
+        # argparse before 3.13 stores [] for "--flag=--" and checks no type or choice
+        assert main_on_stdin(b"", *argv) == (64, "", f"rascal: error: {expected}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["generate", *RASCAL_FLAGS, "--rule", rule, "--rows"] for rule in ("closed", "add", "mul")),
+            ["props", *RASCAL_FLAGS, "--checks", "rowsums", "--depth"],
+        ],
+    )
+    def test_count_past_maxsize_is_a_usage_error(self, argv):
+        for value in (sys.maxsize + 1, 10**40):
+            message = f"rascal: error: {argv[-1]} must be at most {sys.maxsize}\n"
+            assert main_on_stdin(b"", *argv, str(value)) == (64, "", message)

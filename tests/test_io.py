@@ -37,7 +37,8 @@ from rascal import (
     text_chunks,
     triangle_rows,
 )
-from rascal import triangle_io
+from rascal import analyze, triangle_io
+from rascal.core import closed_form_row
 
 RASCAL_TEXT = "# leading comment\n1\n1 1\n\n1 2 1\n1\t3 3\t1\n1 4 5 4 1\n"
 
@@ -569,3 +570,128 @@ class TestAgainstJsonLoads:
         expected = oracle_json_document(text)
         assert parsed(json_rows(pieces(text, cuts))) == expected
         assert parsed(json_rows(text)) == expected  # one character at a time
+
+
+# One edit of a canonical closed-form file: each text edit is a pattern and what one drawn match of it
+# becomes.  Any of them but "none" and "plant" may make a row's text differ from what the writer writes.
+_TEXT_EDITS = {
+    "double space": (r" ", "  "),
+    "crlf": (r"\n", "\r\n"),
+    "leading zero": (r"(?<!\d)(?=\d)", "0"),
+    "comment": (r"(?m)^", "# note\n"),
+    "blank line": (r"(?m)^", " \t\n"),
+    "trailing blanks": (r"(?=\n)", " \t"),
+}
+_JSON_EDITS = {
+    "double space": (r" ", "  "),
+    "crlf": (r"(?<=,) ", "\r\n"),
+    "leading zero": (r"(?<!\d)(?=\d)", "0"),
+    "comment": (r"(?<=, )", "# note\n"),
+    "blank line": (r"(?<=, )", "\n\n"),
+    "trailing blanks": (r"(?=\])", " \t"),
+}
+
+
+@st.composite
+def edited_closed_forms(draw):
+    """(format, text): the text or JSON file of a closed form of 4 to 12 rows, given one drawn edit."""
+    big = st.integers(-(2**70), 2**70)
+    params = draw(st.one_of(params_st, st.builds(GrtParams, big, big, big, big)))
+    rows = list(generate_closed_form(params, draw(st.integers(4, 12))).rows)
+    fmt = draw(st.sampled_from(["text", "json"]))
+    edit = draw(st.sampled_from(["none", "plant", "digit", "all crlf", *_TEXT_EDITS]))
+    if edit == "plant":
+        n = draw(st.integers(3, len(rows) - 1))
+        r = draw(st.integers(0, n))
+        rows[n] = (*rows[n][:r], rows[n][r] + draw(st.integers(1, 9)) * draw(st.sampled_from([1, -1])), *rows[n][r + 1 :])
+    text = "".join((text_chunks if fmt == "text" else json_chunks)(rows))
+    if edit == "all crlf":
+        return fmt, text.replace("\n", "\r\n")
+    if edit == "digit":
+        pattern, replacement = r"\d", draw(st.sampled_from("0123456789"))
+    elif edit in _TEXT_EDITS:
+        pattern, replacement = (_TEXT_EDITS if fmt == "text" else _JSON_EDITS)[edit]
+    else:
+        return fmt, text
+    match = draw(st.sampled_from(list(re.finditer(pattern, text))))
+    return fmt, text[: match.start()] + replacement + text[match.end() :]
+
+
+def classified(rows):
+    """The classification of the rows a row parser yields, or the (message, line) of its TriangleParseError."""
+    from rascal.analyze import classify_checked_rows
+
+    try:
+        return classify_checked_rows(rows)
+    except TriangleParseError as err:
+        return str(err), err.line
+
+
+def reference_classified(fmt, text):
+    """``classified`` by the reference readers of the grammar and ``classify_rows``."""
+    from rascal import classify_rows
+
+    read = oracle_plain_rows(text) if fmt == "text" else oracle_json_document(text)
+    return classify_rows(read) if isinstance(read, list) else read
+
+
+class TestClosedFormPrefixOnText:
+    """classify takes a row whose text is the writer's text of the closed form's row unparsed, and parses any other."""
+
+    @settings(max_examples=400)
+    @given(case=edited_closed_forms(), cuts=st.lists(st.integers(0, 2000), max_size=8))
+    def test_any_edit_in_any_pieces_classifies_as_the_reference(self, case, cuts):
+        fmt, text = case
+        assert classified(triangle_rows(pieces(text, cuts))) == reference_classified(fmt, text)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_no_row_past_the_fit_is_parsed(self, fmt):
+        grid = generate_closed_form(GrtParams(-734, -7, -55, -81), 600)
+        text = (render_text if fmt == "text" else render_json)(grid)
+        # the ways a row is parsed: a line by int() or token by token, a decoded JSON row checked
+        parsers = {name: getattr(triangle_io, name) for name in ("_grammar_ints", "_plain_row", "_json_row")}
+        parsed, built = [], []
+
+        def logged(name):
+            return lambda *args: parsed.append(name) or parsers[name](*args)
+
+        with mock.patch.multiple(triangle_io, **{name: logged(name) for name in parsers}), mock.patch.object(
+            analyze, "closed_form_row", lambda params, n: built.append(n) or closed_form_row(params, n)
+        ):
+            result = classified(triangle_rows(pieces(text, range(0, len(text), 1 << 16))))
+        assert result == reference_classified(fmt, text) and result.verdict == "grt"
+        assert len(parsed) == 3  # rows 0-2, which fit the parameters
+        assert built == list(range(2, 601))  # each row's closed form once, and the one after the last
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_expected_entry_past_the_digit_limit_is_parsed(self, fmt):
+        # d1 of L digits: rows 0-2 stay within the limit L, and row 3 of the closed form, (3*d1, 2*d1, d1, 0),
+        # starts with an entry past it, so no file holds it; this one holds the rest of it
+        d1 = 4 * 10 ** (sys.get_int_max_str_digits() - 1)
+        rows = [(0,), (d1, 0), (2 * d1, d1, 0), (0, 2 * d1, d1, 0)]
+        text = "".join((text_chunks if fmt == "text" else json_chunks)(rows))
+        result = classified(triangle_rows([text]))
+        assert result == reference_classified(fmt, text)
+        assert result.mismatch[2] == 3 * d1
+
+    def test_no_row_is_given_back_past_a_fault(self):
+        # the second "rows" member is refused at the end; no row of it comes first, as with any fault
+        rows = generate_closed_form(GrtParams(1, 1, 0, 0), 5).rows
+        first, second = ("".join(json_chunks(part))[9:-2] for part in (rows[:4], rows[4:]))
+        parser = json_rows([f'{{"rows": {first}, "rows": {second}}}'])
+        assert [next(parser) for _ in range(4)] == list(rows[:4])
+        with pytest.raises(TriangleParseError, match='^more than one "rows" member$'):
+            parser.send(rows[4])
+
+    @pytest.mark.parametrize("render", [text_chunks, json_chunks])
+    def test_memory_grows_with_rows_not_cells(self, render):
+        from rascal.generate import closed_form_rows
+
+        tracemalloc.start()
+        try:
+            result = classified(triangle_rows(render(closed_form_rows(GrtParams(3, 2, 5, 7), 500))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.verdict == "grt"
+        assert peak < 2**20  # the whole triangle's 125k cells, or its text, would take several MiB
