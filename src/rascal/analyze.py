@@ -9,11 +9,11 @@ arithmetic and every diamond implies the fitted rule constants.  So one
 pass over the rows answers every analysis at once: it compares whole rows
 with the closed form, and from the first row that differs it checks only the
 diagonals still arithmetic, and each rule up to its first conflict.  Each
-closed-form row is built once, before its row is read, and sent to the row
-source when that is a generator: the row parsers of ``triangle_io`` give the
-same tuple back when the row's text is the writer's text of it, so the
-closed-form prefix of a file is matched on its text, with no int() and no
-comparison.
+closed-form row is drawn once from one ``closed_form_rows`` stream, before
+its row is read, and sent to the row source when that is a generator: the
+row parsers of ``triangle_io`` give the same tuple back when the row's text
+is the writer's text of it, so the closed-form prefix of a file is matched
+on its text, with no int() and no comparison.
 ``Classification`` is the one record of that pass; ``fit_grt``,
 ``diagonal_reports`` and the rule detectors are one-line reads of
 ``classify`` and run the whole pass.
@@ -26,12 +26,13 @@ any other rows with ``checked_row``.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Sequence
-from itertools import count
+from itertools import count, islice
 from operator import invert, itemgetter, mul, sub
 
-from .core import GrtParams, Record, TriangleGrid, checked_row, closed_form_row
-from .generate import mult_constant
+from .core import GrtParams, Record, TriangleGrid, checked_row
+from .generate import closed_form_rows, mult_constant
 
 VERDICT_GRT = "grt"
 VERDICT_ADDITION_ONLY = "addition-only"
@@ -213,10 +214,11 @@ class _Folded(Record):
 def _fold(rows: Iterable[tuple[int, ...]]) -> _Folded:
     """Read the checked rows once, in order, keeping only what the reports need.
 
-    Rows 0-2 fix the parameters; each row is compared with their closed form
-    until the first that differs (the mismatch).  Row n + 1 of the closed
-    form is built once, after row n matches, and sent to a generator of rows
-    before it yields row n + 1; a row that is that tuple matches.  Up to the
+    Rows 0-2 fix the parameters and start one ``closed_form_rows`` stream;
+    each row is compared with the row drawn from it until the first that
+    differs (the mismatch).  Row n + 1 is drawn, by ``next()``, after row n
+    matches, and sent to a generator of rows before it yields row n + 1; a
+    row that is that tuple matches.  Up to the
     mismatch every diagonal is arithmetic and every diamond implies ``d`` and
     ``c*d - d1*d2``, the constants of the first diamond, (1, 1).  From that
     row on, each family's work per row follows its diagonals still
@@ -262,10 +264,11 @@ def _fold(rows: Iterable[tuple[int, ...]]) -> _Folded:
         if n == 2:
             params = _fitted(prev2, prev, row)
             d_mult = mult_constant(params)
-            expected = closed_form_row(params, 2)
+            closed = islice(closed_form_rows(params, sys.maxsize), 2, None)  # rows 0-1 match the fit
+            expected = next(closed)
         if expected is not None:
             if row is expected or row == expected:
-                expected = closed_form_row(params, n + 1)
+                expected = next(closed)
             else:
                 r = next(r for r, value in enumerate(row) if value != expected[r])
                 mismatch = (r, n - r, expected[r], row[r])

@@ -121,11 +121,11 @@ def _print_error(message: str) -> None:
     A line break that a path or an argument brings into the message is
     escaped as repr() writes it.
     """
-    import re
+    print(f"rascal: {message.translate(_LINE_BREAKS)}", file=sys.stderr)
 
-    line_break = "[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]"  # the characters str.splitlines ends a line at
-    message = re.sub(line_break, lambda match: repr(match.group())[1:-1], message)
-    print(f"rascal: {message}", file=sys.stderr)
+
+# the characters str.splitlines ends a line at, each to its repr() escape
+_LINE_BREAKS = {ord(ch): repr(ch)[1:-1] for ch in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 def _read_argv(argv: list[str]) -> dict | None:

@@ -10,6 +10,9 @@ row ``n`` satisfies ``r + k = n``.
 
 All entries are plain Python integers, so arithmetic is exact at any size.
 
+``closed_form_entry`` is the closed form's per-cell reference, for the
+identities and the tests; ``generate.closed_form_rows`` grows its rows.
+
 The package's value types (parameters, grids, diamonds, reports) are
 ``Record`` subclasses: immutable, compared and hashed by value, with fields
 declared as class annotations.  ``Record`` replaces frozen dataclasses, which
@@ -165,22 +168,6 @@ def closed_form_entry(params: GrtParams, r: int, k: int) -> int:
     return params.c + k * params.d1 + r * params.d2 + r * k * params.d
 
 
-def closed_form_row(params: GrtParams, n: int) -> tuple[int, ...]:
-    """Row ``n`` of the closed form, left to right: T(r, n - r) for r = 0..n.
-
-    Built with additions only: the row starts at T(0, n) = c + n*d1 and
-    steps by (d2 - d1) + d*(n - 1 - 2r) from position r to r + 1.
-    """
-    if n < 0:
-        raise ValueError(f"row index must be nonnegative, got {n}")
-    first_step = params.d2 - params.d1 + params.d * (n - 1)
-    if params.d:
-        steps = range(first_step, first_step - 2 * params.d * n, -2 * params.d)
-    else:
-        steps = repeat(first_step, n)
-    return tuple(accumulate(steps, initial=params.c + n * params.d1))
-
-
 def major_diagonal(params: GrtParams, r: int, count: int) -> list[int]:
     """First ``count`` terms of the r-th major diagonal.
 
@@ -199,13 +186,7 @@ def major_diagonal(params: GrtParams, r: int, count: int) -> list[int]:
 def minor_diagonal(params: GrtParams, k: int, count: int) -> list[int]:
     """First ``count`` terms of the k-th minor diagonal.
 
-    An arithmetic sequence: first term ``c + k*d1``, common difference
-    ``d2 + k*d``.
+    First term ``c + k*d1``, common difference ``d2 + k*d``: the k-th major
+    diagonal of the transposed triangle, ``GrtParams(c, d, d2, d1)``.
     """
-    if k < 0:
-        raise ValueError(f"diagonal index must be nonnegative, got {k}")
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    first = params.c + k * params.d1
-    step = params.d2 + k * params.d
-    return [first + r * step for r in range(count)]
+    return major_diagonal(GrtParams(params.c, params.d, params.d2, params.d1), k, count)

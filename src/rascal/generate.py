@@ -8,14 +8,15 @@ east = T(r, k-1), south = T(r, k).  For a parameterized triangle the two
 constants are tied together by D = c*d - d1*d2.
 
 Each way is a row iterator (``closed_form_rows``, ``addition_rows``,
-``multiplication_rows``) that holds at most the two rows the next one is
-built from, so a caller that consumes rows as they come needs O(rows)
-memory.  A recurrence row is computed with whole-row ``map``s of the
-``operator`` functions, with no Python call per cell; ``generate_*`` collect
-the rows into a ``TriangleGrid``.  The recurrences grow from a ``Boundary``
-or from its edge entries given row by row: ``edges_from_params`` computes
-the parameterized edges that way, so the first row comes at once however
-many rows are asked for.
+``multiplication_rows``), and all three grow in one loop that holds only the
+two rows the next is built from, so a caller that consumes rows as they come
+needs O(rows) memory.  Its interior is whole-row ``map``s of the ``operator``
+functions, with no Python call per cell: the closed form steps each major
+diagonal r by d1 + r*d, the recurrences apply their rule.  The edges come as
+(major, minor) pairs, row by row: a ``Boundary`` yields its own, and
+``edges_from_params`` computes the parameterized ones, so the first row comes
+at once however many rows follow.  ``generate_*`` collect the rows into a
+``TriangleGrid``.
 
 The multiplication rule can fail part way, at a zero or inexact north
 entry.  Grown from the parameters' own edges it can only fail at a zero of
@@ -31,7 +32,7 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import count, islice, repeat
 from operator import add, floordiv, mod, mul, sub
 
-from .core import GrtParams, Record, TriangleGrid, closed_form_row, major_diagonal, minor_diagonal
+from .core import GrtParams, Record, TriangleGrid
 
 
 class MultiplicationRuleError(ArithmeticError):
@@ -92,6 +93,10 @@ class Boundary(Record):
     def n_rows(self) -> int:
         return len(self.major_edge)
 
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        """The (major, minor) edge entries row by row, as ``edges_from_params`` gives them."""
+        return zip(self.major_edge, self.minor_edge)
+
 
 def mult_constant(params: GrtParams) -> int:
     """The multiplication-rule constant D = c*d - d1*d2."""
@@ -100,16 +105,14 @@ def mult_constant(params: GrtParams) -> int:
 
 def boundary_from_params(params: GrtParams, n_rows: int) -> Boundary:
     """Edges of the parameterized triangle: major_edge[k] = c + k*d1, minor_edge[r] = c + r*d2."""
-    if n_rows < 1:
-        raise ValueError(f"n_rows must be at least 1, got {n_rows}")
-    return Boundary(params.c, major_diagonal(params, 0, n_rows), minor_diagonal(params, 0, n_rows))
+    return Boundary(params.c, *zip(*edges_from_params(params, n_rows)))
 
 
 def edges_from_params(params: GrtParams, n_rows: int) -> Iterator[tuple[int, int]]:
     """The edges of ``boundary_from_params`` one row at a time: (c + n*d1, c + n*d2) for n < n_rows.
 
-    ``addition_rows`` and ``multiplication_rows`` take these pairs in place of
-    a ``Boundary``, so their first row comes at once, however many rows follow.
+    The row iterators take these pairs as they take a ``Boundary``, so their
+    first row comes at once, however many rows follow.
     """
     if n_rows < 1:
         raise ValueError(f"n_rows must be at least 1, got {n_rows}")
@@ -117,18 +120,27 @@ def edges_from_params(params: GrtParams, n_rows: int) -> Iterator[tuple[int, int
 
 
 def closed_form_rows(params: GrtParams, n_rows: int) -> Iterator[tuple[int, ...]]:
-    """Rows 0..n_rows-1 of the closed form, one at a time."""
-    if n_rows < 1:
-        raise ValueError(f"n_rows must be at least 1, got {n_rows}")
-    return map(closed_form_row, repeat(params, n_rows), range(n_rows))
+    """Rows 0..n_rows-1 of the closed form, one at a time, each grown from the one before.
+
+    Major diagonal r steps by d1 + r*d, so interior cell r of row n is
+    prev[r] + (d1 + r*d); the steps list grows one entry per row.
+    """
+    d1, d = params.d1, params.d
+    steps: list[int] = []  # at row n: d1 + r*d for r = 1..n
+
+    def interior(n: int, prev: tuple[int, ...], above: tuple[int, ...]) -> Iterable[int]:
+        steps.append(d1 + n * d)
+        return map(add, prev[1:], steps)
+
+    return _grow_rows(edges_from_params(params, n_rows), interior)
 
 
-def addition_rows(boundary: Boundary | Iterable[tuple[int, int]], d: int) -> Iterator[tuple[int, ...]]:
+def addition_rows(boundary: Iterable[tuple[int, int]], d: int) -> Iterator[tuple[int, ...]]:
     """Rows of the addition-rule triangle, south = east + west + d - north, one at a time.
 
-    ``boundary`` is a ``Boundary`` or its (major, minor) edge entries row by
-    row, as ``edges_from_params`` gives them.  Total: succeeds for every
-    integer boundary and constant, zeros included.
+    ``boundary`` is (major, minor) edge pairs, as a ``Boundary`` or
+    ``edges_from_params`` yields them.  Total, zeros included, once the first
+    pair is the apex twice (ValueError otherwise).
     """
 
     def interior(n: int, prev: tuple[int, ...], above: tuple[int, ...]) -> Iterable[int]:
@@ -138,7 +150,7 @@ def addition_rows(boundary: Boundary | Iterable[tuple[int, int]], d: int) -> Ite
     return _grow_rows(boundary, interior)
 
 
-def multiplication_rows(boundary: Boundary | Iterable[tuple[int, int]], mult: int) -> Iterator[tuple[int, ...]]:
+def multiplication_rows(boundary: Iterable[tuple[int, int]], mult: int) -> Iterator[tuple[int, ...]]:
     """Rows of the multiplication-rule triangle, south = (east*west + mult) / north, one at a time.
 
     ``boundary`` is as for ``addition_rows``.  Raises ZeroNorthError or
@@ -267,21 +279,21 @@ def generate_by_multiplication(boundary: Boundary, mult: int) -> TriangleGrid:
 
 
 def _grow_rows(
-    boundary: Boundary | Iterable[tuple[int, int]],
+    edges: Iterable[tuple[int, int]],
     interior: Callable[[int, tuple[int, ...], tuple[int, ...]], Iterable[int]],
 ) -> Iterator[tuple[int, ...]]:
     """Yield row 0, then each row n as its two edge entries around ``interior(n, row n-1, row n-2)``.
 
-    The edge entries are read one row at a time, and only the last two rows
-    are kept.  Position r of row n is T(r, n - r), so the interior cell at
-    position r has east = prev[r], west = prev[r - 1] and north = above[r - 1];
-    row 1 has no interior, and ``above`` is empty.
+    The edge pairs are read one row at a time, the first must be the apex
+    twice, and only the last two rows are kept.  Position r of row n is
+    T(r, n - r), so the interior cell at position r has east = prev[r],
+    west = prev[r - 1] and north = above[r - 1]; row 1 has no interior.
     """
-    if isinstance(boundary, Boundary):
-        boundary = zip(boundary.major_edge, boundary.minor_edge)
     above: tuple[int, ...] = ()
     prev: tuple[int, ...] = ()
-    for n, (major, minor) in enumerate(boundary):
+    for n, (major, minor) in enumerate(edges):
+        if not n and major != minor:
+            raise ValueError("both edges must start at the apex")
         above, prev = prev, ((major, *interior(n, prev, above), minor) if n else (major,))
         yield prev
 

@@ -263,6 +263,7 @@ class TestGenerateStreaming:
             ("mul", GrtParams(123, 7, 45, 67)),
             ("mul", GrtParams(5, 0, 3, 7)),  # d = 0
             ("mul", GrtParams(6, 2, 3, 4)),  # D = c*d - d1*d2 = 0
+            ("closed", GrtParams(123, 7, 45, 67)),  # its steps grow with the rows, not ahead of them
         ],
     )
     def test_first_row_of_ten_million_at_once(self, monkeypatch, rule, params):
@@ -353,6 +354,23 @@ def test_well_formed_calls_load_no_argparse(tmp_path):
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
         )
         assert proc.stderr.splitlines()[-1:] == expected.splitlines(), argv
+
+
+def test_refusal_loads_no_re(tmp_path):
+    # a refusal escapes the line breaks of its message by str.translate; without site (-S) nothing
+    # else has loaded re, so a refusal that imported it would show it here
+    src = str(Path(rascal.__file__).resolve().parents[1])
+    missing = str(tmp_path / "no\nfile")
+    code = (
+        "import sys, rascal.cli; code = rascal.cli.main(sys.argv[1:]); "
+        "print(code, 're' in sys.modules, file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, "classify", "--input", missing],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    escaped = missing.replace("\n", "\\n")
+    assert proc.stderr.splitlines() == [f"rascal: cannot read {escaped}: No such file or directory", "65 False"]
 
 
 def test_props_loads_no_fractions_or_decimal():

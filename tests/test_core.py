@@ -15,11 +15,11 @@ from rascal import (
     RuleWitness,
     TriangleGrid,
     closed_form_entry,
+    closed_form_rows,
     generate_closed_form,
     major_diagonal,
     minor_diagonal,
 )
-from rascal.core import closed_form_row
 
 RASCAL = GrtParams(1, 1, 0, 0)
 W = GrtParams(1, 5, 2, 3)
@@ -50,29 +50,27 @@ class TestClosedForm:
         assert closed_form_entry(params, r, k) == closed_form_entry(mirrored, k, r)
 
 
+def entry_rows(params, n_rows):
+    """Rows 0..n_rows-1 of the closed form, each cell from closed_form_entry."""
+    return [tuple(closed_form_entry(params, r, n - r) for r in range(n + 1)) for n in range(n_rows)]
+
+
 class TestClosedFormRow:
-    @given(params=params_st, n=st.integers(0, 20))
-    def test_matches_entries(self, params, n):
-        assert closed_form_row(params, n) == tuple(
-            closed_form_entry(params, r, n - r) for r in range(n + 1)
-        )
+    """closed_form_rows grows each row from the one before; every cell must be closed_form_entry's."""
+
+    @given(params=params_st, n_rows=st.integers(1, 21))
+    def test_matches_entries(self, params, n_rows):
+        assert list(closed_form_rows(params, n_rows)) == entry_rows(params, n_rows)
 
     @pytest.mark.parametrize(
         "params", [GrtParams(4, 0, -2, 5), GrtParams(0, 0, 0, 0), GrtParams(-3, -7, 2, 1)]
     )
     def test_zero_and_negative_d(self, params):
-        for n in range(12):
-            assert closed_form_row(params, n) == tuple(
-                closed_form_entry(params, r, n - r) for r in range(n + 1)
-            )
+        assert list(closed_form_rows(params, 12)) == entry_rows(params, 12)
 
     def test_row_zero_is_the_apex(self):
         for params in (RASCAL, W, GrtParams(-4, 0, 0, 7), GrtParams(9, -2, 1, 1)):
-            assert closed_form_row(params, 0) == (params.c,)
-
-    def test_rejects_negative_row(self):
-        with pytest.raises(ValueError):
-            closed_form_row(W, -1)
+            assert list(closed_form_rows(params, 1)) == [(params.c,)]
 
 
 class TestParamDiagonals:

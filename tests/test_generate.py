@@ -230,6 +230,7 @@ class TestEdgesFromParams:
     def test_pairs_are_the_boundary_edges(self, params, n_rows):
         boundary = boundary_from_params(params, n_rows)
         assert list(edges_from_params(params, n_rows)) == list(zip(boundary.major_edge, boundary.minor_edge))
+        assert list(boundary) == list(edges_from_params(params, n_rows))  # a Boundary yields its pairs
 
     @given(params=params_st, n_rows=st.integers(1, 10), constant=st.integers(-3, 3))
     def test_rows_match_the_boundary(self, params, n_rows, constant):
@@ -252,6 +253,15 @@ class TestEdgesFromParams:
     def test_rejects_zero_rows(self):
         with pytest.raises(ValueError):
             edges_from_params(RASCAL, 0)
+
+    @pytest.mark.parametrize("rows", [addition_rows, multiplication_rows])
+    def test_pairs_must_start_at_the_apex(self, rows):
+        # the edges a Boundary refuses are refused as pairs too, before any row, not grown from a lost entry
+        with pytest.raises(ValueError, match="^both edges must start at the apex$"):
+            Boundary(1, (1, 3, 5), (2, 4, 6))
+        made = rows([(1, 2), (3, 4), (5, 6)], 0)
+        with pytest.raises(ValueError, match="^both edges must start at the apex$"):
+            next(made)
 
 
 def _recurrence_outcome(params, n_rows):

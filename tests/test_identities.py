@@ -535,9 +535,11 @@ class TestClosedFormShortcuts:
 
         north, east, west, south = t(r - 1, k - 1), t(r, k - 1), t(r - 1, k), t(r, k)
         identities = {
-            # closed_form_row: row n starts at T(0, n) and steps from position r to r + 1
-            "row start": (t(0, n), c + n * d1),
-            "row step": (t(r + 1, n - r - 1) - t(r, n - r), (d2 - d1) + d * (n - 1 - 2 * r)),
+            # closed_form_rows: row n is row n - 1 with major diagonal r stepped by its common
+            # difference, between the edge entries T(0, n) and T(n, 0)
+            "major step": (t(r, k + 1) - t(r, k), d1 + r * d),
+            "major edge": (t(0, n), c + n * d1),
+            "minor edge": (t(n, 0), c + n * d2),
             # the classify fold's closed-form prefix and predict_multiplication_failure: every
             # diamond of the closed form obeys both rules, and a major diagonal is linear in k
             "addition rule": (south, east + west + d - north),

@@ -37,8 +37,7 @@ from rascal import (
     text_chunks,
     triangle_rows,
 )
-from rascal import analyze, triangle_io
-from rascal.core import closed_form_row
+from rascal import analyze, generate, triangle_io
 
 RASCAL_TEXT = "# leading comment\n1\n1 1\n\n1 2 1\n1\t3 3\t1\n1 4 5 4 1\n"
 
@@ -650,18 +649,26 @@ class TestClosedFormPrefixOnText:
         text = (render_text if fmt == "text" else render_json)(grid)
         # the ways a row is parsed: a line by int() or token by token, a decoded JSON row checked
         parsers = {name: getattr(triangle_io, name) for name in ("_grammar_ints", "_plain_row", "_json_row")}
-        parsed, built = [], []
+        parsed, drawn, streams = [], [], []
 
         def logged(name):
             return lambda *args: parsed.append(name) or parsers[name](*args)
 
+        def closed_form_rows(params, n_rows):
+            streams.append(params)
+            for row in generate.closed_form_rows(params, n_rows):
+                drawn.append(len(row) - 1)
+                yield row
+
         with mock.patch.multiple(triangle_io, **{name: logged(name) for name in parsers}), mock.patch.object(
-            analyze, "closed_form_row", lambda params, n: built.append(n) or closed_form_row(params, n)
+            analyze, "closed_form_rows", closed_form_rows
         ):
             result = classified(triangle_rows(pieces(text, range(0, len(text), 1 << 16))))
         assert result == reference_classified(fmt, text) and result.verdict == "grt"
         assert len(parsed) == 3  # rows 0-2, which fit the parameters
-        assert built == list(range(2, 601))  # each row's closed form once, and the one after the last
+        assert streams == [result.params]  # one stream, started once rows 0-2 fix the parameters
+        # rows 0-1, which the fit matches by construction, then each row's closed form once, and the one after the last
+        assert drawn == list(range(601))
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_expected_entry_past_the_digit_limit_is_parsed(self, fmt):
