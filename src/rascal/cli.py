@@ -225,9 +225,7 @@ def _build_parser():
 
 
 def _cmd_generate(args: dict) -> int:
-    if args["rows"] < 1:
-        raise _usage("--rows must be at least 1")
-    _check_index_bound("--rows", args["rows"])
+    _check_count("--rows", args["rows"])
     params = GrtParams(args["c"], args["d"], args["d1"], args["d2"])
     _check_printable(params, args["rows"])
     if args["rule"] == "closed":
@@ -244,8 +242,10 @@ def _cmd_generate(args: dict) -> int:
     return EXIT_OK
 
 
-def _check_index_bound(flag: str, value: int) -> None:
-    """A usage refusal for a count past ``sys.maxsize``, which the row iterators cannot count to."""
+def _check_count(flag: str, value: int) -> None:
+    """A usage refusal for a count below 1, or past ``sys.maxsize``, which the row iterators cannot count to."""
+    if value < 1:
+        raise _usage(f"{flag} must be at least 1")
     if value > sys.maxsize:
         raise _usage(f"{flag} must be at most {sys.maxsize}")
 
@@ -332,9 +332,7 @@ def _cmd_classify(args: dict) -> int:
 
 
 def _cmd_props(args: dict) -> int:
-    if args["depth"] < 1:
-        raise _usage("--depth must be at least 1")
-    _check_index_bound("--depth", args["depth"])
+    _check_count("--depth", args["depth"])
     flag_names = ("c", "d", "d1", "d2")
     given = [name for name in flag_names if args[name] is not None]
     if args["input"] is not None and given:
@@ -519,39 +517,35 @@ _COMMANDS = {
 # --- report rendering ----------------------------------------------------
 
 
-def _params_dict(params: GrtParams | None):
-    if params is None:
-        return None
+def _params_dict(params: GrtParams):
     return {name: int_for_json(getattr(params, name)) for name in ("c", "d", "d1", "d2")}
 
 
-def _rule_dict(report: RuleReport):
-    data = {"rule": report.rule, "constant": _jsonable(report.constant), "witnesses": None}
+def _json_ints(keys, values) -> str:
+    """The integers ``values`` as a JSON object with ``keys``, each written by ``json_int``; ``null`` for None."""
+    if values is None:
+        return "null"
+    return "{%s}" % ", ".join(f'"{key}": {json_int(value)}' for key, value in zip(keys, values))
+
+
+def _rule_json(report: RuleReport) -> str:
+    constant = "null" if report.constant is None else json_int(report.constant)
+    witnesses = "null"
     if report.witnesses is not None:
-        data["witnesses"] = [
-            {"r": w.r, "k": w.k, "implied_constant": int_for_json(w.implied_constant)}
-            for w in report.witnesses
-        ]
-    return data
+        keys = ("r", "k", "implied_constant")
+        witnesses = "[%s]" % ", ".join(_json_ints(keys, (w.r, w.k, w.implied_constant)) for w in report.witnesses)
+    return f'{{"rule": "{report.rule}", "constant": {constant}, "witnesses": {witnesses}}}'
 
 
 def _diagonal_json(report: DiagonalReport) -> str:
     """The report's JSON object, as ``json.dumps`` writes it with its integers by ``int_for_json``."""
     difference = "null" if report.common_difference is None else json_int(report.common_difference)
-    violation = "null"
-    if report.first_violation is not None:
-        position, expected, actual = map(json_int, report.first_violation)
-        violation = f'{{"position": {position}, "expected": {expected}, "actual": {actual}}}'
+    violation = _json_ints(("position", "expected", "actual"), report.first_violation)
     return (
         f'{{"kind": "{report.kind}", "index": {report.index}, "first_term": {json_int(report.first_term)}, '
         f'"common_difference": {difference}, "first_violation": {violation}, '
         f'"under_determined": {"true" if report.under_determined else "false"}}}'
     )
-
-
-def _int_fields(keys, values):
-    """The integers ``values`` as a JSON object with ``keys``, each as ``int_for_json`` writes it; None for None."""
-    return None if values is None else dict(zip(keys, map(int_for_json, values)))
 
 
 def _rule_line(report: RuleReport) -> str:
@@ -580,17 +574,17 @@ def _diagonal_line(report: DiagonalReport) -> str:
 
 def _classification_report(result: Classification, fmt: str) -> str:
     if fmt == "json":
-        head = {
-            "verdict": result.verdict,
-            "mismatch": _int_fields(("r", "k", "expected", "actual"), result.mismatch),
-            "params": _params_dict(result.params),
-            "addition": _rule_dict(result.addition),
-            "multiplication": _rule_dict(result.multiplication),
-        }
-        # the text of _json_line({**head, "diagonals": [...]}), each diagonal written as a string
-        # of its own: one json.dumps of every diagonal's dict at once traces 1.1 MiB more on 700 rows
+        # the text json.dumps writes for the report's dict, integers by int_for_json, written without json:
+        # the report holds only integers, null, booleans and fixed words, none of which needs escaping
+        p = result.params
+        mismatch = _json_ints(("r", "k", "expected", "actual"), result.mismatch)
+        params = _json_ints(("c", "d", "d1", "d2"), p and (p.c, p.d, p.d1, p.d2))
         diagonals = ", ".join(map(_diagonal_json, result.diagonals))
-        return f'{_json_line(head)[:-2]}, "diagonals": [{diagonals}]}}\n'
+        return (
+            f'{{"verdict": "{result.verdict}", "mismatch": {mismatch}, "params": {params}, '
+            f'"addition": {_rule_json(result.addition)}, "multiplication": {_rule_json(result.multiplication)}, '
+            f'"diagonals": [{diagonals}]}}\n'
+        )
     lines = [f"verdict: {result.verdict}"]
     if result.mismatch is not None:
         lines.append(f"mismatch: {NotGrtError(*result.mismatch)}")

@@ -14,9 +14,9 @@ of at most the interpreter's int-to-str digit limit, and row n holds n + 1
 of them.  int() does the scan: it takes exactly that grammar once the text
 holds nothing else it reads (other scripts' digits, ``_``, ``+`` or
 whitespace inside a JSON string), and ``_is_grammar_int`` only names the
-first bad token when there is one.  A plain line is split into at most one
-token more than its row holds, so an over-long row is refused without a list
-of all its tokens.  Nothing here imports ``re`` but the JSON reader, which
+first bad token when there is one.  A plain line is split a window of about
+64K characters at a time, so an over-long row is refused without a list of
+all its tokens.  Nothing here imports ``re`` but the JSON reader, which
 ``json`` loads it for anyway.
 
 Each format has a row parser (``plain_rows`` and ``json_rows``, and
@@ -127,10 +127,7 @@ def plain_rows(chunks: Iterable[str]) -> Generator[tuple[int, ...], tuple[int, .
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            tokens = line.split(None, n + 1)  # n + 2 pieces at most: a longer row stops at its first token too many
-            row = _grammar_ints(tokens, line) if len(tokens) == n + 1 else None
-            if row is None:
-                row = _plain_row(line, n, lineno)
+            row = _plain_row(line, n, lineno)
         expected = yield row
         expected_text = _expected_text(_text_template, expected)
         n += 1
@@ -175,14 +172,15 @@ def _is_grammar_int(token: str) -> bool:
 
 
 def _plain_row(line: str, n: int, lineno: int) -> tuple[int, ...]:
-    """Row ``n`` from its stripped ``line``, read token by token where int() alone cannot tell.
+    """Row ``n`` from its stripped ``line``, the one reader of a plain line not matched on its text.
 
-    Else the TriangleParseError of the line's first token outside the grammar,
-    else of its longest token past the digit limit, else of its count of
-    entries.  The line is read a window at a time, so an over-long row builds
-    no list of all its tokens.
+    Each window's tokens go to int() at once, and token by token only where
+    int() alone cannot tell.  Else the TriangleParseError of the line's first
+    token outside the grammar, else of its longest token past the digit limit,
+    else of its count of entries.  The line is read a window at a time, so an
+    over-long row builds no list of all its tokens.
     """
-    row: list[int] = []
+    parts: list[tuple[int, ...]] = []  # each window's ints while the row is not too long; one window's are the row
     count, longest = 0, ""
     for tokens, text in _windows(line):
         count += len(tokens)
@@ -198,12 +196,12 @@ def _plain_row(line: str, n: int, lineno: int) -> tuple[int, ...]:
                 longest = max([longest, *(token for token in tokens if len(token.lstrip("-")) > limit)], key=len)
                 continue
         if count <= n + 1:
-            row += ints
+            parts.append(ints)
     if longest:
         raise TriangleParseError(_too_long(longest), lineno)
     if count != n + 1:
         raise TriangleParseError(f"row {n} has {count} entries, expected {n + 1}", lineno)
-    return tuple(row)
+    return parts[0] if len(parts) == 1 else tuple(chain.from_iterable(parts))
 
 
 _WINDOW = 1 << 16  # characters of a line split at a time by _windows

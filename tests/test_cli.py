@@ -373,6 +373,30 @@ def test_refusal_loads_no_re(tmp_path):
     assert proc.stderr.splitlines() == [f"rascal: cannot read {escaped}: No such file or directory", "65 False"]
 
 
+def test_classify_json_report_loads_json_only_for_json_input(tmp_path):
+    # the report holds only integers, null, booleans and fixed words, so it is written without json;
+    # json is imported only to read a JSON input
+    src = str(Path(rascal.__file__).resolve().parents[1])
+    grid = generate_closed_form(GrtParams(1, 5, 2, 3), 20)
+    planted = [list(row) for row in grid.rows]
+    planted[9][4] += 1  # a mismatch, and rules with witnesses, in the report
+    code = (
+        "import sys; before = set(sys.modules); import rascal.cli; code = rascal.cli.main(sys.argv[1:]); "
+        "print(code, 'json' in set(sys.modules) - before, file=sys.stderr)"
+    )
+    for name, text, expected in (
+        ("grt.txt", render_text(grid), "0 False\n"),
+        ("planted.txt", "".join(" ".join(map(str, row)) + "\n" for row in planted), "1 False\n"),
+        ("grt.json", render_json(grid), "0 True\n"),
+    ):
+        argv = ["classify", "--input", write(tmp_path, name, text), "--format", "json"]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.stderr == expected, name
+
+
 def test_props_loads_no_fractions_or_decimal():
     # the diamond checks compare cross-multiplied sums and build Fraction means only for a failure,
     # so a props run with every check, whose identities all hold, imports neither module

@@ -647,7 +647,7 @@ class TestClosedFormPrefixOnText:
     def test_no_row_past_the_fit_is_parsed(self, fmt):
         grid = generate_closed_form(GrtParams(-734, -7, -55, -81), 600)
         text = (render_text if fmt == "text" else render_json)(grid)
-        # the ways a row is parsed: a line by int() or token by token, a decoded JSON row checked
+        # the ways a row is parsed: a line window by window, its tokens by int() at once; a decoded JSON row checked
         parsers = {name: getattr(triangle_io, name) for name in ("_grammar_ints", "_plain_row", "_json_row")}
         parsed, drawn, streams = [], [], []
 
@@ -665,7 +665,8 @@ class TestClosedFormPrefixOnText:
         ):
             result = classified(triangle_rows(pieces(text, range(0, len(text), 1 << 16))))
         assert result == reference_classified(fmt, text) and result.verdict == "grt"
-        assert len(parsed) == 3  # rows 0-2, which fit the parameters
+        # rows 0-2, which fit the parameters: each line by _plain_row, whose window goes to int() at once
+        assert parsed == (["_plain_row", "_grammar_ints"] if fmt == "text" else ["_json_row"]) * 3
         assert streams == [result.params]  # one stream, started once rows 0-2 fix the parameters
         # rows 0-1, which the fit matches by construction, then each row's closed form once, and the one after the last
         assert drawn == list(range(601))
