@@ -308,8 +308,6 @@ def _still_arithmetic(live, steps, n, row, prev, violations, mirrored):
     r of every row, and minor k, k places from the right end, at index ~k
     (= -1 - k) when ``mirrored``.
     """
-    if not live:
-        return live, steps
     first, last = live[0], live[-1]
     if last - first == len(live) - 1:  # one run of consecutive diagonals: a slice, leftwards for minors
         cells = slice(~first, ~last - 1, -1) if mirrored else slice(first, last + 1)

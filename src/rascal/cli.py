@@ -24,11 +24,18 @@ classification or failed check, 2 multiplication-rule arithmetic failure,
 as the negative verdict 1), 141 the reader of stdout went away, as in
 ``rascal generate ... | head`` (128 + SIGPIPE, what a shell reports for a
 command killed by that signal; nothing is printed).
+
+``run()`` is the process entry point (``python -m rascal``, the ``rascal``
+script): it exits with ``main()``'s code after ``gc.freeze()``, so the
+interpreter's exit does not collect the heap that importing ``site`` and
+rascal built.  ``atexit`` handlers and the final flush still run; ``main()``
+itself freezes nothing, for callers in a process that goes on.
 """
 
 from __future__ import annotations
 
 import codecs
+import gc
 import os
 import sys
 from functools import partial
@@ -113,6 +120,13 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as err:  # last resort: any other failure is a bug, not a verdict
         _print_error(f"internal error: {type(err).__name__}: {err}")
         return EXIT_SOFTWARE
+
+
+def run() -> None:
+    """Exit the process with ``main()``'s code, the heap frozen first so that exiting skips collecting it."""
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 def _print_error(message: str) -> None:
@@ -412,9 +426,7 @@ def _parse_check_names(requested: str) -> list[str]:
 
 
 def _jsonable(value):
-    """A report value as JSON writes it: None, an integer by ``int_for_json``, anything else as text."""
-    if value is None:
-        return None
+    """A failure's side as JSON writes it: an integer by ``int_for_json``, a ``Fraction`` as text."""
     return int_for_json(value) if isinstance(value, int) else str(value)
 
 
@@ -598,7 +610,8 @@ def _classification_report(result: Classification, fmt: str) -> str:
 
 def _props_report(params: GrtParams, depth: int, records, fmt: str) -> str:
     if fmt == "json":
-        return _json_line({"params": _params_dict(params), "depth": depth, "checks": records})
+        # integers past 64 bits are already strings (int_for_json)
+        return _json_text({"params": _params_dict(params), "depth": depth, "checks": records}) + "\n"
     lines = [
         f"params: c={params.c} d={params.d} d1={params.d1} d2={params.d2}",
         f"depth: {depth}",
@@ -607,8 +620,27 @@ def _props_report(params: GrtParams, depth: int, records, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_line(doc) -> str:
-    """``doc`` as one line of JSON; its integers past 64 bits are already strings (``int_for_json``)."""
-    import json
+def _json_text(value) -> str:
+    """``json.dumps(value)`` for None, bool, int, str, list and str-keyed dict, nested.
 
-    return json.dumps(doc) + "\n"
+    Written without ``json``, which is imported only for a string that
+    needs an escape: non-ASCII, a control character, ``"`` or ``\\``.
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        # ASCII and printable: " " to "~", which json.dumps writes as they are, all but " and \
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+        import json
+
+        return json.dumps(value)
+    if isinstance(value, list):
+        return "[%s]" % ", ".join(map(_json_text, value))
+    return "{%s}" % ", ".join(f"{_json_text(key)}: {_json_text(item)}" for key, item in value.items())

@@ -164,7 +164,7 @@ def multiplication_rows(boundary: Iterable[tuple[int, int]], mult: int) -> Itera
         numerators = list(map(add, products, repeat(mult)) if mult else products)
         if 0 not in above and not any(map(mod, numerators, above)):
             return map(floordiv, numerators, above)
-        return _divide_cells(n, numerators, above)  # names the first failing cell
+        _divide_cells(n, numerators, above)  # raises, naming the first failing cell
 
     return _grow_rows(boundary, interior)
 
@@ -298,14 +298,13 @@ def _grow_rows(
         yield prev
 
 
-def _divide_cells(n: int, numerators: list[int], above: tuple[int, ...]) -> list[int]:
-    """Row n's interior cell by cell, raising at the first cell, left to right, whose division fails."""
-    quotients = []
+def _divide_cells(n: int, numerators: list[int], above: tuple[int, ...]) -> None:
+    """Raise the error of row n's first interior cell, left to right, whose division fails.
+
+    Always raises: it is called only for a row where some cell's division fails.
+    """
     for r, (numerator, north) in enumerate(zip(numerators, above), start=1):
         if north == 0:
             raise ZeroNorthError(r, n - r)
-        quotient, remainder = divmod(numerator, north)
-        if remainder:
+        if numerator % north:
             raise InexactDivisionError(r, n - r, numerator, north)
-        quotients.append(quotient)
-    return quotients

@@ -1,5 +1,6 @@
 """End-to-end command behavior and the exit-code contract."""
 
+import gc
 import io
 import json
 import os
@@ -42,6 +43,7 @@ from rascal import (
     render_json,
     render_text,
 )
+import rascal.cli as cli
 from rascal.cli import CHECK_NAMES, Refusal, _build_parser, _classification_report, _read_argv, main
 
 RASCAL_FLAGS = ["--c", "1", "--d", "1", "--d1", "0", "--d2", "0"]
@@ -314,6 +316,41 @@ class TestGenerateStreaming:
             assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+class TestEntryPoint:
+    """``run()`` exits with ``main()``'s code after freezing the heap; ``main()`` freezes nothing."""
+
+    def test_main_freezes_nothing(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert run(capsys, "props", *RASCAL_FLAGS, "--checks", "rowsums")[0] == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_run_keeps_atexit_handlers(self):
+        # os._exit would skip the handler; gc.freeze keeps the interpreter's exit as it was
+        src = str(Path(rascal.__file__).resolve().parents[1])
+        code = (
+            "import atexit, gc, sys, rascal.cli; "
+            "atexit.register(lambda: print('atexit', gc.get_freeze_count() > 0, file=sys.stderr)); "
+            "rascal.cli.run()"
+        )
+        argv = ["props", "--c", "5", "--d", "3", "--d1", "2", "--d2", "7", "--checks", "tmeg"]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (3, "atexit True\n")
+        assert proc.stdout.endswith("tmeg: inapplicable: needs d1 = d2 = 0, got d1=2, d2=7\n")
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
+    def test_script_is_run(self):
+        import importlib
+        import tomllib
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["rascal"]
+        module, _, name = target.partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.run
+
+
 def test_import_loads_no_dataclasses_or_fractions():
     # every CLI call is a fresh interpreter, so each module rascal.cli pulls in is paid per call;
     # without site (-S), a module that site would have loaded first shows up too, such as typing
@@ -395,6 +432,66 @@ def test_classify_json_report_loads_json_only_for_json_input(tmp_path):
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
         )
         assert proc.stderr == expected, name
+
+
+# JSON values of every kind the props report writer takes: strings of any code point, lone
+# surrogates and control characters included, and printable ASCII, the writer's own path
+_json_strings = st.text(st.characters(exclude_categories=())) | st.text(st.characters(max_codepoint=127))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | _json_strings,
+    lambda children: st.lists(children) | st.dictionaries(_json_strings, children),
+)
+
+
+@given(_json_values)
+def test_json_text_is_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value)
+
+
+# parameters, checks and an entry patch (r, k) -> bump giving every record shape of a props report,
+# each in and past the signed 64-bit range
+PROPS_SHAPES = [
+    (GrtParams(5, 3, 2, 7), "all", None),  # holds, tmeg skipped, embed and multiple none
+    (GrtParams(5, 3, 2, 7), "tmeg", None),  # inapplicable
+    (GrtParams(37, 1, 4, 9), "all", None),  # embed found
+    (GrtParams(-77, -77, 0, 0), "all", None),  # multiple found, tmeg holds
+    (GrtParams(1, 1, 0, 0), "ashley", lambda r, k: r == k == 2),  # failed, integer sides
+    (GrtParams(5, 3, 2, 7), "all", lambda r, k: r * r * k * k),  # failed, Fraction means
+    (GrtParams(-(2**65), 7, 2**63, -5), "all", None),
+    (GrtParams(2**70, 2**70, 0, 0), "all", None),  # multiplier and sums past 64 bits
+    (GrtParams(1 + 3 * 2**64, 1, 2**64, 3), "all", None),  # embed offset past 64 bits
+    (GrtParams(2**64, 2**64 + 1, 0, 0), "all", lambda r, k: r * r * k * k),
+]
+
+
+@pytest.mark.parametrize("params, checks, bump", PROPS_SHAPES)
+def test_props_json_report_is_json_dumps(capsys, monkeypatch, params, checks, bump):
+    # the report's bytes are json.dumps of the records the report is written from
+    import rascal.identities as identities
+
+    if bump is not None:
+        monkeypatch.setattr(identities, "closed_form_entry", lambda p, r, k: closed_form_entry(p, r, k) + bump(r, k))
+    argv = ["props", *_flags(params), "--checks", checks, "--depth", "12", "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_json_text", json.dumps)
+    assert (code, out, err) == run(capsys, *argv)
+    assert code == (3 if checks == "tmeg" else 1 if bump else 0)
+
+
+def test_props_json_report_loads_no_json():
+    # the report's strings are ASCII words, digits, tuples and Fraction text, none of which needs escaping
+    src = str(Path(rascal.__file__).resolve().parents[1])
+    code = (
+        "import sys; before = set(sys.modules); import rascal.cli; code = rascal.cli.main(sys.argv[1:]); "
+        "print(code, 'json' in set(sys.modules) - before, file=sys.stderr)"
+    )
+    for params in (GrtParams(5, 3, 2, 7), GrtParams(2**70, 2**70, 0, 0), GrtParams(1 + 3 * 2**64, 1, 2**64, 3)):
+        argv = ["props", *_flags(params), "--depth", "100", "--format", "json"]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True,
+        )
+        assert proc.stderr == "0 False\n", argv
 
 
 def test_props_loads_no_fractions_or_decimal():
@@ -785,6 +882,12 @@ class TestProps:
         code, _, err = run(capsys, "props", *RASCAL_FLAGS, "--checks", "bogus")
         assert code == 64
         assert "bogus" in err
+
+    def test_empty_check_entry_usage_error(self, capsys):
+        # "a,,b" would be refused for 'a' first: every entry before the empty one is a real check
+        assert run(capsys, "props", *RASCAL_FLAGS, "--checks", "rowsums,,tmeg") == (
+            64, "", "rascal: error: empty entry in --checks\n"
+        )
 
     def test_depth_zero_usage_error(self, capsys):
         code, _, _ = run(capsys, "props", *RASCAL_FLAGS, "--depth", "0")

@@ -94,6 +94,10 @@ class TestParamDiagonals:
         with pytest.raises(ValueError):
             minor_diagonal(W, 0, -1)
 
+    def test_index_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match=r"^diagonal index must be nonnegative, got -1$"):
+            major_diagonal(W, -1, 3)
+
     @given(params=params_st, r=st.integers(0, 12), k=st.integers(0, 12))
     def test_closed_form_sits_on_both_diagonals(self, params, r, k):
         value = closed_form_entry(params, r, k)

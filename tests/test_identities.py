@@ -125,6 +125,10 @@ class TestEvenDiamond:
         with pytest.raises(ValueError):
             even_diamond_check(RASCAL, 1, 5, 3)
 
+    def test_n_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"^n must be at least 1, got 0$"):
+            even_diamond_check(RASCAL, 0, 0, 0)
+
     @given(params=params_st, n=st.integers(1, 3), data=st.data())
     def test_outer_rim_mean_equals_inner_mean(self, params, n, data):
         top_r = data.draw(st.integers(n - 1, n + 5))
@@ -210,6 +214,10 @@ class TestColumnDiff:
         # 5 - 4 along row 4; equals k - r + 1 at (2, 2)
         assert closed_form_entry(RASCAL, 2, 2) - closed_form_entry(RASCAL, 1, 3) == 1
         assert column_diff_check(RASCAL, 2, 2).holds
+
+    def test_rejects_indices_outside_its_domain(self):
+        with pytest.raises(ValueError, match=r"^needs r >= 2 and k >= 1, got \(r=1, k=0\)$"):
+            column_diff_check(RASCAL, 1, 0)
 
     def test_symmetric_triangle_difference_zero(self):
         params = GrtParams(9, 0, 4, 4)
