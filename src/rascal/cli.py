@@ -71,9 +71,8 @@ from .triangle_io import (
     _is_grammar_int,
     _too_long,
     csv_chunks,
-    int_for_json,
     json_chunks,
-    json_int,
+    json_text,
     text_chunks,
     triangle_rows,
 )
@@ -426,8 +425,8 @@ def _parse_check_names(requested: str) -> list[str]:
 
 
 def _jsonable(value):
-    """A failure's side as JSON writes it: an integer by ``int_for_json``, a ``Fraction`` as text."""
-    return int_for_json(value) if isinstance(value, int) else str(value)
+    """A failure's side as its report holds it: an integer as it is, a ``Fraction`` as text."""
+    return value if isinstance(value, int) else str(value)
 
 
 def _proved_identity(name, params, depth):
@@ -451,25 +450,24 @@ def _proved_identity(name, params, depth):
     if name == "rowsums":
         sums = [row_sum_formula(params, n) for n in range(depth + 1)]
         record["summary"] += "; sums for n <= {}: {}".format(depth, " ".join(map(str, sums)))
-        record["sums"] = list(map(int_for_json, sums))
+        record["sums"] = sums
     return record
 
 
-# check name -> (finder of the parameters, JSON key, summary of a found value, summary of none,
-# the found value as JSON)
+# check name -> (finder of the parameters, JSON key, summary of a found value, summary of none)
 _FINDERS = {
-    "embed": (embed_in_rascal, "offset", "embeds at offset (r0={0[0]}, k0={0[1]})", "no embedding", list),
-    "multiple": (multiple_of_rascal, "multiplier", "multiple with m = {0}", "not a multiple", int_for_json),
+    "embed": (embed_in_rascal, "offset", "embeds at offset (r0={0[0]}, k0={0[1]})", "no embedding"),
+    "multiple": (multiple_of_rascal, "multiplier", "multiple with m = {0}", "not a multiple"),
 }
 
 
 def _found_record(name, params, depth):
     """The record of check ``name`` of ``_FINDERS``: what its finder found in ``params``, or none."""
-    find, key, found, none, jsonable = _FINDERS[name]
+    find, key, found, none = _FINDERS[name]
     value = find(params)
     if value is None:
         return {"check": name, "status": "none", "summary": none, key: None}
-    return {"check": name, "status": "found", "summary": found.format(value), key: jsonable(value)}
+    return {"check": name, "status": "found", "summary": found.format(value), key: value}
 
 
 # check name -> runner(params, depth) -> report record; a runner raises
@@ -529,34 +527,28 @@ _COMMANDS = {
 # --- report rendering ----------------------------------------------------
 
 
-def _params_dict(params: GrtParams):
-    return {name: int_for_json(getattr(params, name)) for name in ("c", "d", "d1", "d2")}
-
-
-def _json_ints(keys, values) -> str:
-    """The integers ``values`` as a JSON object with ``keys``, each written by ``json_int``; ``null`` for None."""
+def _json_object(keys, values) -> str:
+    """The integers ``values`` as a JSON object with ``keys``, each written by ``json_text``; ``null`` for None."""
     if values is None:
         return "null"
-    return "{%s}" % ", ".join(f'"{key}": {json_int(value)}' for key, value in zip(keys, values))
+    return "{%s}" % ", ".join(f'"{key}": {json_text(value)}' for key, value in zip(keys, values))
 
 
 def _rule_json(report: RuleReport) -> str:
-    constant = "null" if report.constant is None else json_int(report.constant)
     witnesses = "null"
     if report.witnesses is not None:
         keys = ("r", "k", "implied_constant")
-        witnesses = "[%s]" % ", ".join(_json_ints(keys, (w.r, w.k, w.implied_constant)) for w in report.witnesses)
-    return f'{{"rule": "{report.rule}", "constant": {constant}, "witnesses": {witnesses}}}'
+        witnesses = "[%s]" % ", ".join(_json_object(keys, (w.r, w.k, w.implied_constant)) for w in report.witnesses)
+    return f'{{"rule": "{report.rule}", "constant": {json_text(report.constant)}, "witnesses": {witnesses}}}'
 
 
 def _diagonal_json(report: DiagonalReport) -> str:
-    """The report's JSON object, as ``json.dumps`` writes it with its integers by ``int_for_json``."""
-    difference = "null" if report.common_difference is None else json_int(report.common_difference)
-    violation = _json_ints(("position", "expected", "actual"), report.first_violation)
+    """The report's JSON object, as ``json_text`` writes it."""
+    violation = _json_object(("position", "expected", "actual"), report.first_violation)
     return (
-        f'{{"kind": "{report.kind}", "index": {report.index}, "first_term": {json_int(report.first_term)}, '
-        f'"common_difference": {difference}, "first_violation": {violation}, '
-        f'"under_determined": {"true" if report.under_determined else "false"}}}'
+        f'{{"kind": "{report.kind}", "index": {report.index}, "first_term": {json_text(report.first_term)}, '
+        f'"common_difference": {json_text(report.common_difference)}, "first_violation": {violation}, '
+        f'"under_determined": {json_text(report.under_determined)}}}'
     )
 
 
@@ -586,11 +578,11 @@ def _diagonal_line(report: DiagonalReport) -> str:
 
 def _classification_report(result: Classification, fmt: str) -> str:
     if fmt == "json":
-        # the text json.dumps writes for the report's dict, integers by int_for_json, written without json:
-        # the report holds only integers, null, booleans and fixed words, none of which needs escaping
+        # the text json_text writes for the report's dict, written by templates: the report holds
+        # only integers, null, booleans and fixed words, none of which needs escaping
         p = result.params
-        mismatch = _json_ints(("r", "k", "expected", "actual"), result.mismatch)
-        params = _json_ints(("c", "d", "d1", "d2"), p and (p.c, p.d, p.d1, p.d2))
+        mismatch = _json_object(("r", "k", "expected", "actual"), result.mismatch)
+        params = _json_object(("c", "d", "d1", "d2"), p and (p.c, p.d, p.d1, p.d2))
         diagonals = ", ".join(map(_diagonal_json, result.diagonals))
         return (
             f'{{"verdict": "{result.verdict}", "mismatch": {mismatch}, "params": {params}, '
@@ -610,8 +602,8 @@ def _classification_report(result: Classification, fmt: str) -> str:
 
 def _props_report(params: GrtParams, depth: int, records, fmt: str) -> str:
     if fmt == "json":
-        # integers past 64 bits are already strings (int_for_json)
-        return _json_text({"params": _params_dict(params), "depth": depth, "checks": records}) + "\n"
+        values = {"c": params.c, "d": params.d, "d1": params.d1, "d2": params.d2}
+        return json_text({"params": values, "depth": depth, "checks": records}) + "\n"
     lines = [
         f"params: c={params.c} d={params.d} d1={params.d1} d2={params.d2}",
         f"depth: {depth}",
@@ -619,28 +611,3 @@ def _props_report(params: GrtParams, depth: int, records, fmt: str) -> str:
     lines.extend(f"{record['check']}: {record['summary']}" for record in records)
     return "\n".join(lines) + "\n"
 
-
-def _json_text(value) -> str:
-    """``json.dumps(value)`` for None, bool, int, str, list and str-keyed dict, nested.
-
-    Written without ``json``, which is imported only for a string that
-    needs an escape: non-ASCII, a control character, ``"`` or ``\\``.
-    """
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, str):
-        # ASCII and printable: " " to "~", which json.dumps writes as they are, all but " and \
-        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
-            return f'"{value}"'
-        import json
-
-        return json.dumps(value)
-    if isinstance(value, list):
-        return "[%s]" % ", ".join(map(_json_text, value))
-    return "{%s}" % ", ".join(f"{_json_text(key)}: {_json_text(item)}" for key, item in value.items())

@@ -44,7 +44,14 @@ ambiguous for jagged rows.  Each writer (``text_chunks``, ``json_chunks``,
 template of the row's length, with no per-cell ``str`` and join: ``%s`` for
 text and CSV (the CSV row's ``n,r,k,`` labels are built into its template),
 and ``%d`` for a JSON row of plain ints inside 64 bits, whose other rows
-``json.dumps`` writes.  So ``json`` is imported only for those.
+``json_text`` writes.
+
+``json_text`` is the one JSON value writer, of the rows and of the CLI's
+reports alike, and the one owner of the integer policy: an int outside the
+signed 64-bit range is written as its decimal string, so it survives JSON
+readers that hold numbers in 64 bits.  It writes without ``json``, which it
+imports only for a string that needs an escape or a value of another type,
+such as a float; so writing integer rows never imports ``json``.
 """
 
 from __future__ import annotations
@@ -376,7 +383,7 @@ def _json_row(raw, n: int) -> tuple[int, ...]:
         if strings.split() == [strings]:  # no string holds whitespace
             row = _grammar_ints(raw, strings)
     if row is None:  # name the first bad value
-        row = tuple([_json_int(value, n) for value in raw])
+        row = tuple([_json_entry(value, n) for value in raw])
     if len(row) != n + 1:
         raise TriangleParseError(f"row {n} has {len(row)} entries, expected {n + 1}")
     return row
@@ -396,7 +403,7 @@ def _loads(text: str, line_offset: int = 0):
         raise TriangleParseError("invalid JSON: a number has too many digits to convert") from err
 
 
-def _json_int(value, n: int) -> int:
+def _json_entry(value, n: int) -> int:
     if isinstance(value, bool):
         raise TriangleParseError(f"row {n}: {value!r} is not an integer")
     if isinstance(value, int):
@@ -412,16 +419,6 @@ def _json_int(value, n: int) -> int:
 def _too_long(token: str) -> str:
     """Why int() refused a well-formed token: Python's digit limit (sys.get_int_max_str_digits)."""
     return f"{len(token.lstrip('-'))}-digit integer is too long to convert"
-
-
-def int_for_json(value: int) -> int | str:
-    """How JSON output writes an integer: a number in the signed 64-bit range, else a decimal string."""
-    return value if _I64_MIN <= value <= _I64_MAX else str(value)
-
-
-def json_int(value: int) -> str:
-    """``json.dumps(int_for_json(value))``: the decimal digits, quoted outside the signed 64-bit range."""
-    return str(value) if _I64_MIN <= value <= _I64_MAX else f'"{value}"'
 
 
 def render_text(grid: TriangleGrid) -> str:
@@ -458,10 +455,10 @@ def text_chunks(rows: Iterable[Sequence[int]]) -> Iterator[str]:
 
 
 def json_chunks(rows: Iterable[Sequence[int]]) -> Iterator[str]:
-    r"""The text of ``json.dumps({"rows": rows}) + "\n"``, entries as ``int_for_json`` writes them.
+    r"""The text of ``json_text({"rows": list(rows)}) + "\n"``, one chunk per row.
 
     A row of plain ints in the signed 64-bit range is written by a ``%d``
-    template.  ``json.dumps`` writes any other row: an empty row, values past
+    template.  ``json_text`` writes any other row: an empty row, values past
     64 bits, and entries of any other type, where ``%d`` would differ
     (``True`` as ``1``, ``1.5`` as ``1``).
     """
@@ -469,15 +466,44 @@ def json_chunks(rows: Iterable[Sequence[int]]) -> Iterator[str]:
     separator = ""
     for row in rows:
         row = tuple(row)
-        in_range = row and _I64_MIN <= min(row) and max(row) <= _I64_MAX
-        if in_range and _INT_ONLY.issuperset(map(type, row)):
+        if row and _I64_MIN <= min(row) and max(row) <= _I64_MAX and _INT_ONLY.issuperset(map(type, row)):
             yield (separator + _json_template(len(row))) % row
         else:
-            import json
-
-            yield separator + json.dumps(row if in_range else list(map(int_for_json, row)))
+            yield separator + json_text(row)
         separator = ", "
     yield "]}\n"
+
+
+def json_text(value) -> str:
+    """``json.dumps(value)``, with each int (not bool) outside the signed 64-bit range written as its decimal string.
+
+    Takes None, bools, ints, strs, lists, tuples and str-keyed dicts, nested,
+    and writes them without ``json``, which is imported only for a string
+    that needs an escape (non-ASCII, a control character, ``"`` or ``\\``)
+    and for a value of any other type, such as a float.
+    """
+    if type(value) is int:  # first: nearly every value written is a plain int
+        return str(value) if _I64_MIN <= value <= _I64_MAX else f'"{value}"'
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):  # a subclass: its digits, by int.__repr__ as json.dumps writes them
+        digits = int.__repr__(value)
+        return digits if _I64_MIN <= value <= _I64_MAX else f'"{digits}"'
+    if isinstance(value, str):
+        # ASCII and printable: " " to "~", which json.dumps writes as they are, all but " and \
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+    elif isinstance(value, (list, tuple)):
+        return "[%s]" % ", ".join(map(json_text, value))
+    elif isinstance(value, dict):
+        return "{%s}" % ", ".join(f"{json_text(key)}: {json_text(item)}" for key, item in value.items())
+    import json
+
+    return json.dumps(value)
 
 
 def csv_chunks(rows: Iterable[Sequence[int]]) -> Iterator[str]:

@@ -36,7 +36,6 @@ from rascal import (
     row_sum_formula,
     t_meg_check,
 )
-from rascal.triangle_io import int_for_json
 
 
 def sweep_params(lo=-3, hi=3):
@@ -159,9 +158,38 @@ def oracle_render_text(rows):
 I64_MIN, I64_MAX = -(2**63), 2**63 - 1
 
 
+class LabelledInt(int):
+    """An int subclass whose str() and repr() are not its digits."""
+
+    def __str__(self):
+        return f"int:{int(self)}"
+
+    __repr__ = __str__
+
+
+def oracle_json_value(value):
+    """``value`` under the JSON integer policy: each int (not bool) outside the signed 64-bit range as a string.
+
+    The string is the int's digits by ``int.__repr__``, as ``json.dumps``
+    writes an int subclass; ``json.dumps`` of the result is what a writer of
+    the policy must write.
+    """
+    if isinstance(value, (list, tuple)):
+        return [oracle_json_value(item) for item in value]
+    if isinstance(value, dict):
+        return {key: oracle_json_value(item) for key, item in value.items()}
+    if isinstance(value, bool) or not isinstance(value, int):
+        return value
+    return value if -(2**63) <= value < 2**63 else str(int.__repr__(value))
+
+
+def oracle_json_dumps(value):
+    """``json.dumps`` of ``value`` under the JSON integer policy."""
+    return json.dumps(oracle_json_value(value))
+
+
 def oracle_render_json(rows):
-    rows = [[v if I64_MIN <= v <= I64_MAX else str(v) for v in row] for row in rows]
-    return json.dumps({"rows": rows}) + "\n"
+    return oracle_json_dumps({"rows": rows}) + "\n"
 
 
 def oracle_render_csv(rows):
@@ -186,7 +214,7 @@ def oracle_json_chunks(rows):
     separator = ""
     for row in rows:
         if row and not (I64_MIN <= min(row) and max(row) <= I64_MAX):
-            row = list(map(int_for_json, row))
+            row = oracle_json_value(row)
         yield separator + json.dumps(row)
         separator = ", "
     yield "]}\n"

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import rascal
 from helpers import (
+    LabelledInt,
     any_grid,
     i64_edge_grids,
     mixed_grids,
@@ -24,6 +25,7 @@ from helpers import (
     oracle_classify,
     oracle_closed_form,
     oracle_generate,
+    oracle_json_dumps,
     oracle_props,
     oracle_row_sums,
     oracle_render_csv,
@@ -45,6 +47,7 @@ from rascal import (
 )
 import rascal.cli as cli
 from rascal.cli import CHECK_NAMES, Refusal, _build_parser, _classification_report, _read_argv, main
+from rascal.triangle_io import json_text
 
 RASCAL_FLAGS = ["--c", "1", "--d", "1", "--d1", "0", "--d2", "0"]
 
@@ -179,6 +182,13 @@ class TestJsonIntegers:
         assert checks["rowsums"]["sums"][:2] == [2**62, str(2**63)]
         assert doc["params"]["c"] == 2**62
 
+    def test_embed_offset(self, capsys):
+        flags = ["--c", "55340232221128654849", "--d", "1", "--d1", "18446744073709551616", "--d2", "3"]
+        code, out, _ = run(capsys, "props", *flags, "--checks", "embed", "--format", "json")
+        assert code == 0
+        assert '"offset": ["18446744073709551616", 3]' in out
+        assert json.loads(out)["checks"][0]["offset"] == ["18446744073709551616", 3]
+
 
 class TestReportDigitLimit:
     """Report values derived from input within the int-to-str digit limit are written in full."""
@@ -281,19 +291,20 @@ class TestGenerateStreaming:
         assert (code, out.first) == (0, f"{params.c}\n")
 
     def test_json_output_loads_no_json(self):
-        # rows of plain ints inside 64 bits are written by a template; json is imported only for the others
+        # rows of plain ints inside 64 bits are written by a template and the others by json_text,
+        # which writes integers past 64 bits as strings without json
         src = str(Path(rascal.__file__).resolve().parents[1])
         code = (
             "import sys; before = set(sys.modules); import rascal.cli; code = rascal.cli.main(sys.argv[1:]); "
             "print(code, 'json' in set(sys.modules) - before, file=sys.stderr)"
         )
-        for c, loaded in (("1", False), (str(2**63), True)):
+        for c in ("1", str(2**63), str(-(2**70))):
             argv = ["generate", "--c", c, "--d", "5", "--d1", "2", "--d2", "3", "--rows", "20", "--format", "json"]
             proc = subprocess.run(
                 [sys.executable, "-c", code, *argv],
                 capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True,
             )
-            assert proc.stderr == f"0 {loaded}\n", argv
+            assert proc.stderr == "0 False\n", argv
 
     def test_closed_reader_exit_141_quietly(self):
         src = str(Path(rascal.__file__).resolve().parents[1])
@@ -434,18 +445,23 @@ def test_classify_json_report_loads_json_only_for_json_input(tmp_path):
         assert proc.stderr == expected, name
 
 
-# JSON values of every kind the props report writer takes: strings of any code point, lone
-# surrogates and control characters included, and printable ASCII, the writer's own path
+# JSON values of every kind json_text takes: strings of any code point, lone surrogates and
+# control characters included, and printable ASCII, the writer's own path; ints in and past the
+# signed 64-bit range, int subclasses among them; and floats, which it leaves to json.dumps
 _json_strings = st.text(st.characters(exclude_categories=())) | st.text(st.characters(max_codepoint=127))
+_json_integers = (
+    st.integers() | st.integers(-(2**200), 2**200) | st.sampled_from([-(2**63) - 1, -(2**63), 2**63 - 1, 2**63])
+)
 _json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | _json_strings,
-    lambda children: st.lists(children) | st.dictionaries(_json_strings, children),
+    st.none() | st.booleans() | _json_integers | st.builds(LabelledInt, _json_integers) | st.floats() | _json_strings,
+    lambda children: st.lists(children) | st.lists(children).map(tuple) | st.dictionaries(_json_strings, children),
 )
 
 
 @given(_json_values)
 def test_json_text_is_json_dumps(value):
-    assert cli._json_text(value) == json.dumps(value)
+    # json.dumps of the value with each int past 64 bits replaced by its digits, as the policy writes it
+    assert json_text(value) == oracle_json_dumps(value)
 
 
 # parameters, checks and an entry patch (r, k) -> bump giving every record shape of a props report,
@@ -466,14 +482,14 @@ PROPS_SHAPES = [
 
 @pytest.mark.parametrize("params, checks, bump", PROPS_SHAPES)
 def test_props_json_report_is_json_dumps(capsys, monkeypatch, params, checks, bump):
-    # the report's bytes are json.dumps of the records the report is written from
+    # the report's bytes are json.dumps of the records the report is written from, under the integer policy
     import rascal.identities as identities
 
     if bump is not None:
         monkeypatch.setattr(identities, "closed_form_entry", lambda p, r, k: closed_form_entry(p, r, k) + bump(r, k))
     argv = ["props", *_flags(params), "--checks", checks, "--depth", "12", "--format", "json"]
     code, out, err = run(capsys, *argv)
-    monkeypatch.setattr(cli, "_json_text", json.dumps)
+    monkeypatch.setattr(cli, "json_text", oracle_json_dumps)
     assert (code, out, err) == run(capsys, *argv)
     assert code == (3 if checks == "tmeg" else 1 if bump else 0)
 
@@ -492,6 +508,49 @@ def test_props_json_report_loads_no_json():
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True,
         )
         assert proc.stderr == "0 False\n", argv
+
+
+def _bare_integers_past_64_bits(document):
+    """The bare integers of a JSON ``document`` outside the signed 64-bit range."""
+    found = []
+
+    def parse_int(digits):
+        if not -(2**63) <= int(digits) < 2**63:
+            found.append(int(digits))
+        return int(digits)
+
+    json.loads(document, parse_int=parse_int)
+    return found
+
+
+def test_json_documents_quote_every_integer_past_64_bits(capsys, monkeypatch, tmp_path):
+    # every JSON document the CLI writes, on inputs and parameters past 64 bits, holds no bare
+    # integer outside the signed 64-bit range: the README's policy, whichever report field it is
+    import rascal.identities as identities
+
+    documents = {}
+    for params, checks, bump in PROPS_SHAPES:
+        with monkeypatch.context() as patch:
+            if bump is not None:
+                entry = lambda p, r, k, bump=bump: closed_form_entry(p, r, k) + bump(r, k)
+                patch.setattr(identities, "closed_form_entry", entry)
+            argv = ["props", *_flags(params), "--checks", checks, "--depth", "12", "--format", "json"]
+            documents[f"props {params} {checks}"] = run(capsys, *argv)[1]
+    grt = render_json(generate_closed_form(GrtParams(10**19, 2**63, -(2**63), 3), 4))
+    documents["classify grt"] = run(capsys, "classify", "--input", write(tmp_path, "grt.json", grt), "--format", "json")[1]
+    rows = [[2**64 * 2**r * 3 ** (n - r) for r in range(n + 1)] for n in range(12)]  # geometric: no diagonal arithmetic
+    rows[9][4] += 1  # both rules broken
+    text = write(tmp_path, "nongrt.txt", "".join(" ".join(map(str, row)) + "\n" for row in rows))
+    documents["classify non-grt"] = run(capsys, "classify", "--input", text, "--format", "json")[1]
+    for c in (str(2**63), str(-(2**70))):
+        argv = ["generate", "--c", c, "--d", "5", "--d1", "2", "--d2", "3", "--rows", "12", "--format", "json"]
+        documents[f"generate --c {c}"] = run(capsys, *argv)[1]
+
+    nongrt = json.loads(documents["classify non-grt"])
+    quoted = [nongrt["mismatch"]["expected"], nongrt["diagonals"][0]["first_violation"]["expected"]]
+    quoted += [nongrt[rule]["witnesses"][1]["implied_constant"] for rule in ("addition", "multiplication")]
+    assert all(type(value) is str for value in quoted)  # the corpus reaches witnesses and violations past 64 bits
+    assert {name: _bare_integers_past_64_bits(doc) for name, doc in documents.items()} == dict.fromkeys(documents, [])
 
 
 def test_props_loads_no_fractions_or_decimal():

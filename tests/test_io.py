@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    LabelledInt,
     oracle_csv_chunks,
     oracle_json_chunks,
     oracle_json_document,
@@ -234,22 +235,16 @@ class TestRendering:
         assert render_csv(TriangleGrid(((1,), (2, 3)))) == "n,r,k,value\n0,0,0,1\n1,0,1,2\n1,1,0,3\n"
 
 
-class _Int(int):
-    """An int subclass whose str() and repr() are not its digits."""
-
-    def __str__(self):
-        return f"int:{int(self)}"
-
-    __repr__ = __str__
-
-
 I64_EDGES = [-(2**63) - 1, -(2**63), 2**63 - 1, 2**63]  # each end of the signed 64-bit range, and one past
 ENTRIES = {
     "small": st.integers(-(10**6), 10**6),
     "64-bit edges": st.sampled_from(I64_EDGES),
     "mixed sizes": st.one_of(st.integers(-99, 99), st.sampled_from(I64_EDGES), st.integers(-(2**200), 2**200)),
     "int subclasses": st.one_of(
-        st.integers(-99, 99), st.booleans(), st.builds(_Int, st.integers(-(2**70), 2**70)), st.sampled_from(I64_EDGES)
+        st.integers(-99, 99),
+        st.booleans(),
+        st.builds(LabelledInt, st.integers(-(2**70), 2**70)),
+        st.sampled_from(I64_EDGES),
     ),
 }
 WRITERS = [(text_chunks, oracle_text_chunks), (json_chunks, oracle_json_chunks), (csv_chunks, oracle_csv_chunks)]
@@ -289,10 +284,17 @@ class TestRowWriters:
             assert written(lambda: chunks([row])) == written(lambda: oracle([row]))
 
     def test_bool_and_subclass_entries_keep_json_dumps(self):
-        rows = [(True,), (_Int(5), False)]
+        rows = [(True,), (LabelledInt(5), False)]
         assert "".join(json_chunks(rows)) == '{"rows": [[true], [5, false]]}\n'
         assert "".join(text_chunks(rows)) == "True\nint:5 False\n"
         assert "".join(csv_chunks(rows)) == "n,r,k,value\n0,0,0,True\n1,0,1,int:5\n1,1,0,False\n"
+
+    def test_subclass_entry_past_64_bits_reads_back(self):
+        # quoted as int.__repr__ writes its digits, as json.dumps writes an int subclass, not by its str()
+        rows = [(LabelledInt(5),), (LabelledInt(2**64), LabelledInt(7))]
+        text = "".join(json_chunks(rows))
+        assert text == '{"rows": [[5], ["18446744073709551616", 7]]}\n'
+        assert list(json_rows([text])) == [(5,), (2**64, 7)]
 
     @pytest.mark.parametrize("row", [(), []])
     def test_empty_row(self, row):
