@@ -29,7 +29,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable, Sequence
 from itertools import count, islice
-from operator import invert, itemgetter, mul, sub
+from operator import eq, invert, itemgetter, mul, sub
 
 from .core import GrtParams, Record, TriangleGrid, checked_row
 from .generate import closed_form_rows, mult_constant
@@ -102,13 +102,15 @@ class Classification(Record):
     exactly when it is not: the first entry, row-major, that differs from the
     closed form of the parameters fitted from rows 0-2, as NotGrtError's
     ``(r, k, expected, actual)``.  The rule constants, when detected, live
-    in the two rule reports.
+    in the two rule reports.  ``diagonals`` is a read-only sequence that
+    equals, hashes and reads as the tuple of every diagonal's report, majors
+    then minors; it builds each report when that report is read.
     """
 
     verdict: str
     params: GrtParams | None
     mismatch: tuple[int, int, int, int] | None
-    diagonals: tuple[DiagonalReport, ...]
+    diagonals: Sequence[DiagonalReport]
     addition: RuleReport
     multiplication: RuleReport
 
@@ -206,7 +208,7 @@ class _Folded(Record):
     n_rows: int
     params: GrtParams | None
     mismatch: tuple[int, int, int, int] | None
-    diagonals: tuple[DiagonalReport, ...]
+    diagonals: _DiagonalReports
     addition: RuleWitness | None  # the first diamond that breaks the rule
     multiplication: RuleWitness | None
 
@@ -289,9 +291,10 @@ def _fold(rows: Iterable[tuple[int, ...]]) -> _Folded:
                 implied = map(sub, map(mul, row[1:], prev2), map(mul, prev[1:], prev))
                 mult_conflict = _conflict(list(implied), d_mult, n)
         prev2, prev = prev, row
-    reports = _diagonal_reports("major", major_first, major_second, majors)
-    reports += _diagonal_reports("minor", minor_first, minor_second, minors)
-    return _Folded(n, params, mismatch, tuple(reports), add_conflict, mult_conflict)
+    diagonals = _DiagonalReports(
+        ("major", major_first, major_second, majors), ("minor", minor_first, minor_second, minors)
+    )
+    return _Folded(n, params, mismatch, diagonals, add_conflict, mult_conflict)
 
 
 def _fitted(row0, row1, row2) -> GrtParams:
@@ -345,21 +348,54 @@ def _rule_report(rule: str, constant: int, conflict: RuleWitness | None) -> Rule
     return RuleReport(rule, None, (RuleWitness(1, 1, constant), conflict))
 
 
-def _diagonal_reports(kind, firsts, seconds, violations) -> list[DiagonalReport]:
-    """Reports of one family from each diagonal's first two entries and its violation, if any."""
-    last = len(firsts) - 1
-    return [
-        _diagonal_report(
-            kind, i, first, seconds[i] if i < last else None, violations.get(i), last - i
-        )
-        for i, first in enumerate(firsts)
-    ]
+class _DiagonalReports(Sequence):
+    """Every diagonal's report, majors then minors, each family in index order, built when read.
+
+    Holds what the fold kept per diagonal: its first two entries and its
+    first violation, if any.  It equals, hashes and reads as the tuple of
+    those reports, and can be read any number of times.
+    """
+
+    __slots__ = ("_families",)
+
+    def __init__(self, *families):
+        self._families = families  # (kind, first entries, second entries, index -> violation) per family
+
+    def __len__(self) -> int:
+        return sum(len(firsts) for _, firsts, _, _ in self._families)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        index = range(len(self))[index]  # IndexError or TypeError as a range gives them
+        for family in self._families:
+            if index < len(family[1]):
+                return _diagonal_report(*family, index)
+            index -= len(family[1])
+
+    def __iter__(self):
+        for family in self._families:
+            for index in range(len(family[1])):
+                yield _diagonal_report(*family, index)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _DiagonalReports)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
-def _diagonal_report(kind, index, first, second, violation, steps) -> DiagonalReport:
-    """``steps`` is the diagonal's length minus one; ``second`` is None when it is 0."""
+def _diagonal_report(kind, firsts, seconds, violations, index) -> DiagonalReport:
+    """The report of diagonal ``index``, from its first two entries (one for the last) and its violation, if any."""
+    violation = violations.get(index)
     if violation is not None:
-        return DiagonalReport(kind, index, first, None, violation, False)
-    if second is None:
-        return DiagonalReport(kind, index, first, 0, None, True)
-    return DiagonalReport(kind, index, first, second - first, None, steps < 2)
+        return DiagonalReport(kind, index, firsts[index], None, violation, False)
+    steps = len(firsts) - 1 - index  # the diagonal's length minus one
+    if not steps:
+        return DiagonalReport(kind, index, firsts[index], 0, None, True)
+    return DiagonalReport(kind, index, firsts[index], seconds[index] - firsts[index], None, steps < 2)

@@ -39,6 +39,7 @@ import gc
 import os
 import sys
 from functools import partial
+from itertools import repeat
 
 from .analyze import (
     VERDICT_GRT,
@@ -335,12 +336,13 @@ def _classified(source: str) -> Classification:
 def _cmd_classify(args: dict) -> int:
     # the whole input is read and checked before anything is written
     result = _classified(args["input"])
-    # built whole before writing: a report that fails part way must print nothing;
-    # a rule constant is a difference of products of two entries, so at most 2L + 1 digits,
-    # and the mismatch's expected entry c + k*d1 + r*d2 + r*k*d, whose parameters are sums of at
-    # most four entries and r, k < rows, at most L + 3 + 2*digits(rows), below 2L + 1 since
+    # written as it is produced, under a limit no value of the report passes, so nothing fails
+    # part way: a rule constant is a difference of products of two entries, so at most 2L + 1
+    # digits, and the mismatch's expected entry c + k*d1 + r*d2 + r*k*d, whose parameters are sums
+    # of at most four entries and r, k < rows, at most L + 3 + 2*digits(rows), below 2L + 1 since
     # L >= 640 (the interpreter's least limit) and no input has 10**300 rows
-    sys.stdout.write(_with_digit_limit(1, lambda: _classification_report(result, args["format"])))
+    report = _classification_report(result, args["format"])
+    _with_digit_limit(1, lambda: sys.stdout.writelines(report))
     return EXIT_OK if result.verdict == VERDICT_GRT else EXIT_NEGATIVE
 
 
@@ -381,7 +383,7 @@ def _props(params: GrtParams, args: dict) -> int:
             records.append(_CHECK_RUNNERS[name](params, args["depth"]))
         except InapplicableCheckError as err:
             records.append({"check": name, "status": inapplicable, "summary": f"{inapplicable}: {err}"})
-    sys.stdout.write(_props_report(params, args["depth"], records, args["format"]))
+    sys.stdout.writelines(_props_report(params, args["depth"], records, args["format"]))
     if any(record["status"] == "inapplicable" for record in records):
         return EXIT_INAPPLICABLE
     if any(record["status"] == "failed" for record in records):
@@ -430,7 +432,12 @@ def _jsonable(value):
 
 
 def _proved_identity(name, params, depth):
-    """The record of check ``name`` of ``PROOF_GRIDS``; a proved ``rowsums`` also lists s_n for n = 0..depth."""
+    """The record of check ``name`` of ``PROOF_GRIDS``; a proved ``rowsums`` also lists s_n for n = 0..depth.
+
+    The listing is not held: the record's ``"sums"`` is a ``_RowSums``,
+    which the report writes a block at a time, at the end of the summary's
+    text and as the JSON ``"sums"`` array.
+    """
     points, failure = prove_identity(name, params)
     if failure is not None:
         location, lhs, rhs = failure.first_failure
@@ -448,10 +455,28 @@ def _proved_identity(name, params, depth):
         "points": points,
     }
     if name == "rowsums":
-        sums = [row_sum_formula(params, n) for n in range(depth + 1)]
-        record["summary"] += "; sums for n <= {}: {}".format(depth, " ".join(map(str, sums)))
-        record["sums"] = sums
+        record["summary"] += f"; sums for n <= {depth}: "  # the listing follows
+        record["sums"] = _RowSums(params, depth)
     return record
+
+
+class _RowSums:
+    """s_n = ``row_sum_formula(params, n)`` for n = 0..depth, each evaluated when it is written."""
+
+    BLOCK = 1024  # sums written per chunk
+
+    def __init__(self, params: GrtParams, depth: int):
+        self.params = params
+        self.depth = depth
+
+    def chunks(self, json: bool):
+        """The sums, ``BLOCK`` per chunk: as ``json_text`` writes a JSON array's items, else joined by spaces."""
+        separator = ", " if json else " "
+        stop = self.depth + 1
+        for start in range(0, stop, self.BLOCK):
+            block = tuple(map(row_sum_formula, repeat(self.params), range(start, min(start + self.BLOCK, stop))))
+            text = json_text(block)[1:-1] if json else " ".join(map(str, block))
+            yield separator + text if start else text
 
 
 # check name -> (finder of the parameters, JSON key, summary of a found value, summary of none)
@@ -576,19 +601,25 @@ def _diagonal_line(report: DiagonalReport) -> str:
     )
 
 
-def _classification_report(result: Classification, fmt: str) -> str:
+def _classification_report(result: Classification, fmt: str):
+    """The report's text in chunks: everything before the diagonals, then a chunk per diagonal (and JSON's end)."""
     if fmt == "json":
         # the text json_text writes for the report's dict, written by templates: the report holds
         # only integers, null, booleans and fixed words, none of which needs escaping
         p = result.params
         mismatch = _json_object(("r", "k", "expected", "actual"), result.mismatch)
         params = _json_object(("c", "d", "d1", "d2"), p and (p.c, p.d, p.d1, p.d2))
-        diagonals = ", ".join(map(_diagonal_json, result.diagonals))
-        return (
+        yield (
             f'{{"verdict": "{result.verdict}", "mismatch": {mismatch}, "params": {params}, '
             f'"addition": {_rule_json(result.addition)}, "multiplication": {_rule_json(result.multiplication)}, '
-            f'"diagonals": [{diagonals}]}}\n'
+            '"diagonals": ['
         )
+        separator = ""
+        for report in result.diagonals:
+            yield separator + _diagonal_json(report)
+            separator = ", "
+        yield "]}\n"
+        return
     lines = [f"verdict: {result.verdict}"]
     if result.mismatch is not None:
         lines.append(f"mismatch: {NotGrtError(*result.mismatch)}")
@@ -596,18 +627,48 @@ def _classification_report(result: Classification, fmt: str) -> str:
         p = result.params
         lines.append(f"params: c={p.c} d={p.d} d1={p.d1} d2={p.d2}")
     lines += [_rule_line(result.addition), _rule_line(result.multiplication)]
-    lines += map(_diagonal_line, result.diagonals)
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
+    for report in result.diagonals:
+        yield _diagonal_line(report) + "\n"
 
 
-def _props_report(params: GrtParams, depth: int, records, fmt: str) -> str:
+def _props_report(params: GrtParams, depth: int, records, fmt: str):
+    """The report's text in chunks, a chunk per record, but a ``rowsums`` listing a block of sums at a time."""
     if fmt == "json":
         values = {"c": params.c, "d": params.d, "d1": params.d1, "d2": params.d2}
-        return json_text({"params": values, "depth": depth, "checks": records}) + "\n"
-    lines = [
-        f"params: c={params.c} d={params.d} d1={params.d1} d2={params.d2}",
-        f"depth: {depth}",
-    ]
-    lines.extend(f"{record['check']}: {record['summary']}" for record in records)
-    return "\n".join(lines) + "\n"
+        yield f'{{"params": {json_text(values)}, "depth": {json_text(depth)}, "checks": ['
+        for i, record in enumerate(records):
+            if i:
+                yield ", "
+            yield from _record_json(record)
+        yield "]}\n"
+        return
+    yield f"params: c={params.c} d={params.d} d1={params.d1} d2={params.d2}\ndepth: {depth}\n"
+    for record in records:
+        yield f"{record['check']}: {record['summary']}"
+        if "sums" in record:
+            yield from record["sums"].chunks(json=False)
+        yield "\n"
 
+
+def _record_json(record: dict):
+    """``json_text(record)`` in chunks; a ``_RowSums`` listing ends the summary's text and is the ``"sums"`` array."""
+    sums = record.get("sums")
+    if sums is None:
+        yield json_text(record)
+        return
+    lead = "{"
+    for key, value in record.items():
+        yield f"{lead}{json_text(key)}: "
+        lead = ", "
+        if key == "summary":  # the listing's digits, "-" and spaces need no escape
+            yield json_text(value)[:-1]
+            yield from sums.chunks(json=False)
+            yield '"'
+        elif key == "sums":
+            yield "["
+            yield from sums.chunks(json=True)
+            yield "]"
+        else:
+            yield json_text(value)
+    yield "}"

@@ -42,9 +42,9 @@ Output adds a flattened CSV (``n,r,k,value``) since positional CSV is
 ambiguous for jagged rows.  Each writer (``text_chunks``, ``json_chunks``,
 ``csv_chunks``) yields one chunk per row, made by one ``%`` call on a
 template of the row's length, with no per-cell ``str`` and join: ``%s`` for
-text and CSV (the CSV row's ``n,r,k,`` labels are built into its template),
-and ``%d`` for a JSON row of plain ints inside 64 bits, whose other rows
-``json_text`` writes.
+text and CSV (the CSV row's ``n,r,k,`` labels are built into its template);
+``json_text`` writes each JSON row, by a ``%d`` template when it holds
+plain ints inside 64 bits.
 
 ``json_text`` is the one JSON value writer, of the rows and of the CLI's
 reports alike, and the one owner of the integer policy: an int outside the
@@ -455,21 +455,11 @@ def text_chunks(rows: Iterable[Sequence[int]]) -> Iterator[str]:
 
 
 def json_chunks(rows: Iterable[Sequence[int]]) -> Iterator[str]:
-    r"""The text of ``json_text({"rows": list(rows)}) + "\n"``, one chunk per row.
-
-    A row of plain ints in the signed 64-bit range is written by a ``%d``
-    template.  ``json_text`` writes any other row: an empty row, values past
-    64 bits, and entries of any other type, where ``%d`` would differ
-    (``True`` as ``1``, ``1.5`` as ``1``).
-    """
+    r"""The text of ``json_text({"rows": list(rows)}) + "\n"``, one chunk per row, each row written by ``json_text``."""
     yield '{"rows": ['
     separator = ""
     for row in rows:
-        row = tuple(row)
-        if row and _I64_MIN <= min(row) and max(row) <= _I64_MAX and _INT_ONLY.issuperset(map(type, row)):
-            yield (separator + _json_template(len(row))) % row
-        else:
-            yield separator + json_text(row)
+        yield separator + json_text(tuple(row))
         separator = ", "
     yield "]}\n"
 
@@ -480,7 +470,9 @@ def json_text(value) -> str:
     Takes None, bools, ints, strs, lists, tuples and str-keyed dicts, nested,
     and writes them without ``json``, which is imported only for a string
     that needs an escape (non-ASCII, a control character, ``"`` or ``\\``)
-    and for a value of any other type, such as a float.
+    and for a value of any other type, such as a float.  A list or tuple of
+    plain ints inside 64 bits is written by one ``%d`` template; ``%d`` would
+    write any other entry differently (``True`` as ``1``, ``1.5`` as ``1``).
     """
     if type(value) is int:  # first: nearly every value written is a plain int
         return str(value) if _I64_MIN <= value <= _I64_MAX else f'"{value}"'
@@ -498,6 +490,8 @@ def json_text(value) -> str:
         if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
             return f'"{value}"'
     elif isinstance(value, (list, tuple)):
+        if value and _INT_ONLY.issuperset(map(type, value)) and _I64_MIN <= min(value) and max(value) <= _I64_MAX:
+            return _json_template(len(value)) % tuple(value)
         return "[%s]" % ", ".join(map(json_text, value))
     elif isinstance(value, dict):
         return "{%s}" % ", ".join(f"{json_text(key)}: {json_text(item)}" for key, item in value.items())

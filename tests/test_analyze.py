@@ -310,6 +310,28 @@ class TestAgreesWithReference:
                 assert rep.first_violation[0] == 2
 
 
+class TestDiagonalsSequence:
+    """``Classification.diagonals`` builds each report when read, and stands for the tuple of them."""
+
+    @given(grid=st.one_of(any_grid, planted_grids()))
+    def test_reads_as_the_tuple_of_reports(self, grid):
+        result, reference = classify(grid), oracle_classify(grid)
+        diagonals, expected = result.diagonals, reference.diagonals
+        assert type(expected) is tuple and type(diagonals) is not tuple
+        assert diagonals == expected and expected == diagonals and not diagonals != expected
+        assert diagonals != list(expected) and diagonals != expected[:-1]
+        assert hash(diagonals) == hash(expected)
+        assert (result == reference, hash(result)) == (True, hash(reference))
+        assert len(diagonals) == len(expected) == 2 * grid.n_rows
+        assert diagonals[-1] == expected[-1] and diagonals[-len(expected)] == expected[0]
+        assert diagonals[grid.n_rows] == expected[grid.n_rows]  # the first minor
+        assert diagonals[1::3] == expected[1::3]
+        with pytest.raises(IndexError):
+            diagonals[len(expected)]
+        assert tuple(diagonals) == expected and list(diagonals) == list(expected)  # read twice
+        assert repr(diagonals) == repr(expected) and repr(result) == repr(reference)
+
+
 class TestClassifyRows:
     """classify_rows reads any iterable of rows once, checking each as TriangleGrid does."""
 

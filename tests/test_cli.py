@@ -40,6 +40,7 @@ from rascal import (
     TriangleGrid,
     boundary_from_params,
     closed_form_entry,
+    closed_form_rows,
     generate_closed_form,
     mult_constant,
     render_json,
@@ -47,9 +48,16 @@ from rascal import (
 )
 import rascal.cli as cli
 from rascal.cli import CHECK_NAMES, Refusal, _build_parser, _classification_report, _read_argv, main
-from rascal.triangle_io import json_text
+from rascal.triangle_io import json_text, text_chunks
 
 RASCAL_FLAGS = ["--c", "1", "--d", "1", "--d1", "0", "--d2", "0"]
+
+
+class Discard(io.TextIOBase):
+    """A stdout that keeps nothing, so a traced peak is the program's own."""
+
+    def write(self, text):
+        return len(text)
 
 
 def run(capsys, *argv):
@@ -68,6 +76,20 @@ def run_on_input(capsys, path):
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
+    return str(path)
+
+
+def write_rows(tmp_path, name, params, n_rows, planted=None):
+    """The path of ``n_rows`` rows of the closed form of ``params``, written as text, one row at a time.
+
+    ``planted`` is a row index whose second entry is raised by 1.
+    """
+    path = tmp_path / name
+    with path.open("w") as out:
+        for n, row in enumerate(closed_form_rows(params, n_rows)):
+            if n == planted:
+                row = (row[0], row[1] + 1, *row[2:])
+            out.writelines(text_chunks([row]))
     return str(path)
 
 
@@ -253,10 +275,6 @@ class TestGenerateStreaming:
     @pytest.mark.parametrize("rule", ["closed", "add", "mul"])
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_memory_grows_with_rows_not_cells(self, monkeypatch, rule, fmt):
-        class Discard(io.TextIOBase):
-            def write(self, text):
-                return len(text)
-
         monkeypatch.setattr("sys.stdout", Discard())
         argv = ["generate", *_flags(GrtParams(1, 5, 2, 3)), "--rows", "1000", "--rule", rule, "--format", fmt]
         tracemalloc.start()
@@ -306,7 +324,7 @@ class TestGenerateStreaming:
             )
             assert proc.stderr == "0 False\n", argv
 
-    def test_closed_reader_exit_141_quietly(self):
+    def test_closed_reader_exit_141_quietly(self, tmp_path):
         src = str(Path(rascal.__file__).resolve().parents[1])
         # stdout block-buffered, as by default: 3 rows reach the pipe only when flushed
         env = {**os.environ, "PYTHONPATH": src}
@@ -325,6 +343,25 @@ class TestGenerateStreaming:
             finally:
                 os.close(write_end)
             assert (proc.returncode, proc.stderr) == (141, b"")
+        # a reader that goes away in the middle of a report, as `| head -c 1` does: each report
+        # is many times a pipe's buffer, so the command is still writing it
+        path = write_rows(tmp_path, "t.txt", GrtParams(1, 0, 0, 0), 2000)
+        for argv in (
+            ["props", *RASCAL_FLAGS, "--depth", "1000000"],
+            ["classify", "--input", path, "--format", "json"],
+        ):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "rascal", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+            )
+            try:
+                assert proc.stdout.read(1) == (b"{" if argv[0] == "classify" else b"p")
+                proc.stdout.close()
+                err = proc.stderr.read()
+                assert (proc.wait(timeout=120), err) == (141, b""), argv
+            finally:
+                proc.kill()
+                proc.wait()
+                proc.stderr.close()
 
 
 class TestEntryPoint:
@@ -836,6 +873,22 @@ class TestClassifyStream:
         assert code == (1 if planted else 0)
         assert peak < 2**20  # the file is over 1.5 MB and its 125k cells would take several MiB
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("planted", [None, 1999])
+    def test_report_is_not_held(self, monkeypatch, tmp_path, fmt, planted):
+        # 4000 diagonals: their records and the report's text took 0.8-1.4 MiB more when held
+        # whole; entries of 1 are cached ints, so the fold allocates little per cell
+        path = write_rows(tmp_path, "t.txt", GrtParams(1, 0, 0, 0), 2000, planted)
+        monkeypatch.setattr("sys.stdout", Discard())
+        tracemalloc.start()
+        try:
+            code = main(["classify", "--input", path, "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == (0 if planted is None else 1)
+        assert peak < 2**20
+
 
 def run_main(*argv):
     streams = sys.stdout, sys.stderr
@@ -1037,6 +1090,31 @@ class TestPropsOutputIdentity:
                     code, out, err = run(capsys, *argv)
                     assert (out, code) == oracle_props(params, depth, CHECK_NAMES, False, fmt), argv
                     assert err == ""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_long_listings(self, capsys, fmt):
+        # the listing is written a block of sums at a time: at 100000 it spans many blocks, and
+        # the third family's sums cross 2^63 at n = 1, from where JSON quotes them
+        families = [GrtParams(5, 3, 2, 7), GrtParams(300, 350, 0, 0), GrtParams(9223372036854775000, 1, 1, 1)]
+        for params in families:
+            for depth in (1, 8, 100, 100000):
+                argv = ["props", *_flags(params), "--depth", str(depth), "--format", fmt]
+                code, out, err = run(capsys, *argv)
+                assert (out, code, err) == (*oracle_props(params, depth, CHECK_NAMES, False, fmt), ""), argv
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_listing_memory_does_not_grow_with_depth(self, monkeypatch, fmt):
+        monkeypatch.setattr("sys.stdout", Discard())
+        peaks = []
+        for depth in (100, 200000):
+            tracemalloc.start()
+            try:
+                code = main(["props", *_flags(GrtParams(5, 3, 2, 7)), "--depth", str(depth), "--format", fmt])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[1] - peaks[0] < 256 * 1024  # a whole listing of 200001 sums takes several MiB
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_repeated_check_reported_once(self, capsys, fmt):
