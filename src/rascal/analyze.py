@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Sequence
-from itertools import count, islice
+from itertools import chain, count, islice, starmap
 from operator import eq, invert, itemgetter, mul, sub
 
 from .core import GrtParams, Record, TriangleGrid, checked_row
@@ -352,8 +352,9 @@ class _DiagonalReports(Sequence):
     """Every diagonal's report, majors then minors, each family in index order, built when read.
 
     Holds what the fold kept per diagonal: its first two entries and its
-    first violation, if any.  It equals, hashes and reads as the tuple of
-    those reports, and can be read any number of times.
+    first violation, if any, which ``fields()`` reads as each diagonal's
+    report fields.  It equals, hashes and reads as the tuple of the reports
+    built from those, and can be read any number of times.
     """
 
     __slots__ = ("_families",)
@@ -361,22 +362,24 @@ class _DiagonalReports(Sequence):
     def __init__(self, *families):
         self._families = families  # (kind, first entries, second entries, index -> violation) per family
 
+    def fields(self):
+        """Each diagonal's report fields, in order: a plain tuple of its ``DiagonalReport``'s arguments."""
+        return chain.from_iterable(starmap(_diagonal_fields, self._families))
+
     def __len__(self) -> int:
         return sum(len(firsts) for _, firsts, _, _ in self._families)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self))[index]))
+            return tuple(self)[index]
         index = range(len(self))[index]  # IndexError or TypeError as a range gives them
         for family in self._families:
             if index < len(family[1]):
-                return _diagonal_report(*family, index)
+                return DiagonalReport(*next(_diagonal_fields(*family, index)))
             index -= len(family[1])
 
     def __iter__(self):
-        for family in self._families:
-            for index in range(len(family[1])):
-                yield _diagonal_report(*family, index)
+        return starmap(DiagonalReport, self.fields())
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, _DiagonalReports)):
@@ -390,12 +393,14 @@ class _DiagonalReports(Sequence):
         return repr(tuple(self))
 
 
-def _diagonal_report(kind, firsts, seconds, violations, index) -> DiagonalReport:
-    """The report of diagonal ``index``, from its first two entries (one for the last) and its violation, if any."""
-    violation = violations.get(index)
-    if violation is not None:
-        return DiagonalReport(kind, index, firsts[index], None, violation, False)
-    steps = len(firsts) - 1 - index  # the diagonal's length minus one
-    if not steps:
-        return DiagonalReport(kind, index, firsts[index], 0, None, True)
-    return DiagonalReport(kind, index, firsts[index], seconds[index] - firsts[index], None, steps < 2)
+def _diagonal_fields(kind, firsts, seconds, violations, start=0):
+    """One family's report fields from diagonal ``start`` on, read from its first two entries and violations."""
+    last = len(firsts) - 1  # the index of the family's one-entry diagonal
+    for index, first in enumerate(islice(firsts, start, None), start):
+        violation = violations.get(index)
+        if violation is not None:
+            yield kind, index, first, None, violation, False
+        elif index == last:
+            yield kind, index, first, 0, None, True
+        else:  # two entries or more: under-determined below three
+            yield kind, index, first, seconds[index] - first, None, index >= last - 1

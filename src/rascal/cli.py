@@ -44,7 +44,6 @@ from itertools import repeat
 from .analyze import (
     VERDICT_GRT,
     Classification,
-    DiagonalReport,
     NotGrtError,
     RuleReport,
     TooSmallError,
@@ -435,8 +434,8 @@ def _proved_identity(name, params, depth):
     """The record of check ``name`` of ``PROOF_GRIDS``; a proved ``rowsums`` also lists s_n for n = 0..depth.
 
     The listing is not held: the record's ``"sums"`` is a ``_RowSums``,
-    which the report writes a block at a time, at the end of the summary's
-    text and as the JSON ``"sums"`` array.
+    which the report writes a block at a time, after the summary in text and
+    as the JSON ``"sums"`` array.
     """
     points, failure = prove_identity(name, params)
     if failure is not None:
@@ -455,7 +454,7 @@ def _proved_identity(name, params, depth):
         "points": points,
     }
     if name == "rowsums":
-        record["summary"] += f"; sums for n <= {depth}: "  # the listing follows
+        record["summary"] += f"; sums for n <= {depth}"
         record["sums"] = _RowSums(params, depth)
     return record
 
@@ -567,16 +566,6 @@ def _rule_json(report: RuleReport) -> str:
     return f'{{"rule": "{report.rule}", "constant": {json_text(report.constant)}, "witnesses": {witnesses}}}'
 
 
-def _diagonal_json(report: DiagonalReport) -> str:
-    """The report's JSON object, as ``json_text`` writes it."""
-    violation = _json_object(("position", "expected", "actual"), report.first_violation)
-    return (
-        f'{{"kind": "{report.kind}", "index": {report.index}, "first_term": {json_text(report.first_term)}, '
-        f'"common_difference": {json_text(report.common_difference)}, "first_violation": {violation}, '
-        f'"under_determined": {json_text(report.under_determined)}}}'
-    )
-
-
 def _rule_line(report: RuleReport) -> str:
     if report.constant is not None:
         return f"{report.rule}: constant {report.constant}"
@@ -587,18 +576,19 @@ def _rule_line(report: RuleReport) -> str:
     )
 
 
-def _diagonal_line(report: DiagonalReport) -> str:
-    label = f"{report.kind} {'r' if report.kind == 'major' else 'k'}={report.index}"
-    if report.common_difference is not None:
-        line = f"{label}: first {report.first_term}, difference {report.common_difference}"
-        if report.under_determined:
-            line += " (under-determined)"
-        return line
-    position, expected, actual = report.first_violation
-    return (
-        f"{label}: first {report.first_term}, not arithmetic "
-        f"(position {position}: expected {expected}, got {actual})"
-    )
+# one diagonal of the classify report, arithmetic or not, by one % call on its fields (see
+# _classification_report): "%s=%d" is the diagonal's label, "major r=3" or "minor k=3"
+_DIAGONAL_TEXT = "%s=%d: first %s, difference %s%s\n"
+_VIOLATED_TEXT = "%s=%d: first %s, not arithmetic (position %d: expected %s, got %s)\n"
+_DIAGONAL_JSON = (
+    '%s{"kind": "%s", "index": %d, "first_term": %s, "common_difference": %s, "first_violation": null, '
+    '"under_determined": %s}'
+)
+_VIOLATED_JSON = (
+    '%s{"kind": "%s", "index": %d, "first_term": %s, "common_difference": null, '
+    '"first_violation": {"position": %d, "expected": %s, "actual": %s}, "under_determined": false}'
+)
+_LABELS = {"major": "major r", "minor": "minor k"}
 
 
 def _classification_report(result: Classification, fmt: str):
@@ -615,8 +605,15 @@ def _classification_report(result: Classification, fmt: str):
             '"diagonals": ['
         )
         separator = ""
-        for report in result.diagonals:
-            yield separator + _diagonal_json(report)
+        for kind, index, first, difference, violation, under_determined in result.diagonals.fields():
+            if violation is None:
+                under = "true" if under_determined else "false"
+                yield _DIAGONAL_JSON % (separator, kind, index, json_text(first), json_text(difference), under)
+            else:
+                position, expected, actual = violation
+                yield _VIOLATED_JSON % (
+                    separator, kind, index, json_text(first), position, json_text(expected), json_text(actual)
+                )
             separator = ", "
         yield "]}\n"
         return
@@ -628,8 +625,13 @@ def _classification_report(result: Classification, fmt: str):
         lines.append(f"params: c={p.c} d={p.d} d1={p.d1} d2={p.d2}")
     lines += [_rule_line(result.addition), _rule_line(result.multiplication)]
     yield "\n".join(lines) + "\n"
-    for report in result.diagonals:
-        yield _diagonal_line(report) + "\n"
+    for kind, index, first, difference, violation, under_determined in result.diagonals.fields():
+        if violation is None:
+            yield _DIAGONAL_TEXT % (
+                _LABELS[kind], index, first, difference, " (under-determined)" if under_determined else ""
+            )
+        else:
+            yield _VIOLATED_TEXT % (_LABELS[kind], index, first, *violation)
 
 
 def _props_report(params: GrtParams, depth: int, records, fmt: str):
@@ -647,28 +649,17 @@ def _props_report(params: GrtParams, depth: int, records, fmt: str):
     for record in records:
         yield f"{record['check']}: {record['summary']}"
         if "sums" in record:
+            yield ": "
             yield from record["sums"].chunks(json=False)
         yield "\n"
 
 
 def _record_json(record: dict):
-    """``json_text(record)`` in chunks; a ``_RowSums`` listing ends the summary's text and is the ``"sums"`` array."""
+    """``json_text(record)`` in chunks; a ``_RowSums`` listing, the record's last field, is the ``"sums"`` array."""
     sums = record.get("sums")
     if sums is None:
         yield json_text(record)
         return
-    lead = "{"
-    for key, value in record.items():
-        yield f"{lead}{json_text(key)}: "
-        lead = ", "
-        if key == "summary":  # the listing's digits, "-" and spaces need no escape
-            yield json_text(value)[:-1]
-            yield from sums.chunks(json=False)
-            yield '"'
-        elif key == "sums":
-            yield "["
-            yield from sums.chunks(json=True)
-            yield "]"
-        else:
-            yield json_text(value)
-    yield "}"
+    yield json_text({key: value for key, value in record.items() if key != "sums"})[:-1] + ', "sums": ['
+    yield from sums.chunks(json=True)
+    yield "]}"

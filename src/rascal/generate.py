@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from itertools import count, islice, repeat
+from math import isqrt
 from operator import add, floordiv, mod, mul, sub
 
 from .core import GrtParams, Record, TriangleGrid
@@ -185,10 +186,14 @@ def predict_multiplication_failure(params: GrtParams, n_rows: int) -> ZeroNorthE
       major diagonal r = -d1/d and minor diagonal k = -d2/d, where those are
       whole and nonnegative; the first is T(-d1/d, 0) or T(0, -d2/d).
     * d != 0 and D != 0: d*T(r, k) = (d*r + d1)(d*k + d2) + D, so a zero
-      needs d*r + d1 to divide D, and none lies at r > (|D| + |d1|) / |d|.
-      On major diagonal r, T(r, k) = (c + r*d2) + k*(d1 + r*d) is linear in
-      k, so one division finds its first zero; the search takes
-      O(min(rows, |D| / |d|)) time.
+      needs (d*r + d1)(d*k + d2) = -D: one factor is at most s = isqrt(|D|)
+      in absolute value.  On major diagonal r, T(r, k) = (c + r*d2) +
+      k*(d1 + r*d) is linear in k, so one division finds its first zero,
+      and on minor diagonal k likewise in r.  The search divides on the
+      majors with |d*r + d1| <= s and the minors with |d*k + d2| <= s; where
+      the majors up to r = (|D| + |d1|) / |d|, past which d*r + d1 cannot
+      divide D, are fewer, on those instead.  It takes
+      O(min(rows, s / |d|)) time.
     """
     if n_rows < 1:
         raise ValueError(f"n_rows must be at least 1, got {n_rows}")
@@ -202,23 +207,44 @@ def predict_multiplication_failure(params: GrtParams, n_rows: int) -> ZeroNorthE
             zeros.append((0, -d2 // d))
         zero = min(zeros, key=lambda z: (z[0] + z[1], z[0]), default=None)
     else:
-        zero = None
-        last = n_rows - 3  # the last row to search; shrinks to just above the first zero found
-        diagonals = min(n_rows - 2, (abs(mult) + abs(d1)) // abs(d) + 1)  # majors 0..n_rows-3 hold the rows
-        for r in range(diagonals):
-            if r > last:  # T(r, k) lies in row r + k >= r
-                break
-            first, step = c + r * d2, d1 + r * d
-            if not step:  # d*r + d1 = 0: d*T(r, k) = D on the whole diagonal
-                continue
-            k, remainder = divmod(-first, step)
-            if remainder or k < 0:
-                continue
-            if r + k <= last:  # strictly above any earlier find, so a tie keeps the smaller r
-                zero, last = (r, k), r + k - 1
+        last = n_rows - 3  # the last row north of a cell, so the last diagonal of either family to search
+        root = isqrt(abs(mult))
+        majors, minors = _near(d, d1, root, last), _near(d, d2, root, last)
+        dividing = range(max(0, min(last + 1, (abs(mult) + abs(d1)) // abs(d) + 1)))  # where d*r + d1 can divide D
+        # counted without len(), which a range past sys.maxsize does not have
+        if dividing.stop <= majors.stop - majors.start + minors.stop - minors.start:
+            majors, minors = dividing, range(0)
+        zero = _first_zero_on_diagonals(c, d, d1, d2, majors, minors, last)
     if zero is None or zero[0] + zero[1] > n_rows - 3:  # rows n_rows-2 and n_rows-1 are north of no cell
         return None
     return ZeroNorthError(zero[0] + 1, zero[1] + 1)
+
+
+def _near(d: int, offset: int, bound: int, last: int) -> range:
+    """The i in 0..last with |d*i + offset| <= bound, for d != 0, as a range whose stop is not below its start."""
+    if d < 0:  # |d*i + offset| = |-d*i - offset|
+        d, offset = -d, -offset
+    start = max(0, -((bound + offset) // d))
+    return range(start, max(start, min(last, (bound - offset) // d) + 1))
+
+
+def _first_zero_on_diagonals(c, d, d1, d2, majors: range, minors: range, last: int) -> tuple[int, int] | None:
+    """The first zero (r, k) of rows 0..last, row-major, on the major diagonals ``majors`` or minors ``minors``.
+
+    T(r, k) is linear along each diagonal: (c + r*d2) + k*(d1 + r*d) on major r, (c + k*d1) + r*(d2 + k*d)
+    on minor k, so one division finds a diagonal's zero.  D = c*d - d1*d2 must not be 0.
+    """
+    row, r = last + 1, 0  # the row and r of the first zero found; past the last row while there is none
+    for diagonals, across, along, minor in ((majors, d2, d1, False), (minors, d1, d2, True)):
+        for i in diagonals:
+            if i > row:  # diagonal i's cells lie in rows i and below
+                break
+            step = along + i * d
+            if step:  # else d*T(r, k) = D on the whole diagonal
+                j, remainder = divmod(-(c + i * across), step)
+                if not remainder and j >= 0:
+                    row, r = min((row, r), (i + j, j if minor else i))
+    return None if row > last else (r, row - r)
 
 
 def _first_zero_on_line(c: int, d1: int, d2: int) -> tuple[int, int] | None:

@@ -151,6 +151,34 @@ def oracle_closed_form(params, n_rows):
     return [tuple(closed_form_entry(params, r, n - r) for r in range(n + 1)) for n in range(n_rows)]
 
 
+def oracle_zero_north_by_divisors(params, n_rows):
+    """``predict_multiplication_failure`` for d != 0 and D != 0, one division per major diagonal.
+
+    d*T(r, k) = (d*r + d1)(d*k + d2) + D, so a zero needs d*r + d1 to divide
+    D, and none lies at r > (|D| + |d1|) / |d|; each major diagonal up to
+    there is solved for its zero, linear in k.  The first zero in row-major
+    order (least r + k, then least r) of rows 0..n_rows-3 stops the cell
+    south of it.
+    """
+    c, d, d1, d2 = params.c, params.d, params.d1, params.d2
+    mult = c * d - d1 * d2
+    assert d and mult
+    zero = None
+    last = n_rows - 3  # the last row to search; shrinks to just above the first zero found
+    for r in range(min(n_rows - 2, (abs(mult) + abs(d1)) // abs(d) + 1)):
+        if r > last:  # T(r, k) lies in row r + k >= r
+            break
+        first, step = c + r * d2, d1 + r * d
+        if not step:  # d*r + d1 = 0: d*T(r, k) = D on the whole diagonal
+            continue
+        k, remainder = divmod(-first, step)
+        if remainder or k < 0:
+            continue
+        if r + k <= last:  # strictly above any earlier find, so a tie keeps the smaller r
+            zero, last = (r, k), r + k - 1
+    return None if zero is None else ZeroNorthError(zero[0] + 1, zero[1] + 1)
+
+
 def oracle_render_text(rows):
     return "\n".join(" ".join(str(v) for v in row) for row in rows) + "\n"
 
@@ -327,6 +355,39 @@ def oracle_classify(grid):
     return Classification(
         verdict, params, mismatch, tuple(oracle_diagonal_reports(grid)), addition, multiplication
     )
+
+
+def oracle_classification_text(grid):
+    """``classify`` of ``grid`` as text: ``oracle_classify`` written line by line in the README's formats."""
+    result = oracle_classify(grid)
+    lines = [f"verdict: {result.verdict}"]
+    if result.mismatch is not None:
+        r, k, expected, actual = result.mismatch
+        lines.append(
+            f"mismatch: entry (r={r}, k={k}) is {actual}, but the parameters fitted from rows 0-2 predict {expected}"
+        )
+    if result.params is not None:
+        p = result.params
+        lines.append(f"params: c={p.c} d={p.d} d1={p.d1} d2={p.d2}")
+    for report in (result.addition, result.multiplication):
+        if report.witnesses is None:
+            lines.append(f"{report.rule}: constant {report.constant}")
+        else:
+            a, b = report.witnesses
+            lines.append(
+                f"{report.rule}: no constant; (r={a.r}, k={a.k}) implies {a.implied_constant} "
+                f"but (r={b.r}, k={b.k}) implies {b.implied_constant}"
+            )
+    for rep in result.diagonals:
+        label = f"major r={rep.index}" if rep.kind == "major" else f"minor k={rep.index}"
+        if rep.first_violation is None:
+            under = " (under-determined)" if rep.under_determined else ""
+            lines.append(f"{label}: first {rep.first_term}, difference {rep.common_difference}{under}")
+        else:
+            position, expected, actual = rep.first_violation
+            violation = f"position {position}: expected {expected}, got {actual}"
+            lines.append(f"{label}: first {rep.first_term}, not arithmetic ({violation})")
+    return "\n".join(lines) + "\n"
 
 
 def oracle_classification_json(grid):
@@ -508,7 +569,7 @@ def _oracle_record(name, params, depth, explicit):
         record = {"check": name, "status": "holds", "summary": summary, "proved": True, "points": points}
         if name == "rowsums":  # the proved formula lists the sums, found here from the generated rows
             sums = oracle_listed_sums(params, depth)
-            record["summary"] += "; sums for n <= {}: {}".format(depth, " ".join(map(str, sums)))
+            record["summary"] += f"; sums for n <= {depth}"  # the text report lists them after it
             record["sums"] = sums
         return record
     location, lhs, rhs = failure.first_failure
@@ -529,7 +590,9 @@ def oracle_props(params, depth, names, explicit, fmt):
         out = oracle_json_dumps({"params": p, "depth": depth, "checks": records}) + "\n"
     else:
         lines = [f"params: c={params.c} d={params.d} d1={params.d1} d2={params.d2}", f"depth: {depth}"]
-        lines += [f"{record['check']}: {record['summary']}" for record in records]
+        for record in records:
+            listing = ": " + " ".join(map(str, record["sums"])) if "sums" in record else ""
+            lines.append(f"{record['check']}: {record['summary']}{listing}")
         out = "\n".join(lines) + "\n"
     statuses = {record["status"] for record in records}
     code = 3 if "inapplicable" in statuses else 1 if "failed" in statuses else 0

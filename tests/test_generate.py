@@ -4,10 +4,10 @@ import time
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helpers import boundaries, oracle_closed_form, oracle_generate, sweep_params
+from helpers import boundaries, oracle_closed_form, oracle_generate, oracle_zero_north_by_divisors, sweep_params
 from rascal import (
     Boundary,
     GrtParams,
@@ -348,6 +348,38 @@ class TestPredictMultiplicationFailure:
             assert zero[0] == (abs(mult_constant(params)) + abs(params.d1)) // abs(params.d)
             # the recurrence itself, on just enough rows for the zero to be north of a cell
             assert _failure(far) == _failure(self._assert_agrees(params, sum(zero) + 3))
+
+    @given(
+        steps=st.tuples(st.integers(-50, 50).filter(bool), *[st.integers(-(10**4), 10**4)] * 2),
+        zero=st.one_of(st.none(), st.tuples(st.integers(0, 60), st.integers(0, 60))),
+        c=st.integers(-(10**8), 10**8),
+        n_rows=st.integers(1, 80),
+    )
+    def test_square_root_search_agrees_with_the_divisor_search(self, steps, zero, c, n_rows):
+        # d, D != 0: the search over the diagonals within isqrt(|D|), or over those where d*r + d1
+        # divides D when they are fewer, finds the divisor search's zero; with a planted zero or none
+        d, d1, d2 = steps
+        if zero is not None:
+            r, k = zero
+            c = -(k * d1 + r * d2 + r * k * d)  # T(r, k) = 0
+        params = GrtParams(c, d, d1, d2)
+        assume(mult_constant(params))
+        predicted = predict_multiplication_failure(params, n_rows)
+        assert _failure(predicted) == _failure(oracle_zero_north_by_divisors(params, n_rows))
+
+    def test_square_root_search_of_ten_million_rows(self):
+        # D = 1 - 10**12: |d*r + d1| and |d*k + d2| are at least 10**6 > isqrt(|D|) on every diagonal,
+        # so none is searched, where the divisor search divides on 9,999,998 majors
+        params = GrtParams(1, 1, 10**6, 10**6)
+        start = time.perf_counter()
+        assert predict_multiplication_failure(params, 10**7) is None
+        assert time.perf_counter() - start < 0.2
+        # isqrt(|D|) past the row count: both families reach the last row, so the majors where
+        # d*r + d1 can divide D, no more of them, are searched
+        params = GrtParams(10**40 + 7, 3, 5, 11)
+        assert _failure(predict_multiplication_failure(params, 3000)) == _failure(
+            oracle_zero_north_by_divisors(params, 3000)
+        )
 
     @given(c=st.integers(-60, 60), d1=st.integers(-9, 9), d2=st.integers(-9, 9), n_rows=st.integers(1, 30))
     def test_agrees_with_d_zero(self, c, d1, d2, n_rows):
