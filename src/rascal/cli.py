@@ -39,7 +39,7 @@ import gc
 import os
 import sys
 from functools import partial
-from itertools import repeat
+from itertools import islice, repeat
 
 from .analyze import (
     VERDICT_GRT,
@@ -68,9 +68,8 @@ from .identities import (
 )
 from .triangle_io import (
     TriangleParseError,
-    _is_grammar_int,
-    _too_long,
     csv_chunks,
+    grammar_int,
     json_chunks,
     json_text,
     text_chunks,
@@ -159,7 +158,7 @@ def _read_argv(argv: list[str]) -> dict | None:
         kind = flags[flag][0]
         if kind is int:
             try:
-                value = _integer(value)
+                value = grammar_int(value)
             except ValueError:
                 return None
         elif kind is str:
@@ -174,19 +173,6 @@ def _read_argv(argv: list[str]) -> dict | None:
                 return None
             args[flag[2:]] = default
     return args
-
-
-def _integer(text: str) -> int:
-    """An integer flag's value, read by the grammar of triangle files: ASCII ``-?[0-9]+``.
-
-    Else ValueError; a token past the interpreter's int-to-str digit limit is named by its length, not echoed.
-    """
-    if not _is_grammar_int(text):
-        raise ValueError(f"invalid int value: {text!r}")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"invalid int value: {_too_long(text)}") from None
 
 
 def _argparse_args(argv: list[str]) -> dict:
@@ -217,9 +203,9 @@ def _build_parser():
 
     def integer(text: str) -> int:
         try:
-            return _integer(text)
+            return grammar_int(text)
         except ValueError as err:  # argparse words a ValueError its own way, but keeps this one's message
-            raise argparse.ArgumentTypeError(str(err)) from None
+            raise argparse.ArgumentTypeError(f"invalid int value: {err}") from None
 
     parser = Parser(prog="rascal", description="Exact tools for generalized Rascal triangles.")
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
@@ -433,9 +419,9 @@ def _jsonable(value):
 def _proved_identity(name, params, depth):
     """The record of check ``name`` of ``PROOF_GRIDS``; a proved ``rowsums`` also lists s_n for n = 0..depth.
 
-    The listing is not held: the record's ``"sums"`` is a ``_RowSums``,
-    which the report writes a block at a time, after the summary in text and
-    as the JSON ``"sums"`` array.
+    The listing is not held: the record's ``"sums"`` is an iterator that
+    evaluates each sum as ``_sum_chunks`` writes it, after the summary in
+    text and as the JSON ``"sums"`` array.
     """
     points, failure = prove_identity(name, params)
     if failure is not None:
@@ -455,27 +441,8 @@ def _proved_identity(name, params, depth):
     }
     if name == "rowsums":
         record["summary"] += f"; sums for n <= {depth}"
-        record["sums"] = _RowSums(params, depth)
+        record["sums"] = map(row_sum_formula, repeat(params), range(depth + 1))
     return record
-
-
-class _RowSums:
-    """s_n = ``row_sum_formula(params, n)`` for n = 0..depth, each evaluated when it is written."""
-
-    BLOCK = 1024  # sums written per chunk
-
-    def __init__(self, params: GrtParams, depth: int):
-        self.params = params
-        self.depth = depth
-
-    def chunks(self, json: bool):
-        """The sums, ``BLOCK`` per chunk: as ``json_text`` writes a JSON array's items, else joined by spaces."""
-        separator = ", " if json else " "
-        stop = self.depth + 1
-        for start in range(0, stop, self.BLOCK):
-            block = tuple(map(row_sum_formula, repeat(self.params), range(start, min(start + self.BLOCK, stop))))
-            text = json_text(block)[1:-1] if json else " ".join(map(str, block))
-            yield separator + text if start else text
 
 
 # check name -> (finder of the parameters, JSON key, summary of a found value, summary of none)
@@ -551,19 +518,9 @@ _COMMANDS = {
 # --- report rendering ----------------------------------------------------
 
 
-def _json_object(keys, values) -> str:
-    """The integers ``values`` as a JSON object with ``keys``, each written by ``json_text``; ``null`` for None."""
-    if values is None:
-        return "null"
-    return "{%s}" % ", ".join(f'"{key}": {json_text(value)}' for key, value in zip(keys, values))
-
-
-def _rule_json(report: RuleReport) -> str:
-    witnesses = "null"
-    if report.witnesses is not None:
-        keys = ("r", "k", "implied_constant")
-        witnesses = "[%s]" % ", ".join(_json_object(keys, (w.r, w.k, w.implied_constant)) for w in report.witnesses)
-    return f'{{"rule": "{report.rule}", "constant": {json_text(report.constant)}, "witnesses": {witnesses}}}'
+def _json_head(head: dict, key: str) -> str:
+    """``json_text(head)`` with one more member, ``key``, whose array is left open for the items that follow."""
+    return json_text(head)[:-1] + f', "{key}": ['
 
 
 def _rule_line(report: RuleReport) -> str:
@@ -594,16 +551,17 @@ _LABELS = {"major": "major r", "minor": "minor k"}
 def _classification_report(result: Classification, fmt: str):
     """The report's text in chunks: everything before the diagonals, then a chunk per diagonal (and JSON's end)."""
     if fmt == "json":
-        # the text json_text writes for the report's dict, written by templates: the report holds
-        # only integers, null, booleans and fixed words, none of which needs escaping
-        p = result.params
-        mismatch = _json_object(("r", "k", "expected", "actual"), result.mismatch)
-        params = _json_object(("c", "d", "d1", "d2"), p and (p.c, p.d, p.d1, p.d2))
-        yield (
-            f'{{"verdict": "{result.verdict}", "mismatch": {mismatch}, "params": {params}, '
-            f'"addition": {_rule_json(result.addition)}, "multiplication": {_rule_json(result.multiplication)}, '
-            '"diagonals": ['
-        )
+        head = {
+            "verdict": result.verdict,
+            "mismatch": result.mismatch and dict(zip(("r", "k", "expected", "actual"), result.mismatch)),
+            "params": result.params and vars(result.params),
+        }
+        for rule in (result.addition, result.multiplication):
+            witnesses = rule.witnesses and [vars(witness) for witness in rule.witnesses]
+            head[rule.rule] = {"rule": rule.rule, "constant": rule.constant, "witnesses": witnesses}
+        yield _json_head(head, "diagonals")
+        # each diagonal as json_text writes its report's dict, by a template: a diagonal holds only
+        # integers, null, booleans and fixed words, none of which needs escaping
         separator = ""
         for kind, index, first, difference, violation, under_determined in result.diagonals.fields():
             if violation is None:
@@ -637,8 +595,7 @@ def _classification_report(result: Classification, fmt: str):
 def _props_report(params: GrtParams, depth: int, records, fmt: str):
     """The report's text in chunks, a chunk per record, but a ``rowsums`` listing a block of sums at a time."""
     if fmt == "json":
-        values = {"c": params.c, "d": params.d, "d1": params.d1, "d2": params.d2}
-        yield f'{{"params": {json_text(values)}, "depth": {json_text(depth)}, "checks": ['
+        yield _json_head({"params": vars(params), "depth": depth}, "checks")
         for i, record in enumerate(records):
             if i:
                 yield ", "
@@ -650,16 +607,23 @@ def _props_report(params: GrtParams, depth: int, records, fmt: str):
         yield f"{record['check']}: {record['summary']}"
         if "sums" in record:
             yield ": "
-            yield from record["sums"].chunks(json=False)
+            yield from _sum_chunks(record["sums"], json=False)
         yield "\n"
 
 
 def _record_json(record: dict):
-    """``json_text(record)`` in chunks; a ``_RowSums`` listing, the record's last field, is the ``"sums"`` array."""
-    sums = record.get("sums")
-    if sums is None:
+    """``json_text(record)`` in chunks; a ``rowsums`` listing, the record's last field, is the ``"sums"`` array."""
+    if "sums" not in record:
         yield json_text(record)
         return
-    yield json_text({key: value for key, value in record.items() if key != "sums"})[:-1] + ', "sums": ['
-    yield from sums.chunks(json=True)
+    yield _json_head({key: value for key, value in record.items() if key != "sums"}, "sums")
+    yield from _sum_chunks(record["sums"], json=True)
     yield "]}"
+
+
+def _sum_chunks(sums, json: bool):
+    """The iterator ``sums``, 1024 per chunk: as ``json_text`` writes a JSON array's items, else joined by spaces."""
+    separator = ""
+    while block := tuple(islice(sums, 1024)):
+        yield separator + (json_text(block)[1:-1] if json else " ".join(map(str, block)))
+        separator = ", " if json else " "

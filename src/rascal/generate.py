@@ -22,7 +22,7 @@ The multiplication rule can fail part way, at a zero or inexact north
 entry.  Grown from the parameters' own edges it can only fail at a zero of
 the closed form, and ``predict_multiplication_failure`` finds the first such
 zero before any row is built, in O(log) time when d = 0, O(1) when
-D = c*d - d1*d2 = 0 and O(min(rows, |D| / |d|)) otherwise.  So the CLI
+D = c*d - d1*d2 = 0 and O(min(rows, √|D| / |d|)) otherwise.  So the CLI
 streams ``mul`` like the other rules and still prints nothing on failure.
 """
 

@@ -14,7 +14,10 @@ of at most the interpreter's int-to-str digit limit, and row n holds n + 1
 of them.  int() does the scan: it takes exactly that grammar once the text
 holds nothing else it reads (other scripts' digits, ``_``, ``+`` or
 whitespace inside a JSON string), and ``_is_grammar_int`` only names the
-first bad token when there is one.  A plain line is split a window of about
+first bad token when there is one.  ``grammar_int`` is the one reader of a
+single token by this grammar, for files and for flags: a JSON integer
+string that the whole-row check refuses, and each of the CLI's integer
+flags.  A plain line is split a window of about
 64K characters at a time, so an over-long row is refused without a list of
 all its tokens.  Nothing here imports ``re`` but the JSON reader, which
 ``json`` loads it for anyway.
@@ -176,6 +179,20 @@ def _is_grammar_int(token: str) -> bool:
     """Whether ``token`` is ASCII ``-?[0-9]+``: ``isdigit`` alone also admits other scripts' digits."""
     digits = token[1:] if token.startswith("-") else token
     return digits.isascii() and digits.isdigit()
+
+
+def grammar_int(token: str) -> int:
+    """``token`` read as a grammar integer, ASCII ``-?[0-9]+``, as a flag's value or a JSON integer string.
+
+    Else ValueError: its message is ``repr(token)``, or the token's length
+    when it is past the int-to-str digit limit, so that it is not echoed.
+    """
+    if not _is_grammar_int(token):
+        raise ValueError(repr(token))
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(_too_long(token)) from None
 
 
 def _plain_row(line: str, n: int, lineno: int) -> tuple[int, ...]:
@@ -408,11 +425,12 @@ def _json_entry(value, n: int) -> int:
         raise TriangleParseError(f"row {n}: {value!r} is not an integer")
     if isinstance(value, int):
         return value
-    if isinstance(value, str) and _is_grammar_int(value):
+    if isinstance(value, str):
         try:
-            return int(value)
-        except ValueError:
-            raise TriangleParseError(f"row {n}: {_too_long(value)}") from None
+            return grammar_int(value)
+        except ValueError as err:
+            if _is_grammar_int(value):  # past the digit limit
+                raise TriangleParseError(f"row {n}: {err}") from None
     raise TriangleParseError(f"row {n}: {value!r} is not an integer or integer string")
 
 

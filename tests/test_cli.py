@@ -247,6 +247,22 @@ class TestReportDigitLimit:
         assert sys.get_int_max_str_digits() == limit
         assert out.endswith(" " + self.full_text(sum(closed_form_entry(params, r, 100 - r) for r in range(101))) + "\n")
 
+    def test_interpreter_without_a_limit_writes_the_same(self, capsys, monkeypatch, tmp_path):
+        # Python 3.10.0-3.10.6 have no digit limit and no sys.get/set_int_max_str_digits: the limit's
+        # checks and its raising around a report are skipped there, with the same output
+        params = GrtParams(18446744073709551623, -9223372036854775809, 3, 9223372036854775807)
+        grt, planted = (write_rows(tmp_path, f"{n}.txt", params, 40, planted=n) for n in (None, 30))
+        calls = [
+            ["generate", *_flags(params), "--rows", "40", "--format", "json"],
+            *(["classify", "--input", path, "--format", fmt] for path in (grt, planted) for fmt in ("text", "json")),
+            *(["props", *_flags(params), "--depth", "100", "--format", fmt] for fmt in ("text", "json")),
+        ]
+        limited = [run(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in limited] == [0, 0, 0, 1, 1, 0, 0]
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        monkeypatch.delattr(sys, "set_int_max_str_digits")
+        assert [run(capsys, *argv) for argv in calls] == limited
+
 
 class TestGenerateStreaming:
     @pytest.mark.parametrize(

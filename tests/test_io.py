@@ -39,6 +39,7 @@ from rascal import (
     triangle_rows,
 )
 from rascal import analyze, generate, triangle_io
+from rascal.triangle_io import grammar_int
 
 RASCAL_TEXT = "# leading comment\n1\n1 1\n\n1 2 1\n1\t3 3\t1\n1 4 5 4 1\n"
 
@@ -111,6 +112,28 @@ class TestPlainRows:
             tracemalloc.stop()
         assert str(exc_info.value) == "line 3: row 2 has 2000000 entries, expected 3"
         assert peak < 20 * 2**20
+
+
+class TestGrammarInt:
+    """``grammar_int`` reads one token by the grammar of triangle files, for a flag or a JSON integer string."""
+
+    @pytest.mark.parametrize("token, value", [("007", 7), ("-0", 0), ("-12", -12), (str(2**80), 2**80)])
+    def test_tokens_of_the_grammar(self, token, value):
+        assert grammar_int(token) == value
+
+    # int() reads the first seven
+    @pytest.mark.parametrize("token", ["+1", " 1", "1 ", "1_0", "\u0661", "\uff11", "-\uff11", "", "-", "--1", "1.5"])
+    def test_other_tokens_are_named(self, token):
+        with pytest.raises(ValueError) as exc_info:
+            grammar_int(token)
+        assert str(exc_info.value) == repr(token)
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_token_past_the_digit_limit_is_named_by_its_length(self, sign):
+        digits = sys.get_int_max_str_digits() + 1
+        with pytest.raises(ValueError) as exc_info:
+            grammar_int(sign + "9" * digits)
+        assert str(exc_info.value) == f"{digits}-digit integer is too long to convert"
 
 
 class TestJsonFormat:
