@@ -21,21 +21,25 @@ Exit codes are a stable contract: 0 success (or verdict "grt"), 1 negative
 classification or failed check, 2 multiplication-rule arithmetic failure,
 3 inapplicable check, 64 usage error, 65 malformed input, 70 internal error
 (an unexpected exception, reported in one line, so that a crash never reads
-as the negative verdict 1), 141 the reader of stdout went away, as in
+as the negative verdict 1), 74 output cannot be written (stdout closed, a
+full disk; one line), 141 the reader of stdout went away, as in
 ``rascal generate ... | head`` (128 + SIGPIPE, what a shell reports for a
-command killed by that signal; nothing is printed).
+command killed by that signal; nothing is printed).  A closed stderr drops
+the message, never the code.
 
 ``run()`` is the process entry point (``python -m rascal``, the ``rascal``
-script): it exits with ``main()``'s code after ``gc.freeze()``, so the
-interpreter's exit does not collect the heap that importing ``site`` and
-rascal built.  ``atexit`` handlers and the final flush still run; ``main()``
-itself freezes nothing, for callers in a process that goes on.
+script).  It runs ``main()``, then the ``atexit`` handlers, flushes stdout
+and stderr, and ends the process with ``os._exit``, so the interpreter does
+not tear down the modules and heap that ``site`` and rascal built.  Under a
+profiler, a tracer or ``python -i``, whose work comes after the program's,
+it exits through ``SystemExit`` as the interpreter does.  Ctrl-C prints
+nothing: the process ends by SIGINT, so a calling shell sees 130 and stops.
 """
 
 from __future__ import annotations
 
+import atexit
 import codecs
-import gc
 import os
 import sys
 from functools import partial
@@ -83,6 +87,7 @@ EXIT_INAPPLICABLE = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_SOFTWARE = 70
+EXIT_IOERR = 74
 EXIT_BROKEN_PIPE = 141
 
 
@@ -101,19 +106,25 @@ def _usage(message: str) -> Refusal:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    return _ending(_command, argv)
+
+
+def _command(argv: list[str]) -> int:
+    args = _read_argv(argv)
+    if args is None:  # help, or a call to refuse in argparse's words
+        args = _argparse_args(argv)
+    return _COMMANDS[args["command"]][0](args)
+
+
+def _ending(step, *args) -> int:
+    """The exit code of ``step(*args)``, or of the refusal or failure it ends in, whose message is one stderr line."""
     try:
-        args = _read_argv(argv)
-        if args is None:  # help, or a call to refuse in argparse's words
-            args = _argparse_args(argv)
-        code = _COMMANDS[args["command"]][0](args)
-        sys.stdout.flush()  # a closed reader shows here, not in the interpreter's final flush
-        return code
+        return step(*args)
     except Refusal as err:
         _print_error(str(err))
         return err.code
     except BrokenPipeError:
-        # Output still buffered would fail again at exit; send it nowhere instead.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _discard_stdout()
         return EXIT_BROKEN_PIPE
     except Exception as err:  # last resort: any other failure is a bug, not a verdict
         _print_error(f"internal error: {type(err).__name__}: {err}")
@@ -121,19 +132,96 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Exit the process with ``main()``'s code, the heap frozen first so that exiting skips collecting it."""
-    code = main()
-    gc.freeze()
-    raise SystemExit(code)
+    """End the process with ``main()``'s code, after the ``atexit`` handlers and a flush, skipping the teardown."""
+    try:
+        code = main()
+        if _observed():
+            raise SystemExit(code)
+        atexit._run_exitfuncs()
+        code = _ending(_flushed, code)
+    except KeyboardInterrupt:
+        code = _interrupted()
+    os._exit(code)
+
+
+def _observed() -> bool:
+    """Whether a profiler's report, a tracer's or ``python -i``'s prompt is to come after the program.
+
+    From 3.12 on, cProfile and other tools hook in through ``sys.monitoring``
+    (six tool ids), not ``sys.setprofile`` or ``sys.settrace``.
+    """
+    monitoring = getattr(sys, "monitoring", None)
+    return (
+        sys.getprofile() is not None
+        or sys.gettrace() is not None
+        or bool(sys.flags.inspect)
+        or (monitoring is not None and any(map(monitoring.get_tool, range(6))))
+    )
+
+
+def _flushed(code: int) -> int:
+    """``code``, once stdout is flushed as ``_write`` writes it and stderr as far as it can be."""
+    if sys.stdout is not None:  # a closed one holds nothing, and was reported if written to
+        _write(())
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:  # stderr is closed: what it holds is dropped
+            pass
+    return code
+
+
+def _interrupted() -> int:
+    """End the process by SIGINT, as the interpreter does after its traceback, so that a calling shell stops.
+
+    If the signal does not end it (SIGINT blocked), the code a shell reports for it, 128 + SIGINT.
+    """
+    import signal  # here only: a run that is not interrupted never loads it
+
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    os.kill(os.getpid(), signal.SIGINT)
+    return 128 + signal.SIGINT
+
+
+def _write(chunks) -> None:
+    """Write ``chunks`` to stdout and flush it; a stdout closed or failing, for any reason but EPIPE, is refusal 74.
+
+    Output already written stays written; what is still buffered goes to
+    the null device, so that no later flush fails again.
+    """
+    try:
+        if sys.stdout is None:  # started with stdout closed
+            raise OSError("stdout is closed")
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as err:
+        _discard_stdout()
+        raise Refusal(EXIT_IOERR, f"cannot write output: {err.strerror or err}")
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, where output it still buffers then goes."""
+    if sys.stdout is not None:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
 
 
 def _print_error(message: str) -> None:
-    """Write ``rascal: <message>`` to stderr as one line.
+    """Write ``rascal: <message>`` to stderr as one line; with stderr closed or failing, the message is dropped.
 
     A line break that a path or an argument brings into the message is
     escaped as repr() writes it.
     """
-    print(f"rascal: {message.translate(_LINE_BREAKS)}", file=sys.stderr)
+    if sys.stderr is None:  # started with stderr closed
+        return
+    try:
+        sys.stderr.write(f"rascal: {message.translate(_LINE_BREAKS)}\n")
+        sys.stderr.flush()
+    except OSError:  # its file descriptor is closed or failing
+        pass
 
 
 # the characters str.splitlines ends a line at, each to its repr() escape
@@ -224,7 +312,7 @@ def _build_parser():
 
 
 def _cmd_generate(args: dict) -> int:
-    _check_count("--rows", args["rows"])
+    _check_range("--rows", args["rows"], 1)
     params = GrtParams(args["c"], args["d"], args["d1"], args["d2"])
     _check_printable(params, args["rows"])
     if args["rule"] == "closed":
@@ -237,14 +325,14 @@ def _cmd_generate(args: dict) -> int:
         if failure is not None:
             raise Refusal(EXIT_ARITHMETIC, str(failure))
         rows = multiplication_rows(edges_from_params(params, args["rows"]), mult_constant(params))
-    sys.stdout.writelines(_CHUNKS[args["format"]](rows))
+    _write(_CHUNKS[args["format"]](rows))
     return EXIT_OK
 
 
-def _check_count(flag: str, value: int) -> None:
-    """A usage refusal for a count below 1, or past ``sys.maxsize``, which the row iterators cannot count to."""
-    if value < 1:
-        raise _usage(f"{flag} must be at least 1")
+def _check_range(flag: str, value: int, least: int) -> None:
+    """A usage refusal for a value below ``least``, or past ``sys.maxsize``, which the row iterators cannot count to."""
+    if value < least:
+        raise _usage(f"{flag} must be at least {least}")
     if value > sys.maxsize:
         raise _usage(f"{flag} must be at most {sys.maxsize}")
 
@@ -327,12 +415,12 @@ def _cmd_classify(args: dict) -> int:
     # of at most four entries and r, k < rows, at most L + 3 + 2*digits(rows), below 2L + 1 since
     # L >= 640 (the interpreter's least limit) and no input has 10**300 rows
     report = _classification_report(result, args["format"])
-    _with_digit_limit(1, lambda: sys.stdout.writelines(report))
+    _with_digit_limit(1, lambda: _write(report))
     return EXIT_OK if result.verdict == VERDICT_GRT else EXIT_NEGATIVE
 
 
 def _cmd_props(args: dict) -> int:
-    _check_count("--depth", args["depth"])
+    _check_range("--depth", args["depth"], 0)
     flag_names = ("c", "d", "d1", "d2")
     given = [name for name in flag_names if args[name] is not None]
     if args["input"] is not None and given:
@@ -368,7 +456,7 @@ def _props(params: GrtParams, args: dict) -> int:
             records.append(_CHECK_RUNNERS[name](params, args["depth"]))
         except InapplicableCheckError as err:
             records.append({"check": name, "status": inapplicable, "summary": f"{inapplicable}: {err}"})
-    sys.stdout.writelines(_props_report(params, args["depth"], records, args["format"]))
+    _write(_props_report(params, args["depth"], records, args["format"]))
     if any(record["status"] == "inapplicable" for record in records):
         return EXIT_INAPPLICABLE
     if any(record["status"] == "failed" for record in records):

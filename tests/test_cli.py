@@ -1,10 +1,12 @@
 """End-to-end command behavior and the exit-code contract."""
 
+import errno
 import gc
 import io
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -44,6 +46,7 @@ from rascal import (
     closed_form_rows,
     generate_closed_form,
     mult_constant,
+    render_csv,
     render_json,
     render_text,
 )
@@ -382,7 +385,11 @@ class TestGenerateStreaming:
 
 
 class TestEntryPoint:
-    """``run()`` exits with ``main()``'s code after freezing the heap; ``main()`` freezes nothing."""
+    """``run()`` ends the process with ``main()``'s code: ``atexit`` handlers, then a flush, then ``os._exit``.
+
+    Under a profiler, a tracer or ``python -i`` it exits through ``SystemExit``
+    instead, so that what they do after the program still runs.
+    """
 
     def test_main_freezes_nothing(self, capsys):
         frozen = gc.get_freeze_count()
@@ -390,20 +397,42 @@ class TestEntryPoint:
         assert gc.get_freeze_count() == frozen
 
     def test_run_keeps_atexit_handlers(self):
-        # os._exit would skip the handler; gc.freeze keeps the interpreter's exit as it was
+        # os._exit alone would skip the handler: run() runs it first, once
         src = str(Path(rascal.__file__).resolve().parents[1])
-        code = (
-            "import atexit, gc, sys, rascal.cli; "
-            "atexit.register(lambda: print('atexit', gc.get_freeze_count() > 0, file=sys.stderr)); "
-            "rascal.cli.run()"
-        )
+        code = "import atexit, sys, rascal.cli; atexit.register(lambda: print('atexit', file=sys.stderr)); rascal.cli.run()"
         argv = ["props", "--c", "5", "--d", "3", "--d1", "2", "--d2", "7", "--checks", "tmeg"]
         proc = subprocess.run(
             [sys.executable, "-c", code, *argv],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
         )
-        assert (proc.returncode, proc.stderr) == (3, "atexit True\n")
+        assert (proc.returncode, proc.stderr) == (3, "atexit\n")
         assert proc.stdout.endswith("tmeg: inapplicable: needs d1 = d2 = 0, got d1=2, d2=7\n")
+
+    def test_profiled_run_prints_its_stats(self):
+        # cProfile prints its stats after the program returns, so run() must not end the process itself;
+        # cProfile exits 0 whatever the program's code, so the command here is one that exits 0
+        src = str(Path(rascal.__file__).resolve().parents[1])
+        argv = ["props", *RASCAL_FLAGS, "--checks", "rowsums,embed", "--depth", "4"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-m", "rascal", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        report = oracle_props(GrtParams(1, 1, 0, 0), 4, ["rowsums", "embed"], True, "text")[0]
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith(report)
+        stats = proc.stdout[len(report):]
+        assert " function calls " in stats and "cli.py" in stats and "(run)" in stats
+
+    def test_file_stdout_gets_every_byte(self, tmp_path):
+        # the output is block-buffered into a regular file: what is still buffered when the program
+        # returns must be flushed before os._exit
+        for rows in (3, 600):
+            path = tmp_path / f"rows{rows}.csv"
+            with path.open("wb") as out:
+                argv = ["generate", *RASCAL_FLAGS, "--rows", str(rows), "--format", "csv"]
+                proc = rascal_child(argv, stdout=out, stderr=subprocess.PIPE)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert path.read_text() == render_csv(generate_closed_form(GrtParams(1, 1, 0, 0), rows))
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
     def test_script_is_run(self):
@@ -414,6 +443,118 @@ class TestEntryPoint:
         target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["rascal"]
         module, _, name = target.partition(":")
         assert getattr(importlib.import_module(module), name) is cli.run
+
+
+def rascal_child(argv, **kwargs):
+    """The finished child process ``python -m rascal *argv``, stdout block-buffered as by default."""
+    env = {**os.environ, "PYTHONPATH": str(Path(rascal.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "rascal", *argv], env=env, timeout=120, **kwargs)
+
+
+def pinned_refusals(tmp_path):
+    """(argv, exit code) of the refusals this file pins, a case of each kind; input files are made in ``tmp_path``."""
+    utf8 = tmp_path / "utf8.txt"
+    utf8.write_bytes(b"\xff\xfe1\n")
+    digits = sys.get_int_max_str_digits()
+    generate = ["generate", *RASCAL_FLAGS, "--rows"]
+    return [
+        ([], 64),
+        ([*generate, "0"], 64),
+        ([*generate, "3", "--rule", "weird"], 64),
+        ([*generate, str(sys.maxsize + 1)], 64),
+        (["generate", "--c", "1", "--d", "1", "--d1", "0", "--rows", "3"], 64),
+        (["generate", "--c", "1_0", "--d", "1", "--d1", "0", "--d2", "0", "--rows", "3"], 64),
+        (["generate", "--c", "1", "--d=--", "--d1", "0", "--d2", "0", "--rows", "3"], 64),
+        (["generate", "--c", "9" * digits, "--d", "1", "--d1", "1", "--d2", "1", "--rows", "3"], 64),
+        (["generate", "--c", "0", "--d", "1", "--d1", "1", "--d2", "1", "--rows", "3", "--rule", "mul"], 2),
+        (["classify", "a\nb"], 64),
+        (["classify", "--format=--"], 64),
+        (["classify"], 65),  # stdin empty
+        (["classify", "--input", str(tmp_path / "absent.txt")], 65),
+        (["classify", "--input", str(utf8)], 65),
+        (["classify", "--input", write(tmp_path, "array.json", "[[1],[1,1],[1,2,1]]")], 65),
+        (["classify", "--input", write(tmp_path, "ragged.txt", "1\n1 1 1\n")], 65),
+        (["classify", "--input", write(tmp_path, "small.txt", "1\n1 1\n")], 65),
+        (["classify", "--input", write(tmp_path, "long.txt", "1\n1 {}\n".format("9" * 5000))], 65),
+        (["classify", "--input", write(tmp_path, "wide.txt", "1\n1 1\n1 \uff12 1\n")], 65),
+        (["props", "--input", write(tmp_path, "u.txt", render_text(u_style_grid(6)))], 3),
+        (["props", "--input", str(tmp_path / "small.txt"), *RASCAL_FLAGS], 64),
+        (["props", "--c", "1", "--d", "1"], 64),
+        (["props", *RASCAL_FLAGS, "--checks", "bogus"], 64),
+        (["props", *RASCAL_FLAGS, "--checks", "rowsums,,tmeg"], 64),
+        (["props", *RASCAL_FLAGS, "--depth", "-1"], 64),
+        (["props", *RASCAL_FLAGS, "--depth", str(sys.maxsize + 1)], 64),
+    ]
+
+
+class TestProcessEndings:
+    """Every way a process can end keeps the exit-code contract: closed or failing streams, and Ctrl-C."""
+
+    def test_closed_stderr_keeps_every_refusal_code(self, tmp_path):
+        # a refusal whose message cannot be written still exits with its code, never the verdict 1
+        for argv, code in pinned_refusals(tmp_path):
+            got, out, err = main_on_stdin(b"", *argv)
+            assert (got, out, err.count("\n")) == (code, "", 1), argv
+            proc = rascal_child(argv, stdin=subprocess.DEVNULL, capture_output=True, preexec_fn=lambda: os.close(2))
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, b"", b""), argv
+
+    def _outputs(self, tmp_path):
+        """Calls whose output fits in stdout's buffer (a failure shows at the flush) or does not (it shows while written)."""
+        path = write_rows(tmp_path, "t.txt", GrtParams(1, 0, 0, 0), 600)
+        return [
+            ["generate", *RASCAL_FLAGS, "--rows", "3"],
+            ["generate", *RASCAL_FLAGS, "--rows", "600", "--format", "csv"],
+            ["classify", "--input", path, "--format", "json"],
+            ["props", *RASCAL_FLAGS, "--depth", "100000"],
+        ]
+
+    def test_closed_stdout_exit_74(self, tmp_path):
+        for argv in self._outputs(tmp_path):
+            proc = rascal_child(
+                argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1)
+            )
+            assert (proc.returncode, proc.stderr) == (74, b"rascal: cannot write output: stdout is closed\n"), argv
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_disk_exit_74(self, tmp_path):
+        message = f"rascal: cannot write output: {os.strerror(errno.ENOSPC)}\n".encode()
+        for argv in self._outputs(tmp_path):
+            with open("/dev/full", "wb") as full:
+                proc = rascal_child(argv, stdout=full, stderr=subprocess.PIPE)
+            assert (proc.returncode, proc.stderr) == (74, message), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", *RASCAL_FLAGS, "--rows", "100000"],
+            ["props", *RASCAL_FLAGS, "--checks", "rowsums", "--depth", "100000000"],
+        ],
+    )
+    def test_ctrl_c_ends_by_sigint_quietly(self, argv):
+        # killed by the signal, as a shell's loop needs to stop; SIGINT's default action is restored
+        # in the child, which would otherwise inherit it ignored from a shell's background job
+        env = {**os.environ, "PYTHONPATH": str(Path(rascal.__file__).resolve().parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rascal", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            assert proc.stdout.read(1)
+            proc.send_signal(signal.SIGINT)
+            drained = 0  # the child is blocked on the full pipe until it is read
+            while chunk := proc.stdout.read1(1 << 16):
+                drained += len(chunk)
+                assert drained < 1 << 26, "still writing after SIGINT"
+            assert (proc.wait(timeout=120), proc.stderr.read()) == (-signal.SIGINT, b"")
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
 
 
 def test_import_loads_no_dataclasses_or_fractions():
@@ -429,7 +570,8 @@ def test_import_loads_no_dataclasses_or_fractions():
         loaded = set(proc.stdout.split())
         assert "rascal.cli" in loaded
         # re: a site that loads it first keeps it out of ``loaded``; without site (-S) it is only rascal's
-        unwanted = {"dataclasses", "inspect", "fractions", "decimal", "json", "typing", "re", "argparse", "gettext"}
+        # signal: only an interrupted run() loads it
+        unwanted = {"dataclasses", "inspect", "fractions", "decimal", "json", "typing", "re", "argparse", "gettext", "signal"}
         assert not loaded & unwanted, flags
 
 
@@ -1041,9 +1183,9 @@ class TestProps:
             64, "", "rascal: error: empty entry in --checks\n"
         )
 
-    def test_depth_zero_usage_error(self, capsys):
-        code, _, _ = run(capsys, "props", *RASCAL_FLAGS, "--depth", "0")
-        assert code == 64
+    def test_negative_depth_usage_error(self, capsys):
+        # depth 0 lists s_0 = c (TestPropsOutputIdentity); below it there is no listing
+        assert run(capsys, "props", *RASCAL_FLAGS, "--depth", "-1") == (64, "", "rascal: error: --depth must be at least 0\n")
 
     def test_json_report(self, capsys):
         code, out, _ = run(
@@ -1124,7 +1266,7 @@ class TestPropsOutputIdentity:
     @pytest.mark.parametrize("family", list(PROPS_FAMILIES))
     def test_all_checks(self, capsys, family):
         for params in PROPS_FAMILIES[family]:
-            for depth in range(1, 13):
+            for depth in range(13):
                 for fmt in ("text", "json"):
                     argv = ["props", *_flags(params), "--depth", str(depth), "--format", fmt]
                     code, out, err = run(capsys, *argv)
