@@ -150,6 +150,12 @@ def detect_multiplication_rule(grid: TriangleGrid) -> RuleReport:
     ``classify(grid).multiplication``.  The multiplicative form needs no
     division, so zero entries cannot crash the scan; on triangles without
     zeros it coincides with the quotient rule.
+
+    Arithmetic outside diagonals and such a D imply the closed form (verdict
+    "grt") only when no north entry is 0: a diamond with north entry 0 holds
+    whatever its south entry.  The rows ((-2,), (-4, -1), (-6, 0, 0),
+    (-8, 1, 4, 1), (-10, 2, -3, -3, 2)) have both, with D = -4, and classify
+    as "multiplication-only".
     """
     return classify(grid).multiplication
 

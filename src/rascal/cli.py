@@ -7,15 +7,11 @@ the row-sum formula among them, and reports embedding and scalar multiples;
 The grammar of the commands is one table, ``_COMMANDS``: per command its
 handler, its help, and per flag its kind (an integer by the grammar of
 triangle files, one of fixed choices, or free text), default, whether it is
-required, and help.  ``_read_argv`` takes exactly the well-formed calls from
-the table: the command, then ``--flag value`` or ``--flag=value`` pairs, the
-last of a repeated flag winning, as in ``argparse``.  Any other argv (no
-command, ``-h``/``--help``, an abbreviated or unknown flag, a missing value,
-a value starting with ``-`` other than ``-`` or a negative integer, a bad
-integer or choice, a missing required flag) goes whole to the ``argparse``
-parser ``_build_parser`` makes from the same table, so help and usage errors
-are argparse's own.  ``argparse`` is imported only then: a well-formed call
-starts without it.
+required, and help.  ``_read_argv`` reads every argv from it: a flag whole
+or by a unique prefix, its value after ``=`` or as the next token, the last
+of a repeated flag winning, and a refusal worded as Python's own argument
+parser words it.  Help is laid out from the table too, and written as any
+output is.
 
 Exit codes are a stable contract: 0 success (or verdict "grt"), 1 negative
 classification or failed check, 2 multiplication-rule arithmetic failure,
@@ -111,8 +107,9 @@ def main(argv: list[str] | None = None) -> int:
 
 def _command(argv: list[str]) -> int:
     args = _read_argv(argv)
-    if args is None:  # help, or a call to refuse in argparse's words
-        args = _argparse_args(argv)
+    if "help" in args:
+        _write(_help(args["help"]))
+        return EXIT_OK
     return _COMMANDS[args["command"]][0](args)
 
 
@@ -228,87 +225,83 @@ def _print_error(message: str) -> None:
 _LINE_BREAKS = {ord(ch): repr(ch)[1:-1] for ch in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
-def _read_argv(argv: list[str]) -> dict | None:
-    """The arguments of a well-formed call, as ``vars()`` of argparse's namespace for it; None for any other argv."""
-    if not argv or argv[0] not in _COMMANDS:
-        return None
-    flags = _COMMANDS[argv[0]][2]
-    args = {"command": argv[0]}
-    tokens = iter(argv[1:])
+def _read_argv(argv: list[str]) -> dict:
+    """The arguments of ``argv`` by ``_COMMANDS``, defaults filled in; ``{"help": command or None}`` for help.
+
+    A value after a flag that starts with ``-`` must be ``-``, a negative
+    number or hold a space.  A refusal names the first fault from the left,
+    but a missing flag and a stray argument last.
+    """
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    flags = _COMMANDS[command][2] if command else {}
+    args, extras = {}, []
+    tokens = iter(argv[1:] if command else argv)
     for token in tokens:
-        flag, equals, value = token.partition("=")
-        if flag not in flags:
-            return None
-        if not equals:
-            value = next(tokens, None)
-            if value is None:
-                return None
+        flag, value = _named(token, flags)
+        if flag in ("-h", "--help"):
+            if value is not None:
+                raise _usage(f"argument -h/--help: ignored explicit argument {value!r}")
+            return {"help": command}
+        if flag is None and command is None:  # the first token that names no flag is the command
+            raise _usage(f"argument command: invalid choice: {token!r} (choose from {', '.join(map(repr, _COMMANDS))})")
+        if flag is None:  # a stray argument; after "--" every token is one
+            extras += [token, *tokens] if token == "--" else [token]
+            continue
+        if value is None:
+            value = next(tokens, "--")  # "--" is never a value
+            digits = value[1:].removesuffix("\n")  # a negative number: -\d+ or -\d*\.\d+, maybe with a line break
+            number = digits.replace(".", "", 1).isdecimal() and digits[-1:] != "."
+            if _named(value, flags)[0] or (value[:1] == "-" and not (value == "-" or " " in value or number)):
+                raise _usage(f"argument {flag}: expected one argument")
         kind = flags[flag][0]
         if kind is int:
             try:
                 value = grammar_int(value)
-            except ValueError:
-                return None
-        elif kind is str:
-            if value.startswith("-") and value != "-":  # argparse may take it for a flag
-                return None
-        elif value not in kind:
-            return None
+            except ValueError as err:
+                raise _usage(f"argument {flag}: invalid int value: {err}") from None
+        elif kind is not str and value not in kind:
+            raise _usage(f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(map(repr, kind))})")
         args[flag[2:]] = value
-    for flag, (_, default, required, _) in flags.items():
-        if flag[2:] not in args:
-            if required:
-                return None
-            args[flag[2:]] = default
-    return args
+    missing = [flag for flag, (_, _, required, _) in flags.items() if required and flag[2:] not in args]
+    if command is None or missing:
+        raise _usage(f"the following arguments are required: {', '.join(missing or ['command'])}")
+    if extras:
+        raise _usage(f"unrecognized arguments: {' '.join(extras)}")
+    return {"command": command, **{flag[2:]: default for flag, (_, default, _, _) in flags.items()}, **args}
 
 
-def _argparse_args(argv: list[str]) -> dict:
-    """``vars()`` of the namespace ``_build_parser`` reads from ``argv``, a ``--flag=--`` read as argparse 3.13 reads it.
+def _named(token: str, flags: dict) -> tuple:
+    """(the flag of ``flags`` or help that ``token`` names, its value after ``=`` or None), or (None, None).
 
-    ``argparse`` before 3.13 drops the ``--`` and stores ``[]``, with no type
-    or choice checked; here the flag holds ``--`` as free text, and an
-    integer or a choice is refused in 3.13's words.
+    A prefix of two flags is a usage refusal.
     """
-    args = vars(_build_parser().parse_args(argv))
-    for flag, (kind, *_) in _COMMANDS[args["command"]][2].items():
-        if args[flag[2:]] == []:
-            if kind is int:
-                raise _usage(f"argument {flag}: invalid int value: '--'")
-            if kind is not str:
-                raise _usage(f"argument {flag}: invalid choice: '--' (choose from {', '.join(map(repr, kind))})")
-            args[flag[2:]] = "--"
-    return args
+    names = ("-h", "--help", *flags)
+    head, equals, value = token.partition("=")
+    if head in names:
+        found = [head]
+    elif token[:2] == "--" and token != "--":
+        found = [name for name in names if name.startswith(head)]
+    else:
+        return None, None
+    if len(found) > 1:
+        raise _usage(f"ambiguous option: {token} could match {', '.join(found)}")
+    return (found[0], value if equals else None) if found else (None, None)
 
 
-def _build_parser():
-    """The argparse parser of ``_COMMANDS``, whose usage errors are refusals with exit code 64."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def error(self, message):  # report usage problems via exit code 64, not argparse's 2
-            raise _usage(message)
-
-    def integer(text: str) -> int:
-        try:
-            return grammar_int(text)
-        except ValueError as err:  # argparse words a ValueError its own way, but keeps this one's message
-            raise argparse.ArgumentTypeError(f"invalid int value: {err}") from None
-
-    parser = Parser(prog="rascal", description="Exact tools for generalized Rascal triangles.")
-    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
-    for command, (_, command_help, flags) in _COMMANDS.items():
-        command_parser = sub.add_parser(command, help=command_help)
-        for flag, (kind, default, required, flag_help) in flags.items():
-            command_parser.add_argument(
-                flag,
-                type=integer if kind is int else None,
-                choices=kind if isinstance(kind, tuple) else None,
-                default=default,
-                required=required,
-                help=flag_help,
-            )
-    return parser
+def _help(command: str | None) -> str:
+    """The help of ``command``, or of the program for None, in one layout built from ``_COMMANDS``."""
+    if command is None:
+        head, title = "usage: rascal [-h] command ...\n\nExact tools for generalized Rascal triangles.", "commands"
+        rows = [(name, text) for name, (_, text, _) in _COMMANDS.items()]
+    else:
+        head, title = f"usage: rascal {command} [-h]", "options"
+        rows = [("-h, --help", "show this help message and exit")]
+        for flag, (kind, _, required, text) in _COMMANDS[command][2].items():
+            shown = f"{flag} " + ("{%s}" % ",".join(kind) if isinstance(kind, tuple) else flag[2:].upper())
+            head += f" {shown}" if required else f" [{shown}]"
+            rows.append((shown, text))
+    width = max(len(name) for name, _ in rows)
+    return f"{head}\n\n{title}:\n" + "".join(f"  {name:<{width}}  {text}\n" for name, text in rows)
 
 
 def _cmd_generate(args: dict) -> int:

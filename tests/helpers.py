@@ -781,3 +781,67 @@ def oracle_json_document(text):
     if not isinstance(doc["rows"], list):
         return '"rows" must be an array of arrays', None
     return oracle_json_rows(doc["rows"])
+
+
+# --- reference argv parser ---------------------------------------------------
+# The argparse parser of the command table that the CLI used before it read
+# every argv itself: cli._read_argv must take the argvs it takes, with the
+# same arguments, give help where it gives help, and refuse the rest.
+
+
+def oracle_build_parser():
+    """The argparse parser of ``cli._COMMANDS``, whose usage errors are refusals with exit code 64.
+
+    A ``--flag=--`` holds the text ``--``, as argparse 3.13 reads it: before
+    3.13, argparse drops the ``--`` and stores ``[]``, with no type or choice
+    checked.
+    """
+    import argparse
+
+    from rascal.cli import _COMMANDS, _usage
+    from rascal.triangle_io import grammar_int
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # report usage problems via exit code 64, not argparse's 2
+            raise _usage(message)
+
+        def _get_values(self, action, arg_strings):
+            if action.option_strings and arg_strings == ["--"]:  # no flag's value is "--" but after "="
+                value = self._get_value(action, "--")
+                self._check_value(action, value)
+                return value
+            return super()._get_values(action, arg_strings)
+
+    def integer(text):
+        try:
+            return grammar_int(text)
+        except ValueError as err:  # argparse words a ValueError its own way, but keeps this one's message
+            raise argparse.ArgumentTypeError(f"invalid int value: {err}") from None
+
+    parser = Parser(prog="rascal", description="Exact tools for generalized Rascal triangles.")
+    sub = parser.add_subparsers(dest="command", metavar="command", required=True)
+    for command, (_, command_help, flags) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=command_help)
+        for flag, (kind, default, required, flag_help) in flags.items():
+            command_parser.add_argument(
+                flag,
+                type=integer if kind is int else None,
+                choices=kind if isinstance(kind, tuple) else None,
+                default=default,
+                required=required,
+                help=flag_help,
+            )
+    return parser
+
+
+def oracle_argparse_args(argv):
+    """``vars()`` of the namespace ``oracle_build_parser`` reads from ``argv``, read the same on every Python.
+
+    A leading ``--`` is refused as the command ``--``, as before 3.13; 3.13
+    drops it and reads the command after it.
+    """
+    if argv[:1] == ["--"]:
+        from rascal.cli import _COMMANDS, _usage
+
+        raise _usage(f"argument command: invalid choice: '--' (choose from {', '.join(map(repr, _COMMANDS))})")
+    return vars(oracle_build_parser().parse_args(argv))

@@ -1,7 +1,7 @@
 """Diagonal reports, parameter fitting, rule detection, classification."""
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -25,9 +25,11 @@ from rascal import (
     VERDICT_NEITHER,
     Boundary,
     GrtParams,
+    InexactDivisionError,
     NotGrtError,
     TooSmallError,
     TriangleGrid,
+    ZeroNorthError,
     addition_rows,
     boundary_from_params,
     classify,
@@ -35,11 +37,13 @@ from rascal import (
     detect_addition_rule,
     detect_multiplication_rule,
     diagonal_reports,
+    edges_from_params,
     fit_grt,
     generate_by_addition,
     generate_by_multiplication,
     generate_closed_form,
     mult_constant,
+    multiplication_rows,
 )
 
 RASCAL = GrtParams(1, 1, 0, 0)
@@ -217,6 +221,14 @@ class TestClassify:
         both = classify(TriangleGrid(((1,), (-1, -1), (3, -1, 0), (1, 5, 2, -1))))
         assert (both.verdict, both.addition.constant, both.multiplication.constant) == (VERDICT_NEITHER, 2, -2)
 
+    def test_zero_north_entry_frees_its_south_entry(self):
+        # arithmetic outside diagonals and one multiplication constant, yet not grt: a diamond whose
+        # north entry is 0 holds whatever its south entry, so the -3s of row 4 break no rule
+        result = classify(TriangleGrid(((-2,), (-4, -1), (-6, 0, 0), (-8, 1, 4, 1), (-10, 2, -3, -3, 2))))
+        assert (result.verdict, result.multiplication.constant) == (VERDICT_MULTIPLICATION_ONLY, -4)
+        violated = [(rep.kind, rep.index) for rep in result.diagonals if rep.first_violation is not None]
+        assert violated == [("major", 2), ("minor", 1), ("minor", 2)]
+
     def test_grt_constants_are_tied(self):
         for params in (W, GrtParams(2, 2, 3, 1), GrtParams(-2, 3, 0, 5)):
             result = classify(generate_closed_form(params, 7))
@@ -256,6 +268,25 @@ class TestArithmeticDiagonalStructure:
         grid = generate_by_addition(Boundary(c, major, minor), d)
         assert all(rep.common_difference is not None for rep in diagonal_reports(grid))
         assert fit_grt(grid) == GrtParams(c, d, d1, d2)
+
+    @settings(max_examples=300)
+    @given(
+        c=st.integers(-4, 4),
+        d1=st.integers(-4, 4),
+        d2=st.integers(-4, 4),
+        mult=st.integers(-8, 8),
+        n_rows=st.integers(3, 7),
+    )
+    def test_arithmetic_edges_plus_multiplication_rule_fit(self, c, d1, d2, mult, n_rows):
+        # a fill that completes divides by no zero north entry, the hypothesis under which the
+        # multiplication rule and arithmetic outside diagonals imply the closed form
+        try:
+            rows = tuple(multiplication_rows(edges_from_params(GrtParams(c, 0, d1, d2), n_rows), mult))
+        except (ZeroNorthError, InexactDivisionError) as err:
+            event(type(err).__name__)
+            return
+        event("completed")
+        assert classify(TriangleGrid(rows)).verdict == VERDICT_GRT
 
 
 def fit_outcome(fit, grid):

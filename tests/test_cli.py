@@ -1,5 +1,6 @@
 """End-to-end command behavior and the exit-code contract."""
 
+import contextlib
 import errno
 import gc
 import io
@@ -27,6 +28,7 @@ from helpers import (
     oracle_classification_text,
     oracle_classify,
     oracle_closed_form,
+    oracle_argparse_args,
     oracle_generate,
     oracle_json_dumps,
     oracle_props,
@@ -51,7 +53,7 @@ from rascal import (
     render_text,
 )
 import rascal.cli as cli
-from rascal.cli import CHECK_NAMES, Refusal, _build_parser, _read_argv, main
+from rascal.cli import CHECK_NAMES, Refusal, _read_argv, main
 from rascal.triangle_io import json_text, text_chunks
 
 RASCAL_FLAGS = ["--c", "1", "--d", "1", "--d1", "0", "--d2", "0"]
@@ -507,6 +509,8 @@ class TestProcessEndings:
             ["generate", *RASCAL_FLAGS, "--rows", "600", "--format", "csv"],
             ["classify", "--input", path, "--format", "json"],
             ["props", *RASCAL_FLAGS, "--depth", "100000"],
+            ["--help"],
+            ["generate", "--help"],
         ]
 
     def test_closed_stdout_exit_74(self, tmp_path):
@@ -575,9 +579,9 @@ def test_import_loads_no_dataclasses_or_fractions():
         assert not loaded & unwanted, flags
 
 
-def test_well_formed_calls_load_no_argparse(tmp_path):
-    # a well-formed call is read from the command table; argparse, with gettext (and locale, which
-    # its first message lookup imports), is imported only for help and refusals
+def test_no_call_loads_argparse(tmp_path):
+    # every argv is read from the command table: no call, help or refusal imports argparse, with
+    # gettext (and locale, which argparse's first message lookup imports)
     src = str(Path(rascal.__file__).resolve().parents[1])
     text = write(tmp_path, "t.txt", "1\n1 1\n1 2 1\n")
     document = write(tmp_path, "t.json", '{"rows": [[1], [1, 1], [1, 2, 1]]}')
@@ -592,7 +596,12 @@ def test_well_formed_calls_load_no_argparse(tmp_path):
         ["props", "--c=-3", "--d", "2", "--d1", "-0", "--d2", "5", "--checks", "rowsums,embed", "--depth", "4"],
         ["props", "--input", text, "--format", "json", "--format=text"],
     ]
-    for argv, expected in [*((argv, "0\n") for argv in calls), (["generate", "--rows"], "64 argparse gettext locale\n")]:
+    for argv, expected in [
+        *((argv, "0\n") for argv in calls),
+        (["--help"], "0\n"),
+        (["generate", "--help"], "0\n"),
+        (["generate", "--rows"], "64\n"),
+    ]:
         proc = subprocess.run(
             [sys.executable, "-c", code, *argv],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
@@ -912,10 +921,7 @@ def main_on_stdin(data, *argv):
     sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
     try:
-        try:
-            code = main(list(argv))
-        except SystemExit as exit:  # argparse's own exit, after --help
-            code = exit.code
+        code = main(list(argv))
         return code, sys.stdout.getvalue(), sys.stderr.getvalue()
     finally:
         sys.stdin, sys.stdout, sys.stderr = streams
@@ -1456,8 +1462,12 @@ _stdin = st.one_of(
 )
 
 
-# flag values the reader takes only in part: negative integers, "-", empty text, other scripts' digits
-_odd_values = st.sampled_from(["-7", "-0", "-007", "-", "", "-x", "--", "a=b", "\u0661", "-\u0661", "\uff11", "1 2"])
+# flag values that start with "-" or are otherwise odd: negative numbers, "-", text with a space (all values),
+# "-x", "-²" and "-1e5" (taken for a flag), empty text, other scripts' digits
+_odd_values = st.sampled_from(
+    ["-7", "-0", "-007", "-", "", "-x", "--", "a=b", "\u0661", "-\u0661", "\uff11", "1 2"]
+    + ["-1.5", "-.5", "-x y", "- ", "-\u00b2", "-1e5"]
+)
 
 
 @st.composite
@@ -1482,21 +1492,38 @@ def reader_argvs(draw):
 
 
 class TestArgvReader:
-    """A well-formed call is read from the command table; any other argv goes whole to argparse."""
+    """``_read_argv`` reads every argv as the test-only argparse parser of the command table reads it."""
 
     @staticmethod
-    def argparse_args(argv):
-        """``vars()`` of argparse's namespace for ``argv``; None when argparse refuses it or prints help."""
+    def argparse_read(argv):
+        """argparse's arguments for ``argv``; ``{"help": command}`` (None: the program) after help; None if refused."""
+        printed = io.StringIO()
         try:
-            return vars(_build_parser().parse_args(argv))
-        except (Refusal, SystemExit):
+            with contextlib.redirect_stdout(printed):
+                return oracle_argparse_args(argv)
+        except Refusal:
+            return None
+        except SystemExit:  # argparse's own exit after help, whose usage line names the command
+            command = printed.getvalue().split()[2]
+            return {"help": command if command in cli._COMMANDS else None}
+
+    @staticmethod
+    def read(argv):
+        """``_read_argv(argv)``, or None if it refuses, which must be a usage refusal."""
+        try:
+            return _read_argv(argv)
+        except Refusal as refusal:
+            assert refusal.code == 64 and str(refusal).startswith("error: "), argv
             return None
 
     @settings(deadline=None, max_examples=500)
     @given(argv=reader_argvs())
-    def test_reader_hands_over_or_agrees_with_argparse(self, argv):
-        read = _read_argv(argv)
-        assert read is None or read == self.argparse_args(argv), argv
+    def test_reader_agrees_with_argparse(self, argv):
+        expected = self.argparse_read(argv)
+        assert self.read(argv) == expected, argv
+        if expected is None:  # a refusal exits 64 with one line on stderr and nothing on stdout
+            code, out, err = main_on_stdin(b"", *argv)
+            assert (code, out, err.count("\n")) == (64, "", 1) and err.startswith("rascal: error: "), argv
 
     @pytest.mark.parametrize(
         "argv",
@@ -1512,7 +1539,7 @@ class TestArgvReader:
         ],
     )
     def test_well_formed_calls_are_read(self, argv):
-        assert _read_argv(argv) == self.argparse_args(argv) is not None
+        assert self.read(argv) == self.argparse_read(argv) is not None
 
     @pytest.mark.parametrize(
         "argv",
@@ -1529,10 +1556,50 @@ class TestArgvReader:
             ["classify", "--", "--input", "x"],
             ["props", "--checks", "-1"],
             ["props", "--depth", "3", "stray"],
+            ["generate", "--r", "3", *RASCAL_FLAGS],
+            ["props", "--checks", "-1.5", "--input", "-.5"],
+            ["classify", "--input", "-x y"],
+            ["classify", "--input", "-7\n"],
+            ["classify", "--input", "-1."],
+            ["classify", "--input", "-\u00b2"],
+            ["classify", "--", "-h"],
+            ["classify", "--help=x"],
         ],
     )
     def test_other_argvs_are_handed_over(self, argv):
-        assert _read_argv(argv) is None
+        # what a reader of plain calls alone would hand over to argparse: help, an abbreviation, a
+        # missing or odd value, a stray token; each is read as argparse reads it, rare cases of
+        # reader_argvs() among them
+        assert self.read(argv) == self.argparse_read(argv)
+
+    def test_help_is_one_fixed_layout(self):
+        # laid out from the command table, byte for byte the same on every Python and at any width
+        program = (
+            "usage: rascal [-h] command ...\n"
+            "\n"
+            "Exact tools for generalized Rascal triangles.\n"
+            "\n"
+            "commands:\n"
+            "  generate  generate a triangle from (c, d, d1, d2)\n"
+            "  classify  classify a triangle file\n"
+            "  props     verify identities for parameters or a triangle file\n"
+        )
+        generate = (
+            "usage: rascal generate [-h] --c C --d D --d1 D1 --d2 D2 --rows ROWS [--rule {closed,add,mul}]"
+            " [--format {text,json,csv}]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help                show this help message and exit\n"
+            "  --c C                     apex entry\n"
+            "  --d D                     change of diagonal differences (addition constant)\n"
+            "  --d1 D1                   difference of the outside major diagonal (left edge)\n"
+            "  --d2 D2                   difference of the outside minor diagonal (right edge)\n"
+            "  --rows ROWS               number of rows (>= 1)\n"
+            "  --rule {closed,add,mul}   generation rule (default: closed)\n"
+            "  --format {text,json,csv}  output format (default: text)\n"
+        )
+        assert main_on_stdin(b"", "--help") == (0, program, "")
+        assert main_on_stdin(b"", "generate", "--help") == (0, generate, "")
 
 
 class TestArgvContract:
@@ -1571,7 +1638,7 @@ class TestArgvContract:
         ],
     )
     def test_double_dash_value_is_read_as_argparse_3_13_reads_it(self, argv, expected):
-        # argparse before 3.13 stores [] for "--flag=--" and checks no type or choice
+        # the value is the text "--"; argparse before 3.13 stores [] for it and checks no type or choice
         assert main_on_stdin(b"", *argv) == (64, "", f"rascal: error: {expected}\n")
 
     @pytest.mark.parametrize(
