@@ -139,7 +139,10 @@ def fit_grt(grid: TriangleGrid) -> GrtParams:
 def detect_addition_rule(grid: TriangleGrid) -> RuleReport:
     """Constant d with south = east + west + d - north over every interior diamond.
 
-    ``classify(grid).addition``.
+    ``classify(grid).addition``.  Arithmetic outside diagonals and such a d
+    imply the closed form (verdict "grt"): the rule fills every interior
+    cell from the edges, with no division.  So an "addition-only" triangle
+    has a major 0 or a minor 0 that is not arithmetic.
     """
     return classify(grid).addition
 

@@ -38,7 +38,6 @@ import atexit
 import codecs
 import os
 import sys
-from functools import partial
 from itertools import islice, repeat
 
 from .analyze import (
@@ -446,7 +445,8 @@ def _props(params: GrtParams, args: dict) -> int:
     records = []
     for name in _parse_check_names(args["checks"]):
         try:
-            records.append(_CHECK_RUNNERS[name](params, args["depth"]))
+            record = _found_record(name, params) if name in _FINDERS else _proved_identity(name, params, args["depth"])
+            records.append(record)
         except InapplicableCheckError as err:
             records.append({"check": name, "status": inapplicable, "summary": f"{inapplicable}: {err}"})
     _write(_props_report(params, args["depth"], records, args["format"]))
@@ -533,7 +533,7 @@ _FINDERS = {
 }
 
 
-def _found_record(name, params, depth):
+def _found_record(name, params):
     """The record of check ``name`` of ``_FINDERS``: what its finder found in ``params``, or none."""
     find, key, found, none = _FINDERS[name]
     value = find(params)
@@ -542,13 +542,7 @@ def _found_record(name, params, depth):
     return {"check": name, "status": "found", "summary": found.format(value), key: value}
 
 
-# check name -> runner(params, depth) -> report record; a runner raises
-# InapplicableCheckError when the check's domain rules the parameters out
-_CHECK_RUNNERS = {
-    **{name: partial(_proved_identity, name) for name in PROOF_GRIDS},
-    **{name: partial(_found_record, name) for name in _FINDERS},
-}
-CHECK_NAMES = list(_CHECK_RUNNERS)  # in report order
+CHECK_NAMES = [*PROOF_GRIDS, *_FINDERS]  # in report order
 
 
 def _param_flags(required: bool) -> dict:

@@ -21,8 +21,8 @@ at once however many rows follow.  ``generate_*`` collect the rows into a
 The multiplication rule can fail part way, at a zero or inexact north
 entry.  Grown from the parameters' own edges it can only fail at a zero of
 the closed form, and ``predict_multiplication_failure`` finds the first such
-zero before any row is built, in O(log) time when d = 0, O(1) when
-D = c*d - d1*d2 = 0 and O(min(rows, √|D| / |d|)) otherwise.  So the CLI
+zero before any row is built, in O(log) time when d = 0 and
+O(min(rows, 1 + √|D| / |d|)) otherwise, with D = c*d - d1*d2.  So the CLI
 streams ``mul`` like the other rules and still prints nothing on failure.
 """
 
@@ -182,18 +182,18 @@ def predict_multiplication_failure(params: GrtParams, n_rows: int) -> ZeroNorthE
 
     * d = 0: T(r, k) = c + k*d1 + r*d2 is zero on a line, solved by the
       extended gcd in O(log) time (``_first_zero_on_line``).
-    * d != 0 and D = 0: d*T(r, k) = (d*r + d1)(d*k + d2), so the zeros fill
-      major diagonal r = -d1/d and minor diagonal k = -d2/d, where those are
-      whole and nonnegative; the first is T(-d1/d, 0) or T(0, -d2/d).
-    * d != 0 and D != 0: d*T(r, k) = (d*r + d1)(d*k + d2) + D, so a zero
+    * d != 0: d*T(r, k) = (d*r + d1)(d*k + d2) + D, so a zero
       needs (d*r + d1)(d*k + d2) = -D: one factor is at most s = isqrt(|D|)
       in absolute value.  On major diagonal r, T(r, k) = (c + r*d2) +
       k*(d1 + r*d) is linear in k, so one division finds its first zero,
       and on minor diagonal k likewise in r.  The search divides on the
       majors with |d*r + d1| <= s and the minors with |d*k + d2| <= s; where
-      the majors up to r = (|D| + |d1|) / |d|, past which d*r + d1 cannot
-      divide D, are fewer, on those instead.  It takes
-      O(min(rows, s / |d|)) time.
+      the majors up to r = (|D| + |d1|) / |d| are fewer, on those instead:
+      past there d*r + d1 cannot divide a nonzero D.  It takes
+      O(min(rows, 1 + s / |d|)) time.  With D = 0, s = 0: the zeros fill
+      major diagonal r = -d1/d and minor diagonal k = -d2/d, where those are
+      whole and nonnegative, each from its first cell on, and at most two
+      diagonals are searched.
     """
     if n_rows < 1:
         raise ValueError(f"n_rows must be at least 1, got {n_rows}")
@@ -201,11 +201,6 @@ def predict_multiplication_failure(params: GrtParams, n_rows: int) -> ZeroNorthE
     mult = mult_constant(params)
     if not d:
         zero = _first_zero_on_line(c, d1, d2)
-    elif not mult:
-        zeros = [(-d1 // d, 0)] if d1 % d == 0 and d1 // d <= 0 else []
-        if d2 % d == 0 and d2 // d <= 0:
-            zeros.append((0, -d2 // d))
-        zero = min(zeros, key=lambda z: (z[0] + z[1], z[0]), default=None)
     else:
         last = n_rows - 3  # the last row north of a cell, so the last diagonal of either family to search
         root = isqrt(abs(mult))
@@ -232,18 +227,18 @@ def _first_zero_on_diagonals(c, d, d1, d2, majors: range, minors: range, last: i
     """The first zero (r, k) of rows 0..last, row-major, on the major diagonals ``majors`` or minors ``minors``.
 
     T(r, k) is linear along each diagonal: (c + r*d2) + k*(d1 + r*d) on major r, (c + k*d1) + r*(d2 + k*d)
-    on minor k, so one division finds a diagonal's zero.  D = c*d - d1*d2 must not be 0.
+    on minor k, so one division finds a diagonal's zero.  Where its step is 0, d*T(r, k) = D all along it:
+    it is zero from its first cell on when D = c*d - d1*d2 = 0, and nowhere otherwise.
     """
     row, r = last + 1, 0  # the row and r of the first zero found; past the last row while there is none
     for diagonals, across, along, minor in ((majors, d2, d1, False), (minors, d1, d2, True)):
         for i in diagonals:
             if i > row:  # diagonal i's cells lie in rows i and below
                 break
-            step = along + i * d
-            if step:  # else d*T(r, k) = D on the whole diagonal
-                j, remainder = divmod(-(c + i * across), step)
-                if not remainder and j >= 0:
-                    row, r = min((row, r), (i + j, j if minor else i))
+            step, start = along + i * d, c + i * across
+            j, remainder = divmod(-start, step) if step else (0, start)
+            if not remainder and j >= 0:
+                row, r = min((row, r), (i + j, j if minor else i))
     return None if row > last else (r, row - r)
 
 

@@ -27,6 +27,8 @@ from rascal import (
     column_diff_check,
     even_diamond_check,
     TriangleGrid,
+    addition_rows,
+    edges_from_params,
     generate_by_addition,
     generate_by_multiplication,
     generate_closed_form,
@@ -36,6 +38,11 @@ from rascal import (
     row_sum_formula,
     t_meg_check,
 )
+
+
+def param_flags(params):
+    """The CLI's parameter flags for ``params``."""
+    return ["--c", str(params.c), "--d", str(params.d), "--d1", str(params.d1), "--d2", str(params.d2)]
 
 
 def sweep_params(lo=-3, hi=3):
@@ -95,6 +102,18 @@ def boundaries(draw, lo=-6, hi=6, min_rows=2, max_rows=7):
     major = [apex] + draw(st.lists(st.integers(lo, hi), min_size=tail, max_size=tail))
     minor = [apex] + draw(st.lists(st.integers(lo, hi), min_size=tail, max_size=tail))
     return Boundary(apex, major, minor)
+
+
+@st.composite
+def addition_fills(draw):
+    """Rows filled by the addition rule from arithmetic edges (a closed form) or from arbitrary ones."""
+    d = draw(st.integers(-4, 4))
+    if draw(st.booleans()):
+        c, d1, d2 = draw(st.tuples(*[st.integers(-6, 6)] * 3))
+        edges = edges_from_params(GrtParams(c, d, d1, d2), draw(st.integers(3, 7)))
+    else:
+        edges = draw(boundaries(min_rows=3))
+    return TriangleGrid(addition_rows(edges, d))
 
 
 def walk_rim(top_r, top_k, side):

@@ -1,10 +1,11 @@
 """Diagonal reports, parameter fitting, rule detection, classification."""
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, find, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    addition_fills,
     any_grid,
     boundaries,
     mixed_grids,
@@ -287,6 +288,46 @@ class TestArithmeticDiagonalStructure:
             return
         event("completed")
         assert classify(TriangleGrid(rows)).verdict == VERDICT_GRT
+
+
+characterized = st.one_of(any_grid, mixed_grids(), addition_fills())
+
+
+class TestCharacterization:
+    """classify's verdicts against the paper's characterization: arithmetic diagonals and the two rules."""
+
+    @given(grid=characterized)
+    def test_grt_exactly_when_every_diagonal_is_arithmetic(self, grid):
+        result = classify(grid)
+        event(result.verdict)
+        assert (result.verdict == VERDICT_GRT) == all(rep.first_violation is None for rep in result.diagonals)
+
+    @given(grid=characterized)
+    def test_arithmetic_outside_diagonals_and_addition_constant_imply_grt(self, grid):
+        # the addition rule fills every interior cell from the edges, so addition-only
+        # implies a violated major 0 or minor 0
+        result = classify(grid)
+        if result.addition.constant is not None and result.verdict != VERDICT_GRT:
+            event(result.verdict)
+            outside = (report_for(result.diagonals, kind, 0) for kind in ("major", "minor"))
+            assert any(rep.first_violation is not None for rep in outside)
+
+    @given(grid=characterized)
+    def test_no_evidence_before_the_mismatch_row(self, grid):
+        # rows before the mismatch's row are the closed form's: every diagonal is arithmetic and
+        # every diamond implies the fitted constants there; a grt triangle has no evidence at all
+        result = classify(grid)
+        row = sum(result.mismatch[:2]) if result.mismatch else grid.n_rows
+        for rep in result.diagonals:
+            if rep.first_violation is not None:
+                assert rep.index + rep.first_violation[0] >= row
+        for rule in (result.addition, result.multiplication):
+            if rule.witnesses is not None:
+                assert rule.witnesses[1].r + rule.witnesses[1].k >= row
+
+    @pytest.mark.parametrize("verdict", [VERDICT_GRT, VERDICT_ADDITION_ONLY])
+    def test_addition_fills_reach_both_outcomes(self, verdict):
+        find(addition_fills(), lambda grid: classify(grid).verdict == verdict)
 
 
 def fit_outcome(fit, grid):

@@ -15,7 +15,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rascal
@@ -36,6 +36,7 @@ from helpers import (
     oracle_render_csv,
     oracle_render_json,
     oracle_render_text,
+    param_flags,
     small_grids,
     triangle_like_text,
     u_style_grid,
@@ -48,7 +49,6 @@ from rascal import (
     closed_form_rows,
     generate_closed_form,
     mult_constant,
-    render_csv,
     render_json,
     render_text,
 )
@@ -176,7 +176,7 @@ class TestGenerateDigitLimit:
     def test_bound_at_the_limit_is_written(self, capsys, rule, fmt):
         big = int("9" * sys.get_int_max_str_digits())  # every entry has exactly the limit's digits
         params = GrtParams(big, 0, 0, 0)
-        code, out, err = run(capsys, "generate", *_flags(params), "--rows", "3", "--rule", rule, "--format", fmt)
+        code, out, err = run(capsys, "generate", *param_flags(params), "--rows", "3", "--rule", rule, "--format", fmt)
         assert (code, err) == (0, "")
         assert str(big) in out
 
@@ -202,7 +202,7 @@ class TestJsonIntegers:
 
     def test_props_report(self, capsys):
         params = GrtParams(2**62, 2**62, 0, 0)
-        code, out, _ = run(capsys, *["props", *_flags(params), "--depth", "3", "--format", "json"])
+        code, out, _ = run(capsys, *["props", *param_flags(params), "--depth", "3", "--format", "json"])
         assert code == 0
         doc = json.loads(out)
         checks = {record["check"]: record for record in doc["checks"]}
@@ -247,7 +247,7 @@ class TestReportDigitLimit:
         n = int("9" * sys.get_int_max_str_digits())
         params = GrtParams(n, 1, 1, 1)
         limit = sys.get_int_max_str_digits()
-        code, out, err = run(capsys, "props", *_flags(params), "--checks", "rowsums", "--depth", "100")
+        code, out, err = run(capsys, "props", *param_flags(params), "--checks", "rowsums", "--depth", "100")
         assert (code, err) == (0, "")
         assert sys.get_int_max_str_digits() == limit
         assert out.endswith(" " + self.full_text(sum(closed_form_entry(params, r, 100 - r) for r in range(101))) + "\n")
@@ -258,9 +258,9 @@ class TestReportDigitLimit:
         params = GrtParams(18446744073709551623, -9223372036854775809, 3, 9223372036854775807)
         grt, planted = (write_rows(tmp_path, f"{n}.txt", params, 40, planted=n) for n in (None, 30))
         calls = [
-            ["generate", *_flags(params), "--rows", "40", "--format", "json"],
+            ["generate", *param_flags(params), "--rows", "40", "--format", "json"],
             *(["classify", "--input", path, "--format", fmt] for path in (grt, planted) for fmt in ("text", "json")),
-            *(["props", *_flags(params), "--depth", "100", "--format", fmt] for fmt in ("text", "json")),
+            *(["props", *param_flags(params), "--depth", "100", "--format", fmt] for fmt in ("text", "json")),
         ]
         limited = [run(capsys, *argv) for argv in calls]
         assert [code for code, _, _ in limited] == [0, 0, 0, 1, 1, 0, 0]
@@ -277,12 +277,13 @@ class TestGenerateStreaming:
             GrtParams(-7, -3, -2, -9),
             GrtParams(2**63 - 3, 1, 1, 2),  # entries cross into 64-bit overflow mid-row
             GrtParams(-(2**70), 3, -5, 7),
+            GrtParams(9223372036854775000, 1, 1, 1),  # entries cross into 64-bit overflow from row 41 on
         ],
     )
     @pytest.mark.parametrize("rule", ["closed", "add", "mul"])
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_bytes_match_whole_grid_rendering(self, capsys, params, rule, fmt):
-        n_rows = 9
+        n_rows = 80
         if rule == "closed":
             rows = oracle_closed_form(params, n_rows)
         else:
@@ -290,7 +291,7 @@ class TestGenerateStreaming:
             rows = oracle_generate(boundary_from_params(params, n_rows), rule, constant)
         render = {"text": oracle_render_text, "json": oracle_render_json, "csv": oracle_render_csv}[fmt]
         code, out, err = run(
-            capsys, "generate", *_flags(params), "--rows", str(n_rows), "--rule", rule, "--format", fmt
+            capsys, "generate", *param_flags(params), "--rows", str(n_rows), "--rule", rule, "--format", fmt
         )
         assert (code, out, err) == (0, render(rows), "")
 
@@ -298,7 +299,7 @@ class TestGenerateStreaming:
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     def test_memory_grows_with_rows_not_cells(self, monkeypatch, rule, fmt):
         monkeypatch.setattr("sys.stdout", Discard())
-        argv = ["generate", *_flags(GrtParams(1, 5, 2, 3)), "--rows", "1000", "--rule", rule, "--format", fmt]
+        argv = ["generate", *param_flags(GrtParams(1, 5, 2, 3)), "--rows", "1000", "--rule", rule, "--format", fmt]
         tracemalloc.start()
         try:
             code = main(argv)
@@ -326,7 +327,7 @@ class TestGenerateStreaming:
         out = FirstRow()
         monkeypatch.setattr("sys.stdout", out)
         start = time.perf_counter()
-        code = main(["generate", *_flags(params), "--rows", "10000000", "--rule", rule])
+        code = main(["generate", *param_flags(params), "--rows", "10000000", "--rule", rule])
         assert time.perf_counter() - start < 0.5
         assert (code, out.first) == (0, f"{params.c}\n")
 
@@ -347,21 +348,13 @@ class TestGenerateStreaming:
             assert proc.stderr == "0 False\n", argv
 
     def test_closed_reader_exit_141_quietly(self, tmp_path):
-        src = str(Path(rascal.__file__).resolve().parents[1])
         # stdout block-buffered, as by default: 3 rows reach the pipe only when flushed
-        env = {**os.environ, "PYTHONPATH": src}
-        env.pop("PYTHONUNBUFFERED", None)
         for rows in ("3", "2000"):
             read_end, write_end = os.pipe()
             os.close(read_end)
             try:
-                proc = subprocess.run(
-                    [sys.executable, "-m", "rascal", "generate", *RASCAL_FLAGS, "--rows", rows, "--format", "csv"],
-                    stdout=write_end,
-                    stderr=subprocess.PIPE,
-                    env=env,
-                    timeout=120,
-                )
+                argv = ["generate", *RASCAL_FLAGS, "--rows", rows, "--format", "csv"]
+                proc = rascal_child(argv, stdout=write_end, stderr=subprocess.PIPE)
             finally:
                 os.close(write_end)
             assert (proc.returncode, proc.stderr) == (141, b"")
@@ -373,7 +366,7 @@ class TestGenerateStreaming:
             ["classify", "--input", path, "--format", "json"],
         ):
             proc = subprocess.Popen(
-                [sys.executable, "-m", "rascal", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+                [sys.executable, "-m", "rascal", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()
             )
             try:
                 assert proc.stdout.read(1) == (b"{" if argv[0] == "classify" else b"p")
@@ -427,14 +420,37 @@ class TestEntryPoint:
 
     def test_file_stdout_gets_every_byte(self, tmp_path):
         # the output is block-buffered into a regular file: what is still buffered when the program
-        # returns must be flushed before os._exit
-        for rows in (3, 600):
-            path = tmp_path / f"rows{rows}.csv"
+        # returns must be flushed before os._exit, so the file holds what main() writes in process
+        powers = write(tmp_path, "powers.txt", render_text(_POWERS))
+        calls = [
+            ["generate", *RASCAL_FLAGS, "--rows", "3", "--format", "csv"],
+            ["generate", *RASCAL_FLAGS, "--rows", "600", "--format", "csv"],
+            ["classify", "--input", powers, "--format", "json"],
+            ["props", *param_flags(GrtParams(5, 3, 2, 7)), "--depth", "100", "--format", "json"],
+        ]
+        for argv in calls:
+            path = tmp_path / "out"
             with path.open("wb") as out:
-                argv = ["generate", *RASCAL_FLAGS, "--rows", str(rows), "--format", "csv"]
                 proc = rascal_child(argv, stdout=out, stderr=subprocess.PIPE)
-            assert (proc.returncode, proc.stderr) == (0, b"")
-            assert path.read_text() == render_csv(generate_closed_form(GrtParams(1, 1, 0, 0), rows))
+            assert (proc.returncode, path.read_text(), proc.stderr.decode()) == main_on_stdin(b"", *argv), argv
+
+    def test_generate_into_classify(self):
+        # a real pipe between two children: both read and write to the end, and neither writes to stderr
+        argv = ["generate", *param_flags(GrtParams(1, 5, 2, 3)), "--rows", "1500", "--rule", "add"]
+        child = [sys.executable, "-m", "rascal"]
+        pipe = dict(stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        generate = subprocess.Popen([*child, *argv, "--format", "json"], **pipe)
+        try:
+            classify = subprocess.Popen([*child, "classify"], stdin=generate.stdout, **pipe)
+            generate.stdout.close()
+            out, err = classify.communicate(timeout=120)
+            assert (classify.returncode, err) == (0, b"")
+            assert (generate.wait(timeout=120), generate.stderr.read()) == (0, b"")
+        finally:
+            generate.kill()
+            generate.wait()
+            generate.stderr.close()
+        assert out.startswith(b"verdict: grt\n")
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
     def test_script_is_run(self):
@@ -447,11 +463,16 @@ class TestEntryPoint:
         assert getattr(importlib.import_module(module), name) is cli.run
 
 
-def rascal_child(argv, **kwargs):
-    """The finished child process ``python -m rascal *argv``, stdout block-buffered as by default."""
+def child_env():
+    """The environment of a ``python -m rascal`` child: this ``rascal`` on its path, stdout block-buffered as by default."""
     env = {**os.environ, "PYTHONPATH": str(Path(rascal.__file__).resolve().parents[1])}
     env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.run([sys.executable, "-m", "rascal", *argv], env=env, timeout=120, **kwargs)
+    return env
+
+
+def rascal_child(argv, **kwargs):
+    """The finished child process ``python -m rascal *argv``."""
+    return subprocess.run([sys.executable, "-m", "rascal", *argv], env=child_env(), timeout=120, **kwargs)
 
 
 def pinned_refusals(tmp_path):
@@ -692,7 +713,7 @@ def test_props_json_report_is_json_dumps(capsys, monkeypatch, params, checks, bu
 
     if bump is not None:
         monkeypatch.setattr(identities, "closed_form_entry", lambda p, r, k: closed_form_entry(p, r, k) + bump(r, k))
-    argv = ["props", *_flags(params), "--checks", checks, "--depth", "12", "--format", "json"]
+    argv = ["props", *param_flags(params), "--checks", checks, "--depth", "12", "--format", "json"]
     code, out, err = run(capsys, *argv)
     monkeypatch.setattr(cli, "json_text", oracle_json_dumps)
     assert (code, out, err) == run(capsys, *argv)
@@ -707,7 +728,7 @@ def test_props_json_report_loads_no_json():
         "print(code, 'json' in set(sys.modules) - before, file=sys.stderr)"
     )
     for params in (GrtParams(5, 3, 2, 7), GrtParams(2**70, 2**70, 0, 0), GrtParams(1 + 3 * 2**64, 1, 2**64, 3)):
-        argv = ["props", *_flags(params), "--depth", "100", "--format", "json"]
+        argv = ["props", *param_flags(params), "--depth", "100", "--format", "json"]
         proc = subprocess.run(
             [sys.executable, "-c", code, *argv],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True,
@@ -739,7 +760,7 @@ def test_json_documents_quote_every_integer_past_64_bits(capsys, monkeypatch, tm
             if bump is not None:
                 entry = lambda p, r, k, bump=bump: closed_form_entry(p, r, k) + bump(r, k)
                 patch.setattr(identities, "closed_form_entry", entry)
-            argv = ["props", *_flags(params), "--checks", checks, "--depth", "12", "--format", "json"]
+            argv = ["props", *param_flags(params), "--checks", checks, "--depth", "12", "--format", "json"]
             documents[f"props {params} {checks}"] = run(capsys, *argv)[1]
     grt = render_json(generate_closed_form(GrtParams(10**19, 2**63, -(2**63), 3), 4))
     documents["classify grt"] = run(capsys, "classify", "--input", write(tmp_path, "grt.json", grt), "--format", "json")[1]
@@ -932,9 +953,27 @@ def classify_bytes(data, *argv):
     return main_on_stdin(data, "classify", *argv)
 
 
+def _planted(grid, n, r, bump):
+    rows = [list(row) for row in grid.rows]
+    rows[n][r] += bump
+    return TriangleGrid(rows)
+
+
+# non-grt rows whose entries pass 64 bits; a grt whose parameters and rule constants do; one with a cell planted
+_POWERS = _planted(TriangleGrid([[7 * 2**r * 3 ** (n - r) for r in range(n + 1)] for n in range(60)]), 40, 17, 1)
+_PAST_64_BITS = generate_closed_form(GrtParams(18446744073709551623, -9223372036854775809, 3, 9223372036854775807), 40)
+_W8 = generate_closed_form(GrtParams(1, 5, 2, 3), 8)
+
+
 class TestClassifyStream:
     """classify reads its input in blocks and folds over the rows; the report is the whole grid's."""
 
+    @example(grid=_POWERS, fmt="text", json_input=False)
+    @example(grid=_POWERS, fmt="json", json_input=False)
+    @example(grid=_PAST_64_BITS, fmt="json", json_input=False)
+    @example(grid=_W8, fmt="json", json_input=True)
+    @example(grid=_planted(_W8, 5, 2, 4), fmt="json", json_input=False)
+    @example(grid=_planted(_W8, 7, 6, 4), fmt="json", json_input=False)
     @given(
         grid=st.one_of(any_grid, mixed_grids(), i64_edge_grids()),
         fmt=st.sampled_from(["text", "json"]),
@@ -1099,7 +1138,7 @@ class TestProps:
         records = {}
         for depth in (10, 100000):
             read.clear()
-            code, out, err = run(capsys, "props", *_flags(params), "--checks", "rowsums", "--depth", str(depth), "--format", "json")
+            code, out, err = run(capsys, "props", *param_flags(params), "--checks", "rowsums", "--depth", str(depth), "--format", "json")
             assert (code, err) == (0, "")
             records[depth] = (len(read), json.loads(out)["checks"][0])
         (short_reads, short), (long_reads, long) = records[10], records[100000]
@@ -1245,19 +1284,19 @@ class TestIntegerFlags:
 
     def test_tokens_of_the_grammar(self, capsys):
         argv = ["--c", "007", "--d", "-0", "--d1", "-2", "--d2", "0"]
-        plain = run(capsys, "generate", *_flags(GrtParams(7, 0, -2, 0)), "--rows", "3")
+        plain = run(capsys, "generate", *param_flags(GrtParams(7, 0, -2, 0)), "--rows", "3")
         assert run(capsys, "generate", *argv, "--rows", "03") == plain
         assert run(capsys, "props", *argv, "--depth", "02")[0] == 0
-
-
-def _flags(params):
-    return ["--c", str(params.c), "--d", str(params.d), "--d1", str(params.d1), "--d2", str(params.d2)]
 
 
 PROPS_FAMILIES = {
     "generic": [GrtParams(5, 3, 2, 7), GrtParams(-4, -2, 6, -3)],
     "tmeg": [GrtParams(300, 350, 0, 0), GrtParams(-2, 5, 0, 0)],
-    "embeddable": [GrtParams(1 + 4 * 9, 1, 4, 9), GrtParams(1, 1, 0, 0)],
+    "embeddable": [
+        GrtParams(1 + 4 * 9, 1, 4, 9),
+        GrtParams(1, 1, 0, 0),
+        GrtParams(55340232221128654849, 1, 18446744073709551616, 3),  # at an offset past 64 bits
+    ],
     "multiple": [GrtParams(-77, -77, 0, 0), GrtParams(6, 6, 0, 0)],
     "d-zero": [GrtParams(4, 0, -3, 9), GrtParams(0, 0, 0, 0)],
 }
@@ -1272,9 +1311,9 @@ class TestPropsOutputIdentity:
     @pytest.mark.parametrize("family", list(PROPS_FAMILIES))
     def test_all_checks(self, capsys, family):
         for params in PROPS_FAMILIES[family]:
-            for depth in range(13):
+            for depth in (*range(13), 100):
                 for fmt in ("text", "json"):
-                    argv = ["props", *_flags(params), "--depth", str(depth), "--format", fmt]
+                    argv = ["props", *param_flags(params), "--depth", str(depth), "--format", fmt]
                     code, out, err = run(capsys, *argv)
                     assert (out, code) == oracle_props(params, depth, CHECK_NAMES, False, fmt), argv
                     assert err == ""
@@ -1286,7 +1325,7 @@ class TestPropsOutputIdentity:
         families = [GrtParams(5, 3, 2, 7), GrtParams(300, 350, 0, 0), GrtParams(9223372036854775000, 1, 1, 1)]
         for params in families:
             for depth in (1, 8, 100, 100000):
-                argv = ["props", *_flags(params), "--depth", str(depth), "--format", fmt]
+                argv = ["props", *param_flags(params), "--depth", str(depth), "--format", fmt]
                 code, out, err = run(capsys, *argv)
                 assert (out, code, err) == (*oracle_props(params, depth, CHECK_NAMES, False, fmt), ""), argv
 
@@ -1297,7 +1336,7 @@ class TestPropsOutputIdentity:
         for depth in (100, 200000):
             tracemalloc.start()
             try:
-                code = main(["props", *_flags(GrtParams(5, 3, 2, 7)), "--depth", str(depth), "--format", fmt])
+                code = main(["props", *param_flags(GrtParams(5, 3, 2, 7)), "--depth", str(depth), "--format", fmt])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1307,7 +1346,7 @@ class TestPropsOutputIdentity:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_repeated_check_reported_once(self, capsys, fmt):
         for params in PROPS_FAMILIES["tmeg"]:
-            argv = ["props", *_flags(params), "--depth", "4", "--format", fmt]
+            argv = ["props", *param_flags(params), "--depth", "4", "--format", fmt]
             once = run(capsys, *argv, "--checks", "tmeg,rowsums")
             assert run(capsys, *argv, "--checks", "tmeg,rowsums, tmeg,tmeg,rowsums") == once
             assert (once[1], once[0]) == oracle_props(params, 4, ["tmeg", "rowsums"], True, fmt)
@@ -1316,7 +1355,7 @@ class TestPropsOutputIdentity:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_explicit_tmeg_where_it_does_not_apply(self, capsys, fmt):
         for params in PROPS_FAMILIES["generic"] + PROPS_FAMILIES["d-zero"][:1]:
-            argv = ["props", *_flags(params), "--checks", "tmeg", "--depth", "5", "--format", fmt]
+            argv = ["props", *param_flags(params), "--checks", "tmeg", "--depth", "5", "--format", fmt]
             code, out, _ = run(capsys, *argv)
             assert code == 3
             assert (out, code) == oracle_props(params, 5, ["tmeg"], True, fmt)
@@ -1335,7 +1374,7 @@ class TestPropsOutputIdentity:
 
         monkeypatch.setattr(identities, "closed_form_entry", lambda p, r, k: entry(r, k))
         names = [name for name in CHECK_NAMES if name != "tmeg"]
-        argv = ["props", *_flags(params), "--checks", ",".join(names), "--depth", "6", "--format", fmt]
+        argv = ["props", *param_flags(params), "--checks", ",".join(names), "--depth", "6", "--format", fmt]
         code, out, _ = run(capsys, *argv)
         assert code == 1
         assert (out, code) == oracle_props(params, 6, names, True, fmt)
@@ -1352,7 +1391,7 @@ class TestFailureReporting:
 
         monkeypatch.setattr(identities, "closed_form_entry", lambda p, r, k: closed_form_entry(p, r, k) + (r == k == 2))
         # the first point of ashley's grid, (2, 1), reads T(2, 1), T(1, 1), T(2, 0) and T(0, 0): it holds
-        record = cli._CHECK_RUNNERS["ashley"](GrtParams(1, 1, 0, 0), 8)
+        record = cli._proved_identity("ashley", GrtParams(1, 1, 0, 0), 8)
         assert record == {
             "check": "ashley",
             "status": "failed",
@@ -1363,10 +1402,14 @@ class TestFailureReporting:
     def test_failed_check_exits_one(self, capsys, monkeypatch):
         import rascal.cli as cli
 
-        def broken(params, depth):
+        proved = cli._proved_identity
+
+        def broken(name, params, depth):
+            if name != "ashley":
+                return proved(name, params, depth)
             return {"check": "ashley", "status": "failed", "summary": "failed at (2, 1): 5 != 6"}
 
-        monkeypatch.setitem(cli._CHECK_RUNNERS, "ashley", broken)
+        monkeypatch.setattr(cli, "_proved_identity", broken)
         code, out, _ = run(capsys, "props", *RASCAL_FLAGS, "--checks", "ashley,rowsums")
         assert code == 1
         assert "ashley: failed" in out
@@ -1536,6 +1579,7 @@ class TestArgvReader:
             ["classify", "--input=-", "--input", "a=b"],
             ["props", "--checks", "", "--checks=tmeg,rowsums", "--depth", "-1", "--input", "x"],
             ["props", *RASCAL_FLAGS, "--d=-4", "--format", "json"],
+            ["generate", "--c=5", "--d", "1", "--d1", "0", "--d2", "0", "--rows", "3"],
         ],
     )
     def test_well_formed_calls_are_read(self, argv):
@@ -1564,6 +1608,7 @@ class TestArgvReader:
             ["classify", "--input", "-\u00b2"],
             ["classify", "--", "-h"],
             ["classify", "--help=x"],
+            ["generate", *RASCAL_FLAGS, "--rows", "3", "--form", "json"],
         ],
     )
     def test_other_argvs_are_handed_over(self, argv):

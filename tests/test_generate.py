@@ -419,8 +419,10 @@ class TestPredictMultiplicationFailure:
         assert _failure(predict_multiplication_failure(params, 10**15 + 5)) == _failure(zero)
 
     def test_mult_constant_zero_is_read_off_two_diagonals(self):
-        # T(r, k) = d*(r + d1/d)(k + d2/d): major diagonal -d1/d and minor diagonal -d2/d are all zeros
-        for d1, d2, zero in ((-6, -4, (0, 2)), (-4, -6, (2, 0)), (-6, -6, (0, 3)), (3, 4, None), (-3, 4, None)):
+        # T(r, k) = d*(r + d1/d)(k + d2/d): major diagonal -d1/d and minor diagonal -d2/d are all zeros,
+        # each from its first cell on; with d1 = 0, major 0 steps by 0 and is zero from the apex on
+        cases = ((-6, -4, (0, 2)), (-4, -6, (2, 0)), (-6, -6, (0, 3)), (3, 4, None), (-3, 4, None), (0, 5, (0, 0)))
+        for d1, d2, zero in cases:
             params = GrtParams(d1 * d2 // 2, 2, d1, d2)
             assert mult_constant(params) == 0
             start = time.perf_counter()

@@ -7,7 +7,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -541,6 +541,12 @@ class TestAgainstReferenceGrammar:
 
     @settings(max_examples=300)
     @given(text=plain_like_text())
+    @example(text="1\n1 1_0\n1 2 1\n")
+    @example(text="1\n1 +1\n1 2 1\n")
+    @example(text="1\n1 \u0661\n1 2 1\n")
+    @example(text="1\n1 %s\n1 2 1\n" % ("9" * 5000))
+    @example(text="1\n1\u00a01\n1\u00a02\u00a01\n")
+    @example(text="007\n7 -0\n7 7 7\n")
     def test_plain_rows(self, text):
         assert parsed(plain_rows([text])) == oracle_plain_rows(text)
 
@@ -590,6 +596,11 @@ class TestAgainstJsonLoads:
 
     @settings(max_examples=300)
     @given(text=json_like_documents(), cuts=st.lists(st.integers(0, 400), max_size=8))
+    @example(text='{"rows": [[1], [1, "1_0"], [1, 2, 1]]}', cuts=[])
+    @example(text='{"rows": [[1], [1, "+1"], [1, 2, 1]]}', cuts=[])
+    @example(text='{"rows": [[1], [1, "\\u0661"], [1, 2, 1]]}', cuts=[])
+    @example(text='{"rows": [[1], [1, "%s"], [1, 2, 1]]}' % ("9" * 5000), cuts=[])
+    @example(text='{"a": 1, "rows": [[1]], "rows": [[2]]}', cuts=[])
     def test_json_documents(self, text, cuts):
         expected = oracle_json_document(text)
         assert parsed(json_rows(pieces(text, cuts))) == expected
