@@ -3,6 +3,9 @@
 ``props`` proves each identity of ``identities.PROOF_GRIDS`` for every index,
 the row-sum formula among them, and reports embedding and scalar multiples;
 ``--depth`` only sets how many row sums its ``rowsums`` record lists.
+``generate`` writes the closed form for every ``--rule``: it is the triangle
+either rule grows from the parameters' own edges, ``mul`` up to its first
+zero north entry, which is found before anything is written (exit 2).
 
 The grammar of the commands is one table, ``_COMMANDS``: per command its
 handler, its help, and per flag its kind (an integer by the grammar of
@@ -49,14 +52,7 @@ from .analyze import (
     classify_checked_rows,
 )
 from .core import GrtParams
-from .generate import (
-    addition_rows,
-    closed_form_rows,
-    edges_from_params,
-    mult_constant,
-    multiplication_rows,
-    predict_multiplication_failure,
-)
+from .generate import closed_form_rows, predict_multiplication_failure
 from .identities import (
     PROOF_GRIDS,
     InapplicableCheckError,
@@ -307,17 +303,10 @@ def _cmd_generate(args: dict) -> int:
     _check_range("--rows", args["rows"], 1)
     params = GrtParams(args["c"], args["d"], args["d1"], args["d2"])
     _check_printable(params, args["rows"])
-    if args["rule"] == "closed":
-        rows = closed_form_rows(params, args["rows"])
-    elif args["rule"] == "add":
-        rows = addition_rows(edges_from_params(params, args["rows"]), params.d)
-    else:
-        # a failure must print no rows, so it is found from the closed form before any is built
-        failure = predict_multiplication_failure(params, args["rows"])
-        if failure is not None:
-            raise Refusal(EXIT_ARITHMETIC, str(failure))
-        rows = multiplication_rows(edges_from_params(params, args["rows"]), mult_constant(params))
-    _write(_CHUNKS[args["format"]](rows))
+    failure = predict_multiplication_failure(params, args["rows"]) if args["rule"] == "mul" else None
+    if failure is not None:
+        raise Refusal(EXIT_ARITHMETIC, str(failure))
+    _write(_CHUNKS[args["format"]](closed_form_rows(params, args["rows"])))
     return EXIT_OK
 
 

@@ -19,11 +19,13 @@ at once however many rows follow.  ``generate_*`` collect the rows into a
 ``TriangleGrid``.
 
 The multiplication rule can fail part way, at a zero or inexact north
-entry.  Grown from the parameters' own edges it can only fail at a zero of
-the closed form, and ``predict_multiplication_failure`` finds the first such
-zero before any row is built, in O(log) time when d = 0 and
-O(min(rows, 1 + √|D| / |d|)) otherwise, with D = c*d - d1*d2.  So the CLI
-streams ``mul`` like the other rules and still prints nothing on failure.
+entry.  Grown from the parameters' own edges it reproduces the closed form
+up to the first zero north entry, where it fails, and
+``predict_multiplication_failure`` finds that zero before any row is built,
+in O(log) time when d = 0 and O(min(rows, 1 + √|D| / |d|)) otherwise, with
+D = c*d - d1*d2.  The addition rule, grown from those edges, reproduces the
+closed form everywhere.  So the CLI writes ``closed_form_rows`` for every
+rule, after this search for ``mul``, and prints nothing on a failure.
 """
 
 from __future__ import annotations

@@ -43,6 +43,7 @@ from helpers import (
 )
 from rascal import (
     GrtParams,
+    MultiplicationRuleError,
     TriangleGrid,
     boundary_from_params,
     closed_form_entry,
@@ -269,6 +270,15 @@ class TestReportDigitLimit:
         assert [run(capsys, *argv) for argv in calls] == limited
 
 
+@st.composite
+def _planted_zero_params(draw):
+    """d, d1, d2 in ±10^6 and the c that makes T(r, k) zero at a drawn cell, r + k <= 38."""
+    d, d1, d2 = draw(st.tuples(*[st.integers(-(10**6), 10**6)] * 3))
+    r = draw(st.integers(0, 38))
+    k = draw(st.integers(0, 38 - r))
+    return GrtParams(-(k * d1 + r * d2 + r * k * d), d, d1, d2)  # T(r, k) = 0
+
+
 class TestGenerateStreaming:
     @pytest.mark.parametrize(
         "params",
@@ -294,6 +304,25 @@ class TestGenerateStreaming:
             capsys, "generate", *param_flags(params), "--rows", str(n_rows), "--rule", rule, "--format", fmt
         )
         assert (code, out, err) == (0, render(rows), "")
+
+    @settings(deadline=None)
+    @given(
+        params=st.one_of(st.builds(GrtParams, *[st.integers(-(10**6), 10**6)] * 4), _planted_zero_params()),
+        n_rows=st.integers(1, 40),
+        rule=st.sampled_from(["add", "mul"]),
+        fmt=st.sampled_from(["text", "json", "csv"]),
+    )
+    def test_rules_write_what_their_recurrence_grows(self, params, n_rows, rule, fmt):
+        # generate writes the closed form for every rule: the recurrence, cell by cell from the
+        # parameters' own edges, must give those bytes, or fail where generate exits 2
+        constant = params.d if rule == "add" else mult_constant(params)
+        render = {"text": oracle_render_text, "json": oracle_render_json, "csv": oracle_render_csv}[fmt]
+        try:
+            expected = (0, render(oracle_generate(boundary_from_params(params, n_rows), rule, constant)), "")
+        except MultiplicationRuleError as err:
+            expected = (2, "", f"rascal: {err}\n")
+        argv = ["generate", *param_flags(params), "--rows", str(n_rows), "--rule", rule, "--format", fmt]
+        assert main_on_stdin(b"", *argv) == expected
 
     @pytest.mark.parametrize("rule", ["closed", "add", "mul"])
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
@@ -1321,8 +1350,13 @@ class TestPropsOutputIdentity:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_long_listings(self, capsys, fmt):
         # the listing is written a block of sums at a time: at 100000 it spans many blocks, and
-        # the third family's sums cross 2^63 at n = 1, from where JSON quotes them
-        families = [GrtParams(5, 3, 2, 7), GrtParams(300, 350, 0, 0), GrtParams(9223372036854775000, 1, 1, 1)]
+        # the third family's sums cross 2^63 at n = 1, from where JSON quotes them; the fourth embeds
+        families = [
+            GrtParams(5, 3, 2, 7),
+            GrtParams(300, 350, 0, 0),
+            GrtParams(9223372036854775000, 1, 1, 1),
+            GrtParams(37, 1, 4, 9),
+        ]
         for params in families:
             for depth in (1, 8, 100, 100000):
                 argv = ["props", *param_flags(params), "--depth", str(depth), "--format", fmt]
