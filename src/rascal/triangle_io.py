@@ -24,10 +24,10 @@ all its tokens.  Nothing here imports ``re`` but the JSON reader, which
 
 Each format has a row parser (``plain_rows`` and ``json_rows``, and
 ``triangle_rows`` for either) that takes the text in pieces of any size and
-yields one row at a time, holding about one row of text.  Each row comes out
-checked as ``TriangleGrid`` checks it, a tuple of n + 1 ints, so
-``analyze.classify_checked_rows`` takes the rows as they are.  The
-``parse_*`` functions collect those rows into a ``TriangleGrid``.
+yields one row at a time, holding about one row of text, also of a text it
+refuses.  Each row comes out checked as ``TriangleGrid`` checks it, a tuple
+of n + 1 ints, so ``analyze.classify_checked_rows`` takes the rows as they
+are.  The ``parse_*`` functions collect those rows into a ``TriangleGrid``.
 
 A row parser may be sent the row its caller expects next: classify's fold
 sends the closed form's row n, fitted from rows 0-2, before the parser reads
@@ -272,9 +272,10 @@ def json_rows(chunks: Iterable[str]) -> Generator[tuple[int, ...], tuple[int, ..
     and a "rows" array one row at a time, so the reader holds about one row of
     text (or one other member).  The rows and the TriangleParseError of a bad
     document are those of ``json.loads`` on the whole text, except that a
-    second "rows" member (which would replace the first) is an error.  A
-    top-level value that is not an object is read whole, only to refuse it.
-    A row sent in is given back, undecoded, when the next row's array is its
+    second "rows" member (which would replace the first) is an error, and a
+    top-level value that is not an object is refused at its first character.
+    A syntax error is raised from the text held once it shows the fault.  A
+    row sent in is given back, undecoded, when the next row's array is its
     ``json_chunks`` text.
     """
     import json
@@ -304,12 +305,21 @@ def json_rows(chunks: Iterable[str]) -> Generator[tuple[int, ...], tuple[int, ..
         return 0
 
     def invalid(start: int, prefix: str) -> TriangleParseError:
-        """Raise the error of the whole document, read with ``prefix`` in place of its text up to ``start``.
+        """Raise the document's error, read from the text held with ``prefix`` in place of its text up to ``start``.
 
         The text up to ``start`` was valid and leaves the decoder in the
-        state ``prefix`` does, so ``json.loads`` stops at the same fault.
+        state ``prefix`` does, and the text held shows the fault, so
+        ``json.loads`` stops at the same fault with the same message.
         """
-        _loads(prefix + text[start:] + "".join(chunks), lines + text.count("\n", 0, start))
+        try:
+            json.loads(prefix + text[start:])
+        except json.JSONDecodeError as err:
+            line = err.lineno + lines + text.count("\n", 0, start)
+            raise TriangleParseError(f"invalid JSON: {err.msg}", line) from err
+        except RecursionError as err:
+            raise TriangleParseError("invalid JSON: arrays nested too deeply") from err
+        except ValueError as err:
+            raise TriangleParseError("invalid JSON: a number has too many digits to convert") from err
         return TriangleParseError("invalid JSON")
 
     raw_decode = json.JSONDecoder().raw_decode
@@ -320,11 +330,11 @@ def json_rows(chunks: Iterable[str]) -> Generator[tuple[int, ...], tuple[int, ..
     while True:
         after, prefix = state
         follows = after.match(text, start)
+        if follows is None and (ended or text[start:].strip(" \t\n\r") not in ("", ",")):
+            raise invalid(start, prefix)  # no more text can make up what a state needs
         if (follows is None or follows.end() == len(text)) and not ended:
             start = more(start)
             continue
-        if follows is None:
-            raise invalid(start, prefix)
         at = follows.end()
         if state is colon:
             if key == "rows" and text.startswith("[", at):
@@ -334,7 +344,6 @@ def json_rows(chunks: Iterable[str]) -> Generator[tuple[int, ...], tuple[int, ..
             break
         elif state is top:
             if not follows.group(1):
-                _loads(text + "".join(chunks))
                 raise missing
             state, start = first_key, at
             continue
@@ -352,8 +361,13 @@ def json_rows(chunks: Iterable[str]) -> Generator[tuple[int, ...], tuple[int, ..
                 continue
         try:
             value, stop = raw_decode(text, at)
-        except (ValueError, RecursionError):
-            if ended:
+        except json.JSONDecodeError as err:  # near the end, a cut "\uXXXX", literal or number fails too
+            if ended or (err.pos < len(text) - 8 and not err.msg.startswith("Unterminated string")):
+                raise invalid(start, prefix) from None
+            stop = len(text)
+        except (ValueError, RecursionError):  # a number past the digit limit, or nesting past the recursion limit
+            # unless the text ends in that number's digits, which a fraction or exponent may follow
+            if ended or text[-sys.get_int_max_str_digits() - 1 :].strip("0123456789.eE+-"):
                 raise invalid(start, prefix) from None
             stop = len(text)
         if stop > len(text) - 3 and not ended:  # the value may go on in the next piece: "1", "1." or "1e-"
@@ -404,20 +418,6 @@ def _json_row(raw, n: int) -> tuple[int, ...]:
     if len(row) != n + 1:
         raise TriangleParseError(f"row {n} has {len(row)} entries, expected {n + 1}")
     return row
-
-
-def _loads(text: str, line_offset: int = 0):
-    """``json.loads``, its failures raised as TriangleParseError; ``line_offset`` lines precede ``text``."""
-    import json
-
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
-        raise TriangleParseError(f"invalid JSON: {err.msg}", err.lineno + line_offset) from err
-    except RecursionError as err:
-        raise TriangleParseError("invalid JSON: arrays nested too deeply") from err
-    except ValueError as err:
-        raise TriangleParseError("invalid JSON: a number has too many digits to convert") from err
 
 
 def _json_entry(value, n: int) -> int:

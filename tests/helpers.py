@@ -781,10 +781,14 @@ class _Object(dict):
 def oracle_json_document(text):
     """The rows of the JSON triangle ``text``, or the (message, line) of the error reading it must raise.
 
-    The whole document is parsed by ``json.loads``: its error, if any, is the
-    answer, then a second "rows" member of the top-level object, then the
-    checks of the "rows" array and its rows.
+    A text whose first character after JSON whitespace is not ``{`` is no
+    object, whatever follows.  Else the whole document is parsed by
+    ``json.loads``: its error, if any, is the answer, then a second "rows"
+    member of the top-level object, then the checks of the "rows" array and
+    its rows.
     """
+    if not text.lstrip(" \t\n\r").startswith("{"):
+        return 'expected a JSON object with a "rows" array', None
     try:
         doc = json.loads(text, object_pairs_hook=_Object)
     except json.JSONDecodeError as err:
