@@ -64,6 +64,7 @@ from .identities import (
 from .triangle_io import (
     TriangleParseError,
     csv_chunks,
+    digit_limit,
     grammar_int,
     json_chunks,
     json_text,
@@ -324,7 +325,7 @@ def _check_printable(params: GrtParams, n_rows: int) -> None:
     Every rule makes the closed form's entries, so none exceeds
     |c| + n*(|d1| + |d2|) + n²*|d| with n = n_rows - 1; checked before any output.
     """
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() == 0: no limit before 3.10.7
+    limit = digit_limit()
     n = n_rows - 1
     bound = abs(params.c) + n * (abs(params.d1) + abs(params.d2)) + n * n * abs(params.d)
     # 10**limit has at least 3.32*limit bits: build it only for a bound about that long
@@ -454,7 +455,7 @@ def _with_digit_limit(extra_digits: int, build):
     Callers bound those values' digits from L: the limit guards against
     quadratic conversion of huge integers, so it is raised only that far.
     """
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() == 0: no limit before 3.10.7
+    limit = digit_limit()
     if not limit:
         return build()
     sys.set_int_max_str_digits(2 * limit + extra_digits)

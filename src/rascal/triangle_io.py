@@ -25,7 +25,9 @@ all its tokens.  Nothing here imports ``re`` but the JSON reader, which
 Each format has a row parser (``plain_rows`` and ``json_rows``, and
 ``triangle_rows`` for either) that takes the text in pieces of any size and
 yields one row at a time, holding about one row of text, also of a text it
-refuses.  Each row comes out checked as ``TriangleGrid`` checks it, a tuple
+refuses.  Three kinds of text are still held whole: blank text before row 0
+or the opening ``{``; blank text inside a JSON document or inside a plain
+line; and a token far past the digit limit.  Each row comes out checked as ``TriangleGrid`` checks it, a tuple
 of n + 1 ints, so ``analyze.classify_checked_rows`` takes the rows as they
 are.  The ``parse_*`` functions collect those rows into a ``TriangleGrid``.
 
@@ -216,7 +218,7 @@ def _plain_row(line: str, n: int, lineno: int) -> tuple[int, ...]:
             try:
                 ints = tuple(map(int, tokens))
             except ValueError:  # keep the longest token past the digit limit, the first of equals
-                limit = sys.get_int_max_str_digits()
+                limit = digit_limit()
                 longest = max([longest, *(token for token in tokens if len(token.lstrip("-")) > limit)], key=len)
                 continue
         if count <= n + 1:
@@ -367,7 +369,7 @@ def json_rows(chunks: Iterable[str]) -> Generator[tuple[int, ...], tuple[int, ..
             stop = len(text)
         except (ValueError, RecursionError):  # a number past the digit limit, or nesting past the recursion limit
             # unless the text ends in that number's digits, which a fraction or exponent may follow
-            if ended or text[-sys.get_int_max_str_digits() - 1 :].strip("0123456789.eE+-"):
+            if ended or text[-digit_limit() - 1 :].strip("0123456789.eE+-"):
                 raise invalid(start, prefix) from None
             stop = len(text)
         if stop > len(text) - 3 and not ended:  # the value may go on in the next piece: "1", "1." or "1e-"
@@ -432,6 +434,11 @@ def _json_entry(value, n: int) -> int:
             if _is_grammar_int(value):  # past the digit limit
                 raise TriangleParseError(f"row {n}: {err}") from None
     raise TriangleParseError(f"row {n}: {value!r} is not an integer or integer string")
+
+
+def digit_limit() -> int:
+    """The interpreter's int-to-str digit limit: 0 where it is switched off, or where there is none (before 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", int)()
 
 
 def _too_long(token: str) -> str:
